@@ -2,25 +2,23 @@
 //!
 //! The `sim_million_flow_*` rows are the acceptance bench for the
 //! timer-wheel/SoA event-loop rearchitecture (DESIGN.md § "The event loop
-//! at scale"): one million flow arrivals at k̄ = 2000, measured through
-//! the legacy heap loop (the pre-refactor implementation preserved in
-//! `bevra_sim::legacy`), the new loop on both queue backends, and the
-//! sharded fleet. The wheel+SoA row must beat the legacy row by ≥10× —
-//! CI's sim-scale job gates on these rows via `scripts/perf_smoke.py`.
+//! at scale"): one million flow arrivals at k̄ = 5000, measured through
+//! the loop on both queue backends and the sharded fleet. CI's sim-scale
+//! job gates the wheel and fleet rows against the committed baseline via
+//! `scripts/perf_smoke.py`.
 
 use bevra_sim::fleet::{Fleet, FleetConfig};
-use bevra_sim::queue::{BinaryHeapQueue, EventQueue, SortedVecQueue};
+use bevra_sim::queue::{BinaryHeapQueue, EventQueue};
 use bevra_sim::wheel::TimerWheelQueue;
-use bevra_sim::{legacy, Discipline, HoldingDist, MixedPoisson, QueueKind, SimConfig, Simulation};
+use bevra_sim::{Discipline, HoldingDist, MixedPoisson, QueueKind, SimConfig, Simulation};
 use bevra_utility::AdaptiveExp;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
 /// One million flow arrivals: k̄ = 5000 concurrent flows for 200 time
-/// units. High occupancy is the regime that separates the architectures —
-/// the legacy loop pays an O(active) max-population scan per departure
-/// and a heap reorder per event, the new loop pays O(1) for both.
+/// units. High occupancy is the regime that separates the queues — the
+/// heap pays an O(log n) reorder per event, the wheel amortized O(1).
 fn million_flow_cfg() -> SimConfig {
     SimConfig {
         capacity: 6250.0,
@@ -41,10 +39,6 @@ fn million_flow_benches(c: &mut Criterion) {
     // and events/s = 1e9 / ns_per_point.
     let events = Simulation::new(cfg.clone()).run_on(QueueKind::Wheel).events as usize;
 
-    c.bench_function("sim_million_flow_legacy_heap", |b| {
-        b.points(events);
-        b.iter(|| black_box(legacy::run(&cfg)));
-    });
     c.bench_function("sim_million_flow_heap_soa", |b| {
         b.points(events);
         b.iter(|| black_box(Simulation::new(cfg.clone()).run_on(QueueKind::Heap)));
@@ -91,8 +85,8 @@ fn sim_benches(c: &mut Criterion) {
         b.iter(|| black_box(Simulation::new(cfg.clone()).run()));
     });
 
-    // Event-queue ablation (DESIGN.md §4): binary heap vs sorted vec under
-    // a hold-model workload.
+    // Event-queue ablation (DESIGN.md §4): binary heap vs timer wheel
+    // under a hold-model workload.
     fn churn(q: &mut impl EventQueue, n: u64) -> f64 {
         use bevra_sim::events::{Entry, EventKind};
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
@@ -113,9 +107,6 @@ fn sim_benches(c: &mut Criterion) {
     }
     c.bench_function("ablate_eventq_binary_heap", |b| {
         b.iter(|| black_box(churn(&mut BinaryHeapQueue::new(), 4_096)));
-    });
-    c.bench_function("ablate_eventq_sorted_vec", |b| {
-        b.iter(|| black_box(churn(&mut SortedVecQueue::new(), 4_096)));
     });
     c.bench_function("ablate_eventq_timer_wheel", |b| {
         b.iter(|| black_box(churn(&mut TimerWheelQueue::with_granularity(1.0 / 4096.0), 4_096)));

@@ -27,7 +27,7 @@
 //!
 //! Invariants 1, 2 and 6 run once per **registered kernel backend**
 //! (`bevra_engine::registry::backends()`): each backend's checked sweep
-//! must account exactly, and each grid-priming backend's cached sweeps
+//! must account exactly, and its cached sweeps
 //! must reproduce *that backend's* uncached sweep bit for bit. A backend
 //! added to the registry later gets this coverage automatically.
 //!
@@ -321,8 +321,8 @@ pub fn run_case(case_seed: u64) -> Result<ChaosStats, String> {
     stats.degraded += checked.health.degraded;
 
     // Invariants 1 + 2 + 6, per registered backend. Every backend's
-    // checked sweep must complete with exact accounting, and for every
-    // grid-priming backend the persistent value-table cache must be
+    // checked sweep must complete with exact accounting, and the
+    // persistent value-table cache must be
     // transparent under the active plan: injection decisions are pure
     // functions of (plan seed, site, key), so a cold cached sweep
     // (compute + store, possibly fault-blocked) and a warm cached sweep
@@ -343,9 +343,6 @@ pub fn run_case(case_seed: u64) -> Result<ChaosStats, String> {
         stats.points += base.health.total();
         stats.failed += base.health.failed;
         stats.degraded += base.health.degraded;
-        if !cap.grid_priming {
-            continue;
-        }
         let cache_dir = std::env::temp_dir()
             .join(format!("bevra-chaos-cache-{case_seed}-{}", cap.name));
         let _ = std::fs::remove_dir_all(&cache_dir);
@@ -502,7 +499,12 @@ pub fn run_recovery_case(case_seed: u64) -> Result<ChaosStats, String> {
     };
     let mut stats = ChaosStats::default();
     let fleet = Fleet::new(cfg.clone());
-    let reference = fleet.run_on(shards, QueueKind::Wheel);
+    // The fault-free reference runs under an empty plan: holding the
+    // install lock keeps a plan installed by a concurrent caller out of it.
+    let reference = {
+        let _guard = install(FaultPlan::seeded(0));
+        fleet.run_on(shards, QueueKind::Wheel)
+    };
     if !reference.health.all_ok() {
         return Err(fail("fault-free reference run was not clean".into()));
     }
@@ -623,7 +625,10 @@ pub fn run_recovery_case(case_seed: u64) -> Result<ChaosStats, String> {
     }
     let resumed_fleet = Fleet::new(cfg)
         .with_checkpoint(FleetCheckpoint::new(&ckpt_dir, CacheMode::ReadWrite));
-    let resumed = resumed_fleet.run_on(shards, QueueKind::Wheel);
+    let resumed = {
+        let _guard = install(FaultPlan::seeded(0));
+        resumed_fleet.run_on(shards, QueueKind::Wheel)
+    };
     let restored = resumed_fleet
         .checkpoint_store()
         .map_or(0, bevra_sim::ckpt::FleetCheckpoint::restored_lanes);

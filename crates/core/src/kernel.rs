@@ -1,15 +1,12 @@
 //! The [`Kernel`] trait: pluggable welfare-evaluation backends.
 //!
-//! PR 5 grew three evaluation paths for the discrete model — the scalar
-//! per-point path, the grid-batched exact kernel, and the vectorized fast
-//! kernel — selected by an env-var `match` buried in the sweep engine.
-//! This module lifts that choice into a first-class, object-safe trait:
-//! a backend is a `&'static dyn Kernel` that evaluates the three grid
+//! A backend is a `&'static dyn Kernel` that evaluates the three grid
 //! primitives (`k_max`, `B`, `R`) over a sorted capacity grid and
 //! self-reports a [`KernelCapability`] record describing *how* it
-//! evaluates them — its parity class against the scalar reference, its
-//! SIMD level, which fault-injection sites cover it, and the tag that
-//! keys the persistent cache.
+//! evaluates them — its parity class against the per-point
+//! [`DiscreteModel`] methods (the reference every backend is tested
+//! against), its SIMD level, which fault-injection sites cover it, and
+//! the tag that keys the persistent cache.
 //!
 //! The capability record is what makes backends safely pluggable:
 //!
@@ -23,15 +20,15 @@
 //! * the `SweepHealth` ledger and the observability metrics record which
 //!   backend produced a sweep.
 //!
-//! Four built-in backends are provided (see [`scalar`], [`batch`],
-//! [`fast`], [`portable`]):
+//! Three built-in backends are provided (see [`batch`], [`fast`],
+//! [`portable`]); all of them prime whole grids and run the fused B+R
+//! pass:
 //!
-//! | backend | parity | π evaluation | grid-primes? |
-//! |---|---|---|---|
-//! | `scalar` | bitwise | libm, per point | no |
-//! | `batch` | bitwise | libm, loop-interchanged | yes |
-//! | `fast` | ≤ 1e-13 rel | packed polynomial (B only) | yes |
-//! | `deterministic-portable` | ≤ 1e-13 rel | scalar polynomial, everywhere | yes |
+//! | backend | parity | π evaluation |
+//! |---|---|---|
+//! | `batch` | bitwise | libm, loop-interchanged |
+//! | `fast` | ≤ 1e-13 rel | packed polynomial (B only) |
+//! | `deterministic-portable` | ≤ 1e-13 rel | scalar polynomial, everywhere |
 //!
 //! The `deterministic-portable` backend evaluates **every** π through
 //! [`Utility::value_portable`] — the branch-free polynomial
@@ -56,18 +53,19 @@ use bevra_utility::Utility;
 /// method bodies, and Rust has no fast-math re-association).
 pub type DynModel<'a> = DiscreteModel<&'a dyn Utility>;
 
-/// How close a backend's results are to the scalar reference path.
+/// How close a backend's results are to the per-point model methods.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ParityClass {
     /// Bit-for-bit identical to [`DiscreteModel::k_max`] /
     /// [`DiscreteModel::best_effort`] / [`DiscreteModel::reservation`]
     /// called point by point.
     Bitwise,
-    /// `B` and `R` within the given **relative** tolerance of the scalar
-    /// path; `k_max` may differ only where the value curve `k·π(C/k)` is
-    /// flat to within the same tolerance (a tie between thresholds, so
-    /// the induced `R` difference is itself inside the budget). Results
-    /// are still deterministic: same input bits ⇒ same output bits.
+    /// `B` and `R` within the given **relative** tolerance of the
+    /// per-point path; `k_max` may differ only where the value curve
+    /// `k·π(C/k)` is flat to within the same tolerance (a tie between
+    /// thresholds, so the induced `R` difference is itself inside the
+    /// budget). Results are still deterministic: same input bits ⇒ same
+    /// output bits.
     Tolerance(f64),
 }
 
@@ -121,15 +119,14 @@ pub fn resolved_simd_level() -> SimdLevel {
 /// suites.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelCapability {
-    /// Unique stable name; the registry rejects duplicates, `BEVRA_KERNEL`
-    /// selects by it, and the health ledger and metrics record it. It is
-    /// deliberately *not* hashed into the persistent-cache key — bitwise
-    /// twins (scalar/batch) share entries via a shared [`cache_tag`].
+    /// Unique stable name; `BEVRA_KERNEL` selects by it, and the health
+    /// ledger and metrics record it. It is deliberately *not* hashed into
+    /// the persistent-cache key — the [`cache_tag`] is.
     ///
     /// [`cache_tag`]: KernelCapability::cache_tag
     pub name: &'static str,
-    /// Parity contract against the scalar reference path. The parity suite
-    /// derives its per-backend assertion from this.
+    /// Parity contract against the per-point model methods. The parity
+    /// suite derives its per-backend assertion from this.
     pub parity: ParityClass,
     /// SIMD engagement of the backend's hot loop (informational: SIMD
     /// dispatch never changes result bits, so it does not key the cache).
@@ -137,33 +134,20 @@ pub struct KernelCapability {
     /// Whether results are bit-identical across platforms and libm
     /// versions (true only for backends that never call libm).
     pub portable: bool,
-    /// Whether the engine's `prime()` should drive this backend over whole
-    /// grids (and persist the rows). `false` means the backend evaluates
-    /// lazily per point through the engine's memo caches — the scalar
-    /// backend's contract, which also keeps it off the persistent cache.
+    /// Whether the engine's `prime()` drives this backend over whole grids
+    /// (and persists the rows). True for every built-in backend.
     pub grid_priming: bool,
-    /// Whether [`Kernel::sweep_grid`] runs the fused B+R traversal
-    /// ([`sweep_grid_fused`]) instead of composing the three primitives —
-    /// one table pass serves both architectures. Informational for
-    /// bitwise backends (the fused exact pass is op-for-op the unfused
-    /// pair); for tolerance backends the fused fast pass regroups the
-    /// summation, so the flag pairs with a distinct [`cache_tag`].
-    ///
-    /// [`cache_tag`]: KernelCapability::cache_tag
-    pub fused: bool,
     /// Fault-injection sites (`bevra_faults` site names) that cover this
     /// backend's evaluations — the chaos harness asserts through these.
     pub fault_sites: &'static [&'static str],
-    /// Persistent-cache key tag. Backends whose results are bitwise
-    /// interchangeable share a tag (scalar/batch); tolerance-class
-    /// backends get distinct tags so cached rows never cross parity
-    /// classes.
+    /// Persistent-cache key tag. Backends whose results may differ get
+    /// distinct tags so cached rows never cross parity classes.
     pub cache_tag: u8,
 }
 
 /// Every built-in backend evaluates π behind the fault-injection sites
 /// `eval/best_effort` and `eval/reservation` (the wrapping lives in the
-/// shared grid kernels and the scalar model methods, so it is
+/// shared grid kernels and the per-point model methods, so it is
 /// backend-independent).
 const EVAL_SITES: &[&str] = &["eval/best_effort", "eval/reservation"];
 
@@ -172,8 +156,8 @@ const EVAL_SITES: &[&str] = &["eval/best_effort", "eval/reservation"];
 /// Object-safe by design: engines hold a `&'static dyn Kernel` and models
 /// cross the boundary as [`DynModel`] views. All entry points take a
 /// **sorted ascending, NaN-free** capacity grid (the engine sorts and
-/// dedups before calling) and mirror the corresponding scalar or batched
-/// free function.
+/// dedups before calling) and mirror the corresponding batched free
+/// function.
 pub trait Kernel: Send + Sync {
     /// The backend's self-description. Must be constant over the life of
     /// the process: the engine hashes parts of it into persistent-cache
@@ -189,8 +173,7 @@ pub trait Kernel: Send + Sync {
     ///
     /// # Panics
     ///
-    /// Panics if `capacities` is not sorted ascending or contains NaN
-    /// (grid-priming backends; the scalar backend accepts any grid).
+    /// Panics if `capacities` is not sorted ascending or contains NaN.
     fn k_max_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<Option<u64>>;
 
     /// Normalized best-effort utility `B(C)` per capacity.
@@ -198,12 +181,11 @@ pub trait Kernel: Send + Sync {
     /// Parity contract: per [`KernelCapability::parity`] against
     /// [`DiscreteModel::best_effort`]. Every returned value passes
     /// through the `eval/best_effort` fault site (positive capacities
-    /// only, mirroring the scalar early return at `C ≤ 0`).
+    /// only, mirroring the per-point early return at `C ≤ 0`).
     ///
     /// # Panics
     ///
-    /// Panics if `capacities` is not sorted ascending or contains NaN
-    /// (grid-priming backends; the scalar backend accepts any grid).
+    /// Panics if `capacities` is not sorted ascending or contains NaN.
     fn best_effort_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<f64>;
 
     /// Normalized reservation utility `R(C)` per capacity, given the
@@ -218,7 +200,7 @@ pub trait Kernel: Send + Sync {
     /// # Panics
     ///
     /// Panics if slice lengths differ, or if `capacities` is not sorted
-    /// ascending or contains NaN (grid-priming backends).
+    /// ascending or contains NaN.
     fn reservation_grid(
         &self,
         model: &DynModel<'_>,
@@ -230,11 +212,11 @@ pub trait Kernel: Send + Sync {
     /// Full sweep: `k_max`, `B`, and `R` for every capacity. The default
     /// composes the three primitives in the canonical order (thresholds →
     /// best-effort → reservations), mirroring
-    /// [`crate::discrete_batch::sweep_grid`]. Backends with
-    /// [`KernelCapability::fused`] override this with the fused B+R
-    /// traversal ([`sweep_grid_fused`]) — same parity contract, same
-    /// fault sites in the same per-lane order (all `B` wraps, then all
-    /// `R` wraps), so `@at=N` fault ordinals are backend-independent.
+    /// [`crate::discrete_batch::sweep_grid`]. The built-in backends
+    /// override this with the fused B+R traversal ([`sweep_grid_fused`])
+    /// — same parity contract, same fault sites in the same per-lane
+    /// order (all `B` wraps, then all `R` wraps), so `@at=N` fault
+    /// ordinals are backend-independent.
     ///
     /// # Panics
     ///
@@ -262,50 +244,6 @@ pub trait Kernel: Send + Sync {
     }
 }
 
-/// The scalar reference backend: per-point calls into the model.
-struct ScalarKernel;
-
-impl Kernel for ScalarKernel {
-    fn capability(&self) -> KernelCapability {
-        KernelCapability {
-            name: "scalar",
-            parity: ParityClass::Bitwise,
-            simd: SimdLevel::None,
-            portable: false,
-            grid_priming: false,
-            fused: false,
-            fault_sites: EVAL_SITES,
-            cache_tag: 0,
-        }
-    }
-
-    fn k_max_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<Option<u64>> {
-        capacities.iter().map(|&c| model.k_max(c)).collect()
-    }
-
-    fn best_effort_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<f64> {
-        capacities.iter().map(|&c| model.best_effort(c)).collect()
-    }
-
-    fn reservation_grid(
-        &self,
-        model: &DynModel<'_>,
-        capacities: &[f64],
-        k_maxes: &[Option<u64>],
-        _best_efforts: &[f64],
-    ) -> Vec<f64> {
-        assert_eq!(capacities.len(), k_maxes.len(), "k_max table length mismatch");
-        // The scalar path re-derives the elastic delegation internally
-        // (`reservation_with_kmax(None)` calls `best_effort`), exactly as
-        // the per-point engine does.
-        capacities
-            .iter()
-            .zip(k_maxes)
-            .map(|(&c, &km)| model.reservation_with_kmax(c, km))
-            .collect()
-    }
-}
-
 /// The grid-batched exact backend: loop-interchanged, bitwise.
 struct BatchKernel;
 
@@ -317,17 +255,16 @@ impl Kernel for BatchKernel {
             simd: SimdLevel::Autovec,
             portable: false,
             grid_priming: true,
-            fused: true,
             fault_sites: EVAL_SITES,
-            // Shares the scalar tag: results are bitwise interchangeable
-            // (the fused exact sweep mirrors the unfused pair op for op).
+            // The fused exact sweep mirrors the unfused pair op for op, so
+            // the tag of the unfused exact rows still applies.
             cache_tag: 0,
         }
     }
 
     fn k_max_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<Option<u64>> {
         // Per-point thresholds (not the carried bracket): the batch
-        // backend's contract is an op-for-op mirror of the scalar path.
+        // backend's contract is an op-for-op mirror of the model methods.
         capacities.iter().map(|&c| model.k_max(c)).collect()
     }
 
@@ -367,7 +304,6 @@ impl Kernel for FastKernel {
             simd: resolved_simd_level(),
             portable: false,
             grid_priming: true,
-            fused: true,
             fault_sites: EVAL_SITES,
             // Tag 3 (formerly 1): the fused k-span sweep changed the fast
             // backend's result bits, so cached unfused rows must not be
@@ -378,8 +314,8 @@ impl Kernel for FastKernel {
     }
 
     fn k_max_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<Option<u64>> {
-        // Carried bracket over the scalar V(k): thresholds are bitwise
-        // the scalar ones (the fast π never feeds the argmax).
+        // Carried bracket over the exact V(k): thresholds are bitwise the
+        // per-point ones (the fast π never feeds the argmax).
         k_max_grid_pi(model, capacities, PiEval::Fast)
     }
 
@@ -419,7 +355,6 @@ impl Kernel for PortableKernel {
             simd: SimdLevel::None,
             portable: true,
             grid_priming: true,
-            fused: true,
             fault_sites: EVAL_SITES,
             // The fused exact/portable sweep is bitwise the unfused pair,
             // so the tag (and the pinned portable digests) are unchanged.
@@ -452,28 +387,20 @@ impl Kernel for PortableKernel {
     }
 }
 
-static SCALAR: ScalarKernel = ScalarKernel;
 static BATCH: BatchKernel = BatchKernel;
 static FAST: FastKernel = FastKernel;
 static PORTABLE: PortableKernel = PortableKernel;
 
-/// The scalar reference backend (`BEVRA_KERNEL=scalar`): per-point, no
-/// grid priming, the parity anchor every other backend is measured
-/// against.
-#[must_use]
-pub fn scalar() -> &'static dyn Kernel {
-    &SCALAR
-}
-
 /// The grid-batched exact backend (`BEVRA_KERNEL=batch`, the default):
-/// loop-interchanged table walk, bitwise identical to the scalar path.
+/// loop-interchanged table walk, bitwise identical to the per-point
+/// model methods.
 #[must_use]
 pub fn batch() -> &'static dyn Kernel {
     &BATCH
 }
 
 /// The vectorized fast backend (`BEVRA_KERNEL=fast`): packed polynomial
-/// π for `B`, within 1e-13 relative of scalar; `k_max` and `R` bitwise.
+/// π for `B`, within 1e-13 relative of exact; `k_max` and `R` bitwise.
 #[must_use]
 pub fn fast() -> &'static dyn Kernel {
     &FAST
@@ -487,10 +414,10 @@ pub fn portable() -> &'static dyn Kernel {
     &PORTABLE
 }
 
-/// The four built-in backends, in registry order.
+/// The three built-in backends, in registry order.
 #[must_use]
-pub fn builtin() -> [&'static dyn Kernel; 4] {
-    [scalar(), batch(), fast(), portable()]
+pub fn builtin() -> [&'static dyn Kernel; 3] {
+    [batch(), fast(), portable()]
 }
 
 #[cfg(test)]
@@ -525,18 +452,17 @@ mod tests {
     }
 
     #[test]
-    fn bitwise_backends_match_scalar_reference() {
+    fn batch_backend_matches_per_point_model() {
         let m = model();
         let d = m.as_dyn();
         let cs = [0.5, 2.0, 5.0, 10.0, 20.0, 40.0];
-        for k in [scalar(), batch()] {
-            assert_eq!(k.capability().parity, ParityClass::Bitwise);
-            let got = k.sweep_grid(&d, &cs);
-            for (i, &c) in cs.iter().enumerate() {
-                assert_eq!(got.k_max[i], m.k_max(c), "{} k_max C={c}", k.capability().name);
-                assert_eq!(got.best_effort[i].to_bits(), m.best_effort(c).to_bits());
-                assert_eq!(got.reservation[i].to_bits(), m.reservation(c).to_bits());
-            }
+        let k = batch();
+        assert_eq!(k.capability().parity, ParityClass::Bitwise);
+        let got = k.sweep_grid(&d, &cs);
+        for (i, &c) in cs.iter().enumerate() {
+            assert_eq!(got.k_max[i], m.k_max(c), "k_max C={c}");
+            assert_eq!(got.best_effort[i].to_bits(), m.best_effort(c).to_bits());
+            assert_eq!(got.reservation[i].to_bits(), m.reservation(c).to_bits());
         }
     }
 

@@ -275,28 +275,24 @@ impl<U: Utility> SweepEngine<U> {
     }
 
     /// Prime the memo tables for a capacity grid with the active kernel
-    /// backend (no-op for backends whose capability reports
-    /// `grid_priming: false`, e.g. the scalar reference backend).
+    /// backend.
     ///
-    /// Non-finite and nonpositive capacities are left to the scalar path;
+    /// Non-finite and nonpositive capacities are left to the per-point path;
     /// the rest are sorted, deduplicated, filtered to what is not already
     /// memoized, then either loaded from the persistent cache (keyed by
     /// the backend's capability record, so cached rows never cross parity
     /// classes) or computed by the backend's grid entry points — in
     /// parallel contiguous chunks under [`ExecMode::Parallel`] — and
-    /// inserted. Bitwise-class backends mirror the scalar path exactly;
+    /// inserted. Bitwise-class backends mirror the per-point path exactly;
     /// tolerance-class backends are deterministic within their documented
     /// budget. Either way, results are identical under any thread count
     /// or chunking.
     ///
     /// A panic inside the batched compute is caught and counted
     /// (`engine/prime/panic`): the sweep then falls back to the per-point
-    /// scalar path, preserving the engine's degradation contract.
+    /// path, preserving the engine's degradation contract.
     pub fn prime(&self, capacities: &[f64]) {
         let cap = self.kernel.capability();
-        if !cap.grid_priming {
-            return;
-        }
         let mut cs: Vec<f64> =
             capacities.iter().copied().filter(|c| c.is_finite() && *c > 0.0).collect();
         cs.sort_unstable_by(f64::total_cmp);
@@ -819,22 +815,24 @@ mod tests {
     }
 
     #[test]
-    fn batched_priming_matches_scalar_kernel_bitwise() {
+    fn batched_priming_matches_per_point_model_bitwise() {
         let cs = grid();
-        let scalar =
-            poisson_engine(ExecMode::Serial).with_kernel(bevra_core::kernel::scalar()).sweep(&cs);
+        let load = Tabulated::from_model(&Poisson::new(50.0), 1e-12, 1 << 16);
+        let model = DiscreteModel::new(load, AdaptiveExp::paper());
         let batched =
             poisson_engine(ExecMode::Serial).with_kernel(bevra_core::kernel::batch()).sweep(&cs);
         let batched_par = poisson_engine(ExecMode::Parallel { threads: 5 })
             .with_kernel(bevra_core::kernel::batch())
             .sweep(&cs);
-        for ((s, b), p) in scalar.iter().zip(&batched).zip(&batched_par) {
-            assert_eq!(s.best_effort.to_bits(), b.best_effort.to_bits());
-            assert_eq!(s.reservation.to_bits(), b.reservation.to_bits());
-            assert_eq!(s.bandwidth_gap.to_bits(), b.bandwidth_gap.to_bits());
-            assert_eq!(s.best_effort.to_bits(), p.best_effort.to_bits());
-            assert_eq!(s.reservation.to_bits(), p.reservation.to_bits());
-            assert_eq!(s.bandwidth_gap.to_bits(), p.bandwidth_gap.to_bits());
+        for ((&c, b), p) in cs.iter().zip(&batched).zip(&batched_par) {
+            let (be, rv) = (model.best_effort(c), model.reservation(c));
+            let gap = bevra_core::bandwidth_gap(&model, c).unwrap_or(f64::NAN);
+            assert_eq!(be.to_bits(), b.best_effort.to_bits());
+            assert_eq!(rv.to_bits(), b.reservation.to_bits());
+            assert_eq!(gap.to_bits(), b.bandwidth_gap.to_bits());
+            assert_eq!(be.to_bits(), p.best_effort.to_bits());
+            assert_eq!(rv.to_bits(), p.reservation.to_bits());
+            assert_eq!(gap.to_bits(), p.bandwidth_gap.to_bits());
         }
     }
 

@@ -583,7 +583,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.kernel.as_deref(), Some("fast"), "absent stamp adopts other's");
         let mut c = SweepHealth::new();
-        c.kernel = Some("scalar".into());
+        c.kernel = Some("batch".into());
         c.note_ok();
         a.merge(&c);
         assert_eq!(a.kernel.as_deref(), Some("fast"), "existing stamp wins");

@@ -38,19 +38,17 @@
 //! # Kernel backends
 //!
 //! Grid priming goes through a first-class [`bevra_core::Kernel`]
-//! backend, selected from the process-global [`registry`]. Each backend
+//! backend, selected through the [`registry`]. Each backend
 //! self-reports a [`bevra_core::KernelCapability`] record — name, parity
 //! class (`Bitwise` vs `Tolerance`), SIMD level, fault-site coverage,
 //! cache-key tag — that flows into the persistent-cache key
 //! ([`grid_key`]), the [`SweepHealth`] ledger, and the emitted perf
-//! artifacts. Four backends are built in: `scalar` (per-point reference,
-//! no priming), `batch` (loop-interchanged grids, bitwise, the default),
-//! `fast` (vectorized ULP-budgeted exp), and `deterministic-portable`
-//! (integer-scaled exp path with identical bits on every libm).
-//! `BEVRA_KERNEL=<name>` selects one; unknown names fall back to `scalar`
-//! with a warning. External backends register with
-//! [`registry::register`] and are picked up by the parity and chaos
-//! suites automatically.
+//! artifacts. Three backends are built in: `batch` (loop-interchanged
+//! grids, bitwise, the default), `fast` (vectorized ULP-budgeted exp),
+//! and `deterministic-portable` (integer-scaled exp path with identical
+//! bits on every libm). `BEVRA_KERNEL=<name>` selects one; unknown names
+//! fall back to `batch` with a warning. The parity and chaos suites
+//! enumerate all three.
 //!
 //! # Determinism
 //!
@@ -59,10 +57,10 @@
 //! pool writes results by input index, and the caches memoize pure
 //! functions (racing threads compute identical bits). The workspace's
 //! `engine_parity` property test asserts this across all three load
-//! families. Bitwise-class backends mirror the scalar path op for op —
-//! priming changes wall-clock, never bits; tolerance-class backends are
+//! families. Bitwise-class backends mirror the per-point path op for op
+//! — priming changes wall-clock, never bits; tolerance-class backends are
 //! themselves deterministic (same bits for the same input on the same
-//! backend), only their distance to scalar is a tolerance.
+//! backend), only their distance to the per-point path is a tolerance.
 //!
 //! # Degradation
 //!

@@ -518,15 +518,11 @@ mod tests {
     }
 
     #[test]
-    fn key_shares_entries_within_a_bitwise_equivalence_class() {
+    fn key_separates_parity_classes() {
         let load = Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 10);
         let m = DiscreteModel::new(load, Rigid::unit());
         let caps = [1.0, 2.0, 3.0];
-        // scalar and batch are bitwise-interchangeable by construction and
-        // share a cache_tag, so their entries must cross-serve.
-        let scalar = bevra_core::kernel::scalar().capability();
         let batch = bevra_core::kernel::batch().capability();
-        assert_eq!(grid_key(&m, &scalar, &caps), grid_key(&m, &batch, &caps));
         // The portable backend is a distinct class: never shared.
         let portable = bevra_core::kernel::portable().capability();
         assert_ne!(grid_key(&m, &batch, &caps), grid_key(&m, &portable, &caps));

@@ -1,93 +1,20 @@
-//! Process-global backend registry: the single source of truth for which
-//! [`Kernel`] backends exist and which one `BEVRA_KERNEL` selects.
+//! Backend selection: which [`Kernel`] backends exist and which one
+//! `BEVRA_KERNEL` selects.
 //!
-//! The registry is seeded with the four built-ins
-//! (`bevra_core::kernel::builtin()`) on first touch. External backends
-//! (AVX-512, NEON, offload, …) register a `&'static dyn Kernel` with
-//! [`register`]; from then on the parity suite and the chaos harness pick
-//! them up automatically via [`backends`], and `BEVRA_KERNEL=<name>`
-//! selects them — no engine changes required.
+//! The backends are the three built-ins (`bevra_core::kernel::builtin()`).
+//! The parity suite and the chaos harness enumerate them via [`backends`].
 //!
 //! # Selection semantics (`BEVRA_KERNEL`)
 //!
 //! * unset → the `batch` backend (bitwise, grid-priming — the default);
-//! * a registered name (`scalar`, `batch`, `fast`,
-//!   `deterministic-portable`, or anything registered later) → that
+//! * a built-in name (`batch`, `fast`, `deterministic-portable`) → that
 //!   backend; `portable` is accepted as an alias for
 //!   `deterministic-portable`;
-//! * anything else → the `scalar` reference backend, with a warning on
-//!   stderr and a `kernel/unknown_env` metric — the safest backend wins
-//!   when the request is unintelligible.
-//!
-//! # Registering a backend
-//!
-//! ```
-//! use bevra_core::kernel::{DynModel, Kernel, KernelCapability, ParityClass, SimdLevel};
-//!
-//! /// A demo backend that delegates to the built-in batch kernel.
-//! struct Offload;
-//!
-//! impl Kernel for Offload {
-//!     fn capability(&self) -> KernelCapability {
-//!         KernelCapability {
-//!             name: "offload-demo",
-//!             parity: ParityClass::Bitwise,
-//!             simd: SimdLevel::None,
-//!             portable: false,
-//!             grid_priming: true,
-//!             fused: false,
-//!             fault_sites: &["eval/best_effort", "eval/reservation"],
-//!             cache_tag: 17,
-//!         }
-//!     }
-//!     fn k_max_grid(&self, m: &DynModel<'_>, cs: &[f64]) -> Vec<Option<u64>> {
-//!         bevra_core::kernel::batch().k_max_grid(m, cs)
-//!     }
-//!     fn best_effort_grid(&self, m: &DynModel<'_>, cs: &[f64]) -> Vec<f64> {
-//!         bevra_core::kernel::batch().best_effort_grid(m, cs)
-//!     }
-//!     fn reservation_grid(
-//!         &self,
-//!         m: &DynModel<'_>,
-//!         cs: &[f64],
-//!         k: &[Option<u64>],
-//!         b: &[f64],
-//!     ) -> Vec<f64> {
-//!         bevra_core::kernel::batch().reservation_grid(m, cs, k, b)
-//!     }
-//! }
-//!
-//! static OFFLOAD: Offload = Offload;
-//! bevra_engine::registry::register(&OFFLOAD).expect("fresh name");
-//! let found = bevra_engine::registry::lookup("offload-demo").expect("registered");
-//! assert_eq!(found.capability().cache_tag, 17);
-//! // Registered backends are selectable and enumerable like built-ins.
-//! assert!(bevra_engine::registry::backends().len() >= 5);
-//! ```
+//! * anything else → the default `batch` backend, with a warning on
+//!   stderr and a `kernel/unknown_env` metric — a misspelled selector
+//!   falls back to the bitwise default rather than aborting.
 
 use bevra_core::kernel::{self, Kernel};
-use std::sync::{Mutex, OnceLock, PoisonError};
-
-/// Why a [`register`] call was refused.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegistryError {
-    /// A backend with this capability name is already registered. Names
-    /// key the persistent cache and `BEVRA_KERNEL` selection, so they
-    /// must be unique for the life of the process.
-    DuplicateName(&'static str),
-}
-
-impl std::fmt::Display for RegistryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::DuplicateName(name) => {
-                write!(f, "a kernel backend named {name:?} is already registered")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RegistryError {}
 
 /// The outcome of resolving a `BEVRA_KERNEL` request (see [`resolve`]).
 #[derive(Clone, Copy)]
@@ -95,7 +22,7 @@ pub struct Selection {
     /// The backend the engine will use.
     pub kernel: &'static dyn Kernel,
     /// Human-readable warning when the request named an unknown backend
-    /// and the scalar fallback was substituted; `None` on a clean match.
+    /// and the default was substituted; `None` on a clean match.
     pub warning: Option<&'static str>,
 }
 
@@ -108,50 +35,19 @@ impl std::fmt::Debug for Selection {
     }
 }
 
-static REGISTRY: OnceLock<Mutex<Vec<&'static dyn Kernel>>> = OnceLock::new();
-
-fn registry() -> &'static Mutex<Vec<&'static dyn Kernel>> {
-    REGISTRY.get_or_init(|| Mutex::new(kernel::builtin().to_vec()))
-}
-
-fn with_registry<T>(f: impl FnOnce(&mut Vec<&'static dyn Kernel>) -> T) -> T {
-    // A poisoned lock only means another thread panicked mid-read; the
-    // Vec itself is always in a consistent state (push is the only write).
-    f(&mut registry().lock().unwrap_or_else(PoisonError::into_inner))
-}
-
-/// Register an external backend.
-///
-/// # Errors
-///
-/// Returns [`RegistryError::DuplicateName`] if a backend with the same
-/// capability name (built-in or previously registered) already exists;
-/// the registry is unchanged in that case.
-pub fn register(backend: &'static dyn Kernel) -> Result<(), RegistryError> {
-    let name = backend.capability().name;
-    with_registry(|reg| {
-        if reg.iter().any(|k| k.capability().name == name) {
-            return Err(RegistryError::DuplicateName(name));
-        }
-        reg.push(backend);
-        Ok(())
-    })
-}
-
 /// Look a backend up by capability name (exact match, plus the
 /// `portable` alias for `deterministic-portable`).
 #[must_use]
 pub fn lookup(name: &str) -> Option<&'static dyn Kernel> {
     let name = if name == "portable" { "deterministic-portable" } else { name };
-    with_registry(|reg| reg.iter().copied().find(|k| k.capability().name == name))
+    backends().into_iter().find(|k| k.capability().name == name)
 }
 
-/// Snapshot of every registered backend, in registration order
-/// (built-ins first). The parity suite and the chaos harness iterate
-/// this, so a newly registered backend is covered automatically.
+/// Every backend, in registry order. The parity suite and the chaos
+/// harness iterate this.
 #[must_use]
-pub fn backends() -> Vec<&'static dyn Kernel> {
-    with_registry(|reg| reg.clone())
+pub fn backends() -> [&'static dyn Kernel; 3] {
+    kernel::builtin()
 }
 
 /// The backend used when `BEVRA_KERNEL` is unset: grid-batched, bitwise.
@@ -162,9 +58,8 @@ pub fn default_kernel() -> &'static dyn Kernel {
 
 /// Pure resolution of a `BEVRA_KERNEL` request — the testable core of
 /// [`from_env`]. `None` (variable unset) selects the default backend;
-/// an unknown name falls back to the scalar reference backend with a
-/// warning, never an abort: a misspelled selector must not silently
-/// change numeric results, and scalar is the parity anchor.
+/// an unknown name falls back to the same bitwise default with a
+/// warning, never an abort.
 #[must_use]
 pub fn resolve(request: Option<&str>) -> Selection {
     match request {
@@ -172,10 +67,8 @@ pub fn resolve(request: Option<&str>) -> Selection {
         Some(name) => match lookup(name) {
             Some(kernel) => Selection { kernel, warning: None },
             None => Selection {
-                kernel: kernel::scalar(),
-                warning: Some(
-                    "unknown BEVRA_KERNEL backend; falling back to the scalar reference kernel",
-                ),
+                kernel: default_kernel(),
+                warning: Some("unknown BEVRA_KERNEL backend; falling back to the batch kernel"),
             },
         },
     }
@@ -183,7 +76,7 @@ pub fn resolve(request: Option<&str>) -> Selection {
 
 /// Resolve `BEVRA_KERNEL` from the environment (see the module docs for
 /// the selection table). Unknown names warn on stderr and bump the
-/// `kernel/unknown_env` counter before falling back to scalar.
+/// `kernel/unknown_env` counter before falling back to `batch`.
 #[must_use]
 pub fn from_env() -> &'static dyn Kernel {
     let request = std::env::var("BEVRA_KERNEL").ok();
@@ -198,62 +91,17 @@ pub fn from_env() -> &'static dyn Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bevra_core::kernel::{DynModel, KernelCapability, ParityClass, SimdLevel};
-
-    /// A minimal backend delegating to batch, for registration tests.
-    struct Delegating(&'static str);
-    impl Kernel for Delegating {
-        fn capability(&self) -> KernelCapability {
-            KernelCapability {
-                name: self.0,
-                parity: ParityClass::Bitwise,
-                simd: SimdLevel::None,
-                portable: false,
-                grid_priming: true,
-                fused: false,
-                fault_sites: &["eval/best_effort", "eval/reservation"],
-                cache_tag: 0xAA,
-            }
-        }
-        fn k_max_grid(&self, m: &DynModel<'_>, cs: &[f64]) -> Vec<Option<u64>> {
-            kernel::batch().k_max_grid(m, cs)
-        }
-        fn best_effort_grid(&self, m: &DynModel<'_>, cs: &[f64]) -> Vec<f64> {
-            kernel::batch().best_effort_grid(m, cs)
-        }
-        fn reservation_grid(
-            &self,
-            m: &DynModel<'_>,
-            cs: &[f64],
-            k: &[Option<u64>],
-            b: &[f64],
-        ) -> Vec<f64> {
-            kernel::batch().reservation_grid(m, cs, k, b)
-        }
-    }
 
     #[test]
     fn builtins_are_registered_and_lookup_works() {
         let names: Vec<_> = backends().iter().map(|k| k.capability().name).collect();
-        for want in ["scalar", "batch", "fast", "deterministic-portable"] {
-            assert!(names.contains(&want), "missing builtin {want}: {names:?}");
+        assert_eq!(names, ["batch", "fast", "deterministic-portable"]);
+        for want in names {
             assert!(lookup(want).is_some());
         }
         // The short alias resolves to the portable backend.
         assert_eq!(lookup("portable").map(|k| k.capability().name), Some("deterministic-portable"));
-    }
-
-    #[test]
-    fn duplicate_names_are_rejected_builtin_and_registered() {
-        static CLASH: Delegating = Delegating("batch");
-        assert_eq!(register(&CLASH), Err(RegistryError::DuplicateName("batch")));
-
-        static FRESH: Delegating = Delegating("registry-test-fresh");
-        assert_eq!(register(&FRESH), Ok(()));
-        static AGAIN: Delegating = Delegating("registry-test-fresh");
-        assert_eq!(register(&AGAIN), Err(RegistryError::DuplicateName("registry-test-fresh")));
-        // The winner is still the first registration.
-        assert!(lookup("registry-test-fresh").is_some());
+        assert!(lookup("scalar").is_none(), "the scalar backend is retired");
     }
 
     #[test]
@@ -266,7 +114,6 @@ mod tests {
     #[test]
     fn resolve_known_names() {
         for (req, want) in [
-            ("scalar", "scalar"),
             ("batch", "batch"),
             ("fast", "fast"),
             ("deterministic-portable", "deterministic-portable"),
@@ -279,9 +126,11 @@ mod tests {
     }
 
     #[test]
-    fn resolve_unknown_falls_back_to_scalar_with_warning() {
-        let sel = resolve(Some("no-such-backend"));
-        assert_eq!(sel.kernel.capability().name, "scalar");
-        assert!(sel.warning.is_some(), "unknown backend must warn");
+    fn resolve_unknown_falls_back_to_batch_with_warning() {
+        for req in ["no-such-backend", "scalar"] {
+            let sel = resolve(Some(req));
+            assert_eq!(sel.kernel.capability().name, "batch", "request {req}");
+            assert!(sel.warning.is_some(), "unknown backend {req} must warn");
+        }
     }
 }

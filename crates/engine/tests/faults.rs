@@ -57,7 +57,12 @@ fn injected_panic_degrades_exactly_one_point() {
     drop(guard);
     // With the plan gone the same engine evaluates the full grid cleanly,
     // including the previously failed index: no lingering poisoned state.
-    let clean = engine(8).sweep_checked(&cs);
+    // The empty plan holds the install lock so a concurrent test's plan
+    // cannot leak into this sweep.
+    let clean = {
+        let _guard = install(FaultPlan::seeded(0));
+        engine(8).sweep_checked(&cs)
+    };
     assert!(clean.health.is_clean(), "health: {}", clean.health);
     assert_eq!(clean.points().len(), cs.len());
 }

@@ -21,14 +21,12 @@
 
 pub mod admission;
 pub mod evaluate;
-pub mod guard;
 pub mod maxmin;
 pub mod scenarios;
 pub mod topology;
 
 pub use admission::{admit_reservations, AdmissionOutcome};
 pub use evaluate::{evaluate_allocation, NetworkUtility};
-pub use guard::{GuardError, NetGuard};
 pub use maxmin::max_min_allocation;
 pub use scenarios::{parking_lot, random_mesh, single_link};
 pub use topology::{FlowSpec, LinkId, Topology};

@@ -38,35 +38,6 @@ pub fn env_count(name: &str, max: usize, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Parse a positive-real-valued override. `Some(x)` iff the trimmed
-/// string is a finite float with `0 < x ≤ max`; `None` otherwise.
-///
-/// ```
-/// use bevra_num::env::parse_positive_f64;
-/// assert_eq!(parse_positive_f64(" 0.25 ", 1e9), Some(0.25));
-/// assert_eq!(parse_positive_f64("0", 1e9), None);
-/// assert_eq!(parse_positive_f64("inf", 1e9), None);
-/// assert_eq!(parse_positive_f64("nan", 1e9), None);
-/// ```
-#[must_use]
-pub fn parse_positive_f64(raw: &str, max: f64) -> Option<f64> {
-    match raw.trim().parse::<f64>() {
-        Ok(x) if x.is_finite() && x > 0.0 && x <= max => Some(x),
-        _ => None,
-    }
-}
-
-/// Read the environment variable `name` and parse it with
-/// [`parse_positive_f64`], falling back to `default` when the variable is
-/// unset or invalid.
-#[must_use]
-pub fn env_positive_f64(name: &str, max: f64, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| parse_positive_f64(&v, max))
-        .unwrap_or(default)
-}
-
 /// Upper bound accepted for millisecond-valued overrides
 /// (`BEVRA_DEADLINE_MS` and the `RetryPolicy` grammar): about 11.5 days.
 /// Larger values are always a typo, never a deadline.
@@ -111,15 +82,6 @@ pub fn warn_malformed_env(component: &str, var: &str, detail: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn positive_f64_accepts_and_rejects() {
-        assert_eq!(parse_positive_f64("2", 10.0), Some(2.0));
-        assert_eq!(parse_positive_f64("1e-6", 10.0), Some(1e-6));
-        for raw in ["0", "-1.5", "", "abc", "inf", "-inf", "nan", "11"] {
-            assert_eq!(parse_positive_f64(raw, 10.0), None, "raw = {raw:?}");
-        }
-    }
 
     #[test]
     fn accepts_in_range_integers() {

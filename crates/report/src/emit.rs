@@ -196,12 +196,11 @@ pub fn emit_figure(fig: &Figure, dir: &Path) -> std::io::Result<()> {
 pub fn announce_kernel() {
     let cap = bevra_engine::registry::from_env().capability();
     println!(
-        "kernel: {} ({:?} parity, simd {:?}{}{})",
+        "kernel: {} ({:?} parity, simd {:?}{})",
         cap.name,
         cap.parity,
         cap.simd,
         if cap.portable { ", portable" } else { "" },
-        if cap.grid_priming { ", grid-priming" } else { ", per-point" },
     );
 }
 

@@ -7,13 +7,12 @@
 //! unit: the fleet's result is defined as "lane 0's report merged with
 //! lane 1's, merged with lane 2's, …" — a fold in strict lane order.
 //!
-//! *Shards* are the **execution** unit: `BEVRA_SIM_SHARDS` (default: the
-//! worker-thread count) groups lanes into contiguous chunks via
+//! *Shards* are the **execution** unit: [`shard_count`] (the worker-thread
+//! count) groups lanes into contiguous chunks via
 //! [`bevra_engine::chunk_ranges`], and each shard runs its lanes serially
 //! on one pool worker. Because the chunking is contiguous and lane slots
-//! are merged in index order, the result is bitwise-invariant under
-//! `BEVRA_SIM_SHARDS` and `BEVRA_THREADS` (pinned by
-//! `tests/determinism.rs` and `tests/sim_scale.rs`).
+//! are merged in index order, the result is bitwise-invariant under the
+//! shard count and `BEVRA_THREADS` (pinned by `tests/determinism.rs`).
 //!
 //! # Failure recovery
 //!
@@ -54,26 +53,18 @@ use bevra_obs::metrics;
 use bevra_resilience::{ambient_clock, CircuitBreaker, Deadline, RetryPolicy, Supervisor};
 use rand::derive_seed;
 
-/// Environment variable setting how many shards (contiguous lane chunks)
-/// a fleet run is split into. Purely an execution knob: any value yields
-/// the identical merged report. Defaults to the engine worker count.
-pub const SHARDS_ENV: &str = "BEVRA_SIM_SHARDS";
-
-/// Upper bound on an explicitly requested shard count (mirrors the
-/// engine's [`MAX_THREADS`](bevra_engine::MAX_THREADS) policy).
-pub const MAX_SHARDS: usize = 512;
-
 /// Consecutive dead lanes that trip the recovery breaker.
 const BREAKER_THRESHOLD: u32 = 3;
 
 /// Rejected lanes between half-open probes once the breaker is open.
 const BREAKER_PROBE_AFTER: u32 = 4;
 
-/// Number of shards a fleet run will use: `BEVRA_SIM_SHARDS` if it parses
-/// as an integer in `1..=`[`MAX_SHARDS`], else the engine worker count.
+/// Number of shards (contiguous lane chunks) [`Fleet::run`] splits its
+/// lanes into: one per engine worker. Any count yields the identical
+/// merged report.
 #[must_use]
 pub fn shard_count() -> usize {
-    bevra_num::env::env_count(SHARDS_ENV, MAX_SHARDS, bevra_engine::thread_count())
+    bevra_engine::thread_count()
 }
 
 /// Configuration of a fleet run: one base [`SimConfig`] replicated across
@@ -140,7 +131,7 @@ impl FleetHealth {
 pub struct FleetReport {
     /// All surviving lanes' reports, folded in strict lane order.
     /// `merged.digest()` is the fleet's canonical digest — invariant
-    /// under `BEVRA_SIM_SHARDS`, `BEVRA_THREADS`, and `BEVRA_SIM_QUEUE`.
+    /// under the shard count, `BEVRA_THREADS`, and the [`QueueKind`].
     pub merged: SimReport,
     /// Per-lane digests (`None` for lanes that stayed dead) — the
     /// accounting granularity the chaos suite checks.
@@ -229,11 +220,10 @@ impl Fleet {
         cfg
     }
 
-    /// Run the fleet at the ambient shard count ([`shard_count`]) and
-    /// queue kind (`BEVRA_SIM_QUEUE`).
+    /// Run the fleet at [`shard_count`] shards on the timer wheel.
     #[must_use]
     pub fn run(&self) -> FleetReport {
-        self.run_on(shard_count(), QueueKind::from_env())
+        self.run_on(shard_count(), QueueKind::Wheel)
     }
 
     /// Run the fleet with an explicit shard count and queue kind — the
@@ -504,6 +494,13 @@ mod tests {
         }
     }
 
+    /// Run `fleet` under an empty fault plan: holding the install lock
+    /// keeps a plan another test installs concurrently out of this run.
+    fn clean_run(fleet: &Fleet, shards: usize, queue: QueueKind) -> FleetReport {
+        let _guard = install(FaultPlan::seeded(0));
+        fleet.run_on(shards, queue)
+    }
+
     /// Suppress the default panic-hook noise for injected panics only
     /// (they are expected and caught); everything else still prints.
     fn silence_injected_panics() {
@@ -525,11 +522,11 @@ mod tests {
     #[test]
     fn digest_invariant_across_shard_counts() {
         let fleet = Fleet::new(fleet_cfg(10));
-        let reference = fleet.run_on(1, QueueKind::Wheel);
+        let reference = clean_run(&fleet, 1, QueueKind::Wheel);
         assert!(reference.health.all_ok());
         assert_eq!(reference.health.ok_lanes, 10);
         for shards in [2, 3, 7, 10, 64] {
-            let r = fleet.run_on(shards, QueueKind::Wheel);
+            let r = clean_run(&fleet, shards, QueueKind::Wheel);
             assert_eq!(
                 r.merged.digest(),
                 reference.merged.digest(),
@@ -538,14 +535,14 @@ mod tests {
             assert_eq!(r.lane_digests, reference.lane_digests);
         }
         // Queue choice is invisible too.
-        let heap = fleet.run_on(3, QueueKind::Heap);
+        let heap = clean_run(&fleet, 3, QueueKind::Heap);
         assert_eq!(heap.merged.digest(), reference.merged.digest());
     }
 
     #[test]
     fn single_lane_merge_is_identity() {
         let fleet = Fleet::new(fleet_cfg(1));
-        let r = fleet.run_on(1, QueueKind::Wheel);
+        let r = clean_run(&fleet, 1, QueueKind::Wheel);
         let solo = Simulation::new(fleet.lane_config(0)).run();
         assert_eq!(r.merged.digest(), solo.digest());
         assert_eq!(r.merged.events, solo.events);
@@ -554,7 +551,7 @@ mod tests {
     #[test]
     fn merged_counters_equal_lane_sums() {
         let fleet = Fleet::new(fleet_cfg(4));
-        let r = fleet.run_on(2, QueueKind::Wheel);
+        let r = clean_run(&fleet, 2, QueueKind::Wheel);
         let mut completed = 0;
         let mut events = 0;
         let mut utility_n = 0;
@@ -574,7 +571,7 @@ mod tests {
     #[test]
     fn lanes_decorrelate_via_derived_seeds() {
         let fleet = Fleet::new(fleet_cfg(3));
-        let r = fleet.run_on(1, QueueKind::Wheel);
+        let r = clean_run(&fleet, 1, QueueKind::Wheel);
         let digests: Vec<_> = r.lane_digests.iter().flatten().copied().collect();
         assert_eq!(digests.len(), 3);
         assert!(digests.windows(2).all(|w| w[0] != w[1]), "lane seeds must differ");
@@ -584,7 +581,7 @@ mod tests {
     fn lane_budget_truncation_is_accounted_not_fatal() {
         let mut cfg = fleet_cfg(3);
         cfg.base.max_events = Some(2_000);
-        let r = Fleet::new(cfg).run_on(2, QueueKind::Wheel);
+        let r = clean_run(&Fleet::new(cfg), 2, QueueKind::Wheel);
         assert!(r.health.all_ok(), "budget exhaustion is not a shard failure");
         assert_eq!(r.health.ok_lanes, 3);
         assert_eq!(r.health.truncated_lanes, 3);
@@ -595,7 +592,7 @@ mod tests {
     fn transient_lane_panic_is_restarted_to_identical_bits() {
         silence_injected_panics();
         let fleet = Fleet::new(fleet_cfg(6));
-        let reference = fleet.run_on(3, QueueKind::Wheel);
+        let reference = clean_run(&fleet, 3, QueueKind::Wheel);
         // Lane 2 panics on its first attempt only; the supervisor's
         // restart reproduces it from the derived seed.
         let plan = FaultPlan::seeded(0)
@@ -621,7 +618,7 @@ mod tests {
     fn permanent_shard_panic_is_rescued_lane_by_lane() {
         silence_injected_panics();
         let fleet = Fleet::new(fleet_cfg(6));
-        let reference = fleet.run_on(3, QueueKind::Wheel);
+        let reference = clean_run(&fleet, 3, QueueKind::Wheel);
         // The shard site is only crossed by whole shards — individual
         // lane re-runs bypass it, so even a *permanent* shard fault is
         // fully rescued by per-lane recovery.
@@ -640,7 +637,7 @@ mod tests {
     fn permanent_lane_death_trips_the_breaker_and_isolates() {
         silence_injected_panics();
         let fleet = Fleet::new(fleet_cfg(8));
-        let reference = fleet.run_on(1, QueueKind::Wheel);
+        let reference = clean_run(&fleet, 1, QueueKind::Wheel);
         // Every lane dies permanently: the first BREAKER_THRESHOLD lanes
         // burn their restart budget, then the breaker opens and most of
         // the rest are rejected without wasted attempts.
@@ -667,7 +664,7 @@ mod tests {
     fn single_dead_lane_leaves_other_lanes_bitwise_intact() {
         silence_injected_panics();
         let fleet = Fleet::new(fleet_cfg(6));
-        let reference = fleet.run_on(3, QueueKind::Wheel);
+        let reference = clean_run(&fleet, 3, QueueKind::Wheel);
         let plan =
             FaultPlan::seeded(0).rule(FaultRule::at_key(FaultKind::Panic, "sim/lane", 4));
         let r = {
@@ -689,7 +686,7 @@ mod tests {
     fn dropped_restart_is_caught_by_the_digest() {
         silence_injected_panics();
         let fleet = Fleet::new(fleet_cfg(6));
-        let reference = fleet.run_on(3, QueueKind::Wheel);
+        let reference = clean_run(&fleet, 3, QueueKind::Wheel);
         // Mutation test: with restarts disabled, the same transient fault
         // that recovery would rescue instead changes the merged digest —
         // i.e. the digest pin *does* catch a silently dropped restart.
@@ -720,7 +717,7 @@ mod tests {
     #[test]
     fn killed_fleet_resumes_bitwise_from_checkpoint() {
         silence_injected_panics();
-        let reference = Fleet::new(fleet_cfg(8)).run_on(8, QueueKind::Wheel);
+        let reference = clean_run(&Fleet::new(fleet_cfg(8)), 8, QueueKind::Wheel);
 
         // 8 shards in groups of GROUP_SHARDS = 2 groups; kill after the
         // first group's checkpoint is stored.
@@ -741,7 +738,7 @@ mod tests {
         // group's lanes restore from disk, the rest are simulated.
         let resume_store = FleetCheckpoint::new(dir, CacheMode::ReadWrite);
         let fleet = Fleet::new(fleet_cfg(8)).with_checkpoint(resume_store);
-        let resumed = fleet.run_on(8, QueueKind::Wheel);
+        let resumed = clean_run(&fleet, 8, QueueKind::Wheel);
         let cs = fleet.checkpoint_store().expect("store attached");
         assert!(cs.restored_lanes() > 0, "resume must restore checkpointed lanes");
         assert!(resumed.health.all_ok());

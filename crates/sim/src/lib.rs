@@ -39,7 +39,6 @@ pub mod events;
 pub mod fleet;
 pub mod flows;
 pub mod holding;
-pub mod legacy;
 pub mod link;
 pub mod queue;
 pub mod runner;

@@ -1,9 +1,8 @@
 //! Pending-event set implementations.
 //!
-//! The simulator's hot loop is pop-min/push; the default is a binary heap.
-//! A sorted-vec alternative is kept for the event-queue ablation bench
-//! (DESIGN.md §4): it wins for tiny event counts and loses badly at scale,
-//! and the bench quantifies the crossover.
+//! The simulator's hot loop is pop-min/push. Production runs use the
+//! timer wheel ([`crate::wheel`]); the binary heap here is the reference
+//! it is differentially tested against.
 
 use crate::events::Entry;
 use std::cmp::Reverse;
@@ -23,7 +22,7 @@ pub trait EventQueue {
     }
 }
 
-/// Binary-heap event queue — O(log n) push/pop, the production choice.
+/// Binary-heap event queue — O(log n) push/pop, the reference order.
 #[derive(Default)]
 pub struct BinaryHeapQueue {
     heap: BinaryHeap<Reverse<Entry>>,
@@ -51,41 +50,11 @@ impl EventQueue for BinaryHeapQueue {
     }
 }
 
-/// Sorted-vector event queue (descending, pop from the back) — O(n) insert,
-/// O(1) pop. Ablation baseline only.
-#[derive(Default)]
-pub struct SortedVecQueue {
-    // Kept sorted descending so pop-min is a pop from the back.
-    items: Vec<Entry>,
-}
-
-impl SortedVecQueue {
-    /// New empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl EventQueue for SortedVecQueue {
-    fn push(&mut self, e: Entry) {
-        let pos = self.items.partition_point(|x| *x > e);
-        self.items.insert(pos, e);
-    }
-
-    fn pop(&mut self) -> Option<Entry> {
-        self.items.pop()
-    }
-
-    fn len(&self) -> usize {
-        self.items.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::events::EventKind;
+    use crate::wheel::TimerWheelQueue;
 
     fn entry(t: f64, seq: u64) -> Entry {
         Entry { time: t, seq, kind: EventKind::Arrival }
@@ -113,13 +82,13 @@ mod tests {
     #[test]
     fn both_queues_pop_in_time_order() {
         check_time_order(&mut BinaryHeapQueue::new());
-        check_time_order(&mut SortedVecQueue::new());
+        check_time_order(&mut TimerWheelQueue::new());
     }
 
     #[test]
     fn queues_agree_on_random_workload() {
         let mut h = BinaryHeapQueue::new();
-        let mut v = SortedVecQueue::new();
+        let mut v = TimerWheelQueue::new();
         // Deterministic pseudo-random times.
         let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
         for seq in 0..500 {

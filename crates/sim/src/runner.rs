@@ -7,13 +7,12 @@
 //! keeps flow state in struct-of-arrays form ([`FlowTable`]) with the
 //! per-admission `max_pop` scan replaced by a monotone suffix-max stack
 //! ([`PeakTracker`]) — see `crates/sim/src/flows.rs` for the equivalence
-//! argument. Two queue implementations are selectable at run time via
-//! [`QueueKind`] / `BEVRA_SIM_QUEUE`: the hierarchical timer wheel
-//! (default, amortized O(1) per event) and the original binary heap.
-//! Both produce **bitwise-identical** [`SimReport::digest`]s — the
-//! differential suite (`tests/timer_wheel.rs`, `tests/sim_scale.rs`)
-//! pins that, along with digest parity against the frozen pre-refactor
-//! loop preserved in [`crate::legacy`].
+//! argument. Runs use the hierarchical timer wheel (amortized O(1) per
+//! event); [`QueueKind::Heap`] selects the original binary heap as the
+//! differential reference. Both produce **bitwise-identical**
+//! [`SimReport::digest`]s — the differential suite
+//! (`tests/timer_wheel.rs`, `tests/sim_scale.rs`) pins that, along with
+//! the golden digests the pre-refactor loop produced.
 
 use crate::arrivals::MixedPoisson;
 use crate::census::Census;
@@ -23,7 +22,7 @@ use crate::holding::HoldingDist;
 use crate::link::Discipline;
 use crate::queue::{BinaryHeapQueue, EventQueue};
 use crate::stats::Welford;
-use crate::wheel::{TimerWheelQueue, DEFAULT_GRANULARITY, WHEEL_GRANULARITY_ENV};
+use crate::wheel::{TimerWheelQueue, DEFAULT_GRANULARITY};
 use bevra_load::Tabulated;
 use bevra_obs::{enabled, metrics, ObsLevel};
 use bevra_resilience::Deadline;
@@ -32,33 +31,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Environment variable selecting the pending-event set implementation:
-/// `wheel` (default) or `heap`. Purely an execution knob — both values
-/// produce bitwise-identical reports.
-pub const QUEUE_ENV: &str = "BEVRA_SIM_QUEUE";
-
 /// Which [`EventQueue`] implementation the run uses. The choice never
 /// affects results (the determinism suite asserts digest equality), only
 /// speed: the wheel is amortized O(1) per event, the heap O(log n).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
-    /// Hierarchical timer wheel ([`TimerWheelQueue`]) — the default.
+    /// Hierarchical timer wheel ([`TimerWheelQueue`]) — what every
+    /// production run uses.
     Wheel,
     /// Binary heap ([`BinaryHeapQueue`]) — the original implementation,
-    /// kept selectable for ablations and differential tests.
+    /// kept as the reference for differential tests.
     Heap,
-}
-
-impl QueueKind {
-    /// Resolve from `BEVRA_SIM_QUEUE` (`heap` selects the heap; anything
-    /// else, including unset, selects the wheel).
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var(QUEUE_ENV) {
-            Ok(v) if v.trim().eq_ignore_ascii_case("heap") => Self::Heap,
-            _ => Self::Wheel,
-        }
-    }
 }
 
 /// Metric handles for one run, resolved once up front so the event loop
@@ -324,9 +307,8 @@ impl SimReport {
     /// left out — see its field docs.)
     ///
     /// Two runs of the same configuration and seed must produce equal
-    /// digests — regardless of `BEVRA_THREADS`, `BEVRA_SIM_QUEUE`, or
-    /// (for fleets) `BEVRA_SIM_SHARDS`. The determinism tests assert
-    /// exactly that.
+    /// digests — regardless of `BEVRA_THREADS`, the [`QueueKind`], or (for
+    /// fleets) the shard count. The determinism tests assert exactly that.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -400,20 +382,22 @@ impl Simulation {
     /// events (or an injected `sim/budget` override) before reaching the
     /// horizon.
     ///
-    /// The pending-event set is chosen by `BEVRA_SIM_QUEUE` (wheel by
-    /// default); use [`Simulation::run_checked_on`] to pin it.
+    /// The run uses the timer wheel; the ambient `BEVRA_DEADLINE_MS`
+    /// deadline (if any) is armed fresh for it.
     ///
     /// # Errors
     ///
-    /// [`SimError::BudgetExhausted`] when the watchdog fires.
+    /// [`SimError::BudgetExhausted`] when the watchdog fires;
+    /// [`SimError::DeadlineExpired`] when the ambient deadline passes.
     pub fn run_checked(&self) -> Result<SimReport, SimError> {
-        self.run_checked_on(QueueKind::from_env())
+        self.run_checked_deadline_on(QueueKind::Wheel, Deadline::from_env("bevra-sim"))
     }
 
-    /// [`Simulation::run`] on an explicitly chosen queue implementation.
+    /// [`Simulation::run`] on an explicitly chosen queue implementation —
+    /// the differential suite runs both kinds and asserts digest equality.
     #[must_use]
     pub fn run_on(&self, kind: QueueKind) -> SimReport {
-        match self.run_checked_on(kind) {
+        match self.run_checked_deadline_on(kind, Deadline::from_env("bevra-sim")) {
             Ok(report) => report,
             Err(
                 SimError::BudgetExhausted { partial, .. }
@@ -422,20 +406,8 @@ impl Simulation {
         }
     }
 
-    /// [`Simulation::run_checked`] on an explicitly chosen queue
-    /// implementation — the differential suite runs both kinds and
-    /// asserts digest equality. The ambient `BEVRA_DEADLINE_MS` deadline
-    /// (if any) is armed fresh for this run.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BudgetExhausted`] when the watchdog fires;
-    /// [`SimError::DeadlineExpired`] when the ambient deadline passes.
-    pub fn run_checked_on(&self, kind: QueueKind) -> Result<SimReport, SimError> {
-        self.run_checked_deadline_on(kind, Deadline::from_env("bevra-sim"))
-    }
-
-    /// [`Simulation::run_checked_on`] under an explicit, possibly shared,
+    /// [`Simulation::run_checked`] on an explicit queue under an explicit,
+    /// possibly shared,
     /// cooperative [`Deadline`] — the fleet arms one deadline and passes
     /// it to every lane so the whole fleet shares a single time budget.
     ///
@@ -453,10 +425,9 @@ impl Simulation {
             QueueKind::Wheel => {
                 // ~1 pending event per level-0 bucket is the calendar-queue
                 // sweet spot; total event rate is ≈ 2·λ (each flow arrives
-                // and departs). Only a performance knob — any granularity
+                // and departs). Only a performance choice — any granularity
                 // gives the identical dequeue order.
-                let auto = (0.5 / self.cfg.arrivals.mean_rate()).clamp(1e-9, DEFAULT_GRANULARITY);
-                let g = bevra_num::env::env_positive_f64(WHEEL_GRANULARITY_ENV, 1e12, auto);
+                let g = (0.5 / self.cfg.arrivals.mean_rate()).clamp(1e-9, DEFAULT_GRANULARITY);
                 EventLoop::new(&self.cfg, TimerWheelQueue::with_granularity(g)).run(deadline)
             }
         }
@@ -824,15 +795,6 @@ mod tests {
             assert_eq!(heap.digest(), wheel.digest(), "cap {cap}");
             assert_eq!(heap.events, wheel.events, "cap {cap}");
         }
-    }
-
-    #[test]
-    fn matches_legacy_loop_bitwise() {
-        let cfg = base_cfg(25.0, Discipline::BestEffort);
-        let new = Simulation::new(cfg.clone()).run();
-        let old = crate::legacy::run(&cfg);
-        assert_eq!(new.digest(), old.digest());
-        assert_eq!(new.events, old.events);
     }
 
     #[test]

@@ -51,12 +51,6 @@ const LEVELS: usize = 3;
 /// spacing instead (see [`TimerWheelQueue::with_granularity`]).
 pub const DEFAULT_GRANULARITY: f64 = 1.0 / 64.0;
 
-/// Environment variable overriding the wheel's level-0 bucket width for
-/// simulator runs (a positive `f64`, in simulated time units). Purely a
-/// performance knob: any granularity produces the identical dequeue
-/// order, which the determinism suite asserts.
-pub const WHEEL_GRANULARITY_ENV: &str = "BEVRA_SIM_WHEEL_GRANULARITY";
-
 /// One wheel level: `SLOTS` buckets plus a 256-bit occupancy bitmap so
 /// advancing the cursor skips empty buckets in four `u64` scans.
 struct Level {

@@ -17,9 +17,8 @@ job that only ran one bench target (e.g. the sim-scale job running
 rows. `--min-speedup FAST:SLOW:RATIO` (repeatable) additionally asserts
 an *absolute* architecture claim within the fresh run: bench FAST must be
 at least RATIO× faster (by median ns) than bench SLOW — used by the
-sim-scale job to hold the timer-wheel/SoA loop to its ≥10× events/s
-improvement over the legacy heap loop, and by the kernel job to hold the
-fused B+R pass to its ≥1.5× claim over the unfused composition.
+kernel job to hold the fused B+R pass to its ≥1.5× claim over the
+unfused composition.
 
 Rows may carry an optional `joules_per_sweep` field (null when the RAPL
 probe was unavailable). It is printed when present and never gated —

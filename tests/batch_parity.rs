@@ -274,12 +274,12 @@ fn persistent_cache_round_trip_is_bitwise() {
 /// Every **registered** backend holds its self-reported parity contract
 /// against the scalar per-point reference, across randomized load ×
 /// utility scenarios. Backends are enumerated from the engine registry,
-/// so a newly registered backend (AVX-512, NEON, offload, …) is covered
-/// by this test with zero per-backend code.
+/// so a backend added there is covered by this test with zero
+/// per-backend code.
 #[test]
 fn every_registered_backend_holds_its_parity_contract() {
     let backends = bevra::engine::registry::backends();
-    assert!(backends.len() >= 4, "expected at least the four built-ins");
+    assert_eq!(backends.len(), 3, "expected the three built-ins");
     Checker::new("backend_parity_contract").scale_cases(4).run(
         &ScenarioStrategy::default(),
         |sc: &Scenario| {
@@ -577,31 +577,27 @@ fn registered_backends_hold_parity_under_forced_tiers() {
 }
 
 /// Capability records of the built-ins carry the contract the rest of
-/// the workspace depends on: distinct names, scalar/batch sharing one
-/// bitwise cache class, fast/portable in tolerance classes of their own.
+/// the workspace depends on: a bitwise `batch`, fast/portable in
+/// tolerance classes and cache classes of their own, all grid-priming.
 #[test]
 fn builtin_capability_records_are_coherent() {
-    let scalar = kernel::scalar().capability();
     let batch = kernel::batch().capability();
     let fast = kernel::fast().capability();
     let portable = kernel::portable().capability();
-    assert_eq!(scalar.parity, ParityClass::Bitwise);
     assert_eq!(batch.parity, ParityClass::Bitwise);
     assert!(matches!(fast.parity, ParityClass::Tolerance(t) if t > 0.0));
     assert!(matches!(portable.parity, ParityClass::Tolerance(t) if t > 0.0));
-    assert!(!scalar.grid_priming && batch.grid_priming);
+    assert!(batch.grid_priming && fast.grid_priming && portable.grid_priming);
     assert!(portable.portable && !fast.portable);
-    assert_eq!(scalar.cache_tag, batch.cache_tag, "bitwise twins share entries");
     assert_ne!(fast.cache_tag, batch.cache_tag);
     assert_ne!(portable.cache_tag, fast.cache_tag);
-    assert!(!scalar.fused, "scalar composes point-by-point");
-    assert!(batch.fused && fast.fused && portable.fused, "grid backends fuse B+R");
+    assert_ne!(portable.cache_tag, batch.cache_tag);
     assert_eq!(
         fast.simd,
         kernel::resolved_simd_level(),
         "fast capability reports the runtime dispatch tier"
     );
-    for cap in [scalar, batch, fast, portable] {
+    for cap in [batch, fast, portable] {
         assert!(!cap.fault_sites.is_empty(), "{}: no declared fault sites", cap.name);
     }
 }

@@ -10,6 +10,8 @@
 //!
 //! Cases run serially inside each test (fault plans are process-global;
 //! the install lock inside `run_case` serializes across test threads).
+//! Fault-free references are computed under an empty installed plan for
+//! the same reason: outside the lock, another test's plan could leak in.
 
 use bevra_check::chaos::{run_case, run_recovery_case, silence_injected_panics};
 
@@ -62,7 +64,12 @@ fn pinned_cache_fault_scenario_degrades_to_recompute() {
         )
         .with_kernel(bevra::analysis::kernel::batch())
     };
-    let baseline = mk().sweep(&cs);
+    // Reference under an empty plan, so a plan another test installs
+    // concurrently cannot leak into it.
+    let baseline = {
+        let _guard = install(FaultPlan::seeded(0));
+        mk().sweep(&cs)
+    };
 
     let dir = std::env::temp_dir().join(format!("bevra-pinned-cache-fault-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -175,8 +182,12 @@ fn pinned_shard_panic_is_accounted_and_isolated() {
         },
         lanes: 6,
     });
-    // Clean reference first, outside the fault plan's install lock.
-    let clean = fleet.run_on(3, QueueKind::Wheel);
+    // Clean reference first, under an empty plan so a plan another test
+    // installs concurrently cannot leak into it.
+    let clean = {
+        let _guard = install(FaultPlan::seeded(0));
+        fleet.run_on(3, QueueKind::Wheel)
+    };
     assert!(clean.health.all_ok(), "reference run must be healthy");
 
     // Two rules, keyed to lanes 2 and 3 (both in shard 1 under

@@ -1,8 +1,8 @@
-//! Workspace acceptance for the kernel backend registry (the backend
-//! PR's tentpole): capability records flow into the persistent-cache key,
-//! the ported scalar backend is bitwise the pre-refactor per-point path,
-//! and the `deterministic-portable` backend produces pinned,
-//! libm-independent bits.
+//! Workspace acceptance for the kernel backend registry: capability
+//! records flow into the persistent-cache key, the default `batch`
+//! backend is bitwise the per-point model path, `BEVRA_KERNEL` names
+//! resolve as documented, and the `deterministic-portable` backend
+//! produces pinned, libm-independent bits.
 
 use bevra::analysis::{kernel, DiscreteModel, PiEval};
 use bevra::engine::{CacheMode, ExecMode, PersistentCache, SweepEngine};
@@ -20,9 +20,8 @@ fn grid() -> Vec<f64> {
 
 /// The capability record round-trips through the persistent-cache key:
 /// rows primed by one parity class are never served to another, while
-/// bitwise-interchangeable backends (scalar/batch share a `cache_tag`)
-/// do share entries. Checked functionally through real cache traffic,
-/// not just key inequality.
+/// the same backend is served its own rows. Checked functionally through
+/// real cache traffic, not just key inequality.
 #[test]
 fn capability_record_round_trips_through_cache_key() {
     let dir = std::env::temp_dir()
@@ -57,35 +56,24 @@ fn capability_record_round_trips_through_cache_key() {
         assert_eq!(pc.stores(), 1, "{}: stores its own entry", k.capability().name);
     }
 
-    // A warm batch engine is a pure hit again…
+    // A warm batch engine is a pure hit again.
     let warm = engine(kernel::batch());
     warm.prime(&cs);
     let s = warm.persistent_cache().expect("cache attached").stats();
     assert_eq!((s.hits, s.misses), (1, 0), "batch warm prime is a pure hit");
-
-    // …and scalar/batch sharing a cache class is visible in the key
-    // itself (scalar never primes, so the check is on `grid_key`).
-    let m = model();
-    let scalar_cap = kernel::scalar().capability();
-    let batch_cap = kernel::batch().capability();
-    assert_eq!(
-        bevra::engine::grid_key(&m, &scalar_cap, &cs),
-        bevra::engine::grid_key(&m, &batch_cap, &cs),
-        "bitwise twins share cache entries"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The ported scalar backend is bitwise the pre-refactor per-point path:
+/// The `batch` backend is bitwise the per-point path:
 /// `DiscreteModel::{k_max, best_effort, reservation}` called point by
 /// point plus the serial `bandwidth_gap` solver — the exact code the
 /// engine ran before the `Kernel` trait existed.
 #[test]
-fn scalar_backend_is_bitwise_the_pre_refactor_path() {
+fn batch_backend_is_bitwise_the_per_point_path() {
     let cs = grid();
     let reference = model();
     let swept = SweepEngine::with_mode(model(), ExecMode::Serial)
-        .with_kernel(kernel::scalar())
+        .with_kernel(kernel::batch())
         .sweep(&cs);
     for (&c, pt) in cs.iter().zip(&swept) {
         assert_eq!(reference.k_max(c), kernel_k_max(&reference, c), "sanity");
@@ -96,11 +84,11 @@ fn scalar_backend_is_bitwise_the_pre_refactor_path() {
     }
 }
 
-/// The scalar *backend object* agrees with the model methods it claims to
+/// The batch *backend object* agrees with the model methods it claims to
 /// mirror (guards the trait impl itself, not just the engine plumbing).
 fn kernel_k_max(m: &DiscreteModel<AdaptiveExp>, c: f64) -> Option<u64> {
     let dyn_m = m.as_dyn();
-    kernel::scalar().k_max_grid(&dyn_m, &[c])[0]
+    kernel::batch().k_max_grid(&dyn_m, &[c])[0]
 }
 
 /// FNV-1a over a stream of u64 bit patterns.
@@ -162,7 +150,6 @@ fn portable_backend_digest_is_pinned_across_environments() {
 fn health_ledger_names_the_active_backend() {
     let cs = grid();
     for (k, want) in [
-        (kernel::scalar(), "scalar"),
         (kernel::batch(), "batch"),
         (kernel::fast(), "fast"),
         (kernel::portable(), "deterministic-portable"),

@@ -5,25 +5,22 @@
 //! max-population scans → a monotone [`bevra::sim::flows::PeakTracker`] —
 //! with a bitwise-compatibility contract: *every* report bit, census
 //! included, must equal the pre-refactor loop's. This file pins that
-//! contract three ways on a ten-config corpus spanning every discipline,
+//! contract two ways on a ten-config corpus spanning every discipline,
 //! mixing family, holding distribution, retry policy, and the budget
 //! watchdog:
 //!
 //! 1. against **committed golden digests** captured from the pre-refactor
-//!    loop (so neither the new loop nor the preserved oracle can drift
-//!    together unnoticed),
-//! 2. the new loop on the **heap** vs the **wheel** queue (queue choice is
-//!    an implementation detail, never an observable), and
-//! 3. the new loop vs the **preserved legacy loop**
-//!    ([`bevra::sim::legacy`]), the verbatim pre-refactor implementation
-//!    kept as a differential oracle.
+//!    loop, and
+//! 2. the loop on the **heap** vs the **wheel** queue (queue choice is an
+//!    implementation detail, never an observable; `tests/timer_wheel.rs`
+//!    checks the same at several wheel granularities).
 //!
 //! Any future change that alters a digest here is a *semantic* change to
 //! the simulator and must re-pin deliberately, with the old and new
 //! digests in the commit message.
 
 use bevra::prelude::*;
-use bevra::sim::{legacy, QueueKind, RetryPolicy, SimReport};
+use bevra::sim::{QueueKind, RetryPolicy, SimReport};
 use std::sync::Arc;
 
 /// Golden `SimReport::digest()` values captured from the pre-refactor
@@ -99,16 +96,14 @@ fn summary(r: &SimReport) -> String {
     )
 }
 
-/// The new SoA loop reproduces the committed pre-refactor digests exactly,
-/// on both queue backends, and the preserved legacy oracle still produces
-/// them too — three independent implementations, one bit pattern.
+/// The SoA loop reproduces the committed pre-refactor digests exactly, on
+/// both queue backends.
 #[test]
 fn corpus_digests_match_golden_on_all_implementations() {
     for (i, cfg) in corpus().into_iter().enumerate() {
         let (digest, completed) = GOLDEN[i];
         let wheel = Simulation::new(cfg.clone()).run_on(QueueKind::Wheel);
         let heap = Simulation::new(cfg.clone()).run_on(QueueKind::Heap);
-        let oracle = legacy::run(&cfg);
         assert_eq!(
             wheel.digest(),
             digest,
@@ -122,46 +117,14 @@ fn corpus_digests_match_golden_on_all_implementations() {
             "corpus[{i}]: heap-backed new loop drifted from golden — {}",
             summary(&heap)
         );
-        assert_eq!(
-            oracle.digest(),
-            digest,
-            "corpus[{i}]: legacy oracle drifted from golden — {}",
-            summary(&oracle)
-        );
         // The digest folds the census and welfare accumulators; also pin
         // the raw event count (excluded from the digest by design).
-        assert_eq!(wheel.events, oracle.events, "corpus[{i}]: event count diverged from oracle");
         assert_eq!(wheel.events, heap.events, "corpus[{i}]: event count diverged across queues");
     }
 }
 
-/// The wheel granularity is a performance knob, never a semantic one: the
-/// same corpus digests come out at a granularity 512× coarser and 1000×
-/// finer than the default (exercising heavy bucket sharing and the
-/// overflow/cascade machinery respectively).
-#[test]
-fn wheel_granularity_does_not_change_digests() {
-    // The env knob is process-global and other tests in this binary run
-    // wheel-backed sims concurrently — harmless here, because the very
-    // invariant under test is that the knob never changes a digest.
-    for (i, cfg) in corpus().into_iter().enumerate().take(5) {
-        let (digest, _) = GOLDEN[i];
-        for granularity in ["8.0", "0.0000156"] {
-            std::env::set_var(bevra::sim::wheel::WHEEL_GRANULARITY_ENV, granularity);
-            let rep = Simulation::new(cfg.clone()).run_on(QueueKind::Wheel);
-            std::env::remove_var(bevra::sim::wheel::WHEEL_GRANULARITY_ENV);
-            assert_eq!(
-                rep.digest(),
-                digest,
-                "corpus[{i}] at granularity {granularity}: {}",
-                summary(&rep)
-            );
-        }
-    }
-}
-
-/// The budget watchdog truncates identically across all three
-/// implementations: same event count, same partial census, same digest.
+/// The budget watchdog truncates identically on both queues: same event
+/// count, same partial census, same digest.
 #[test]
 fn budget_truncation_is_implementation_independent() {
     for budget in [1_000u64, 7_777] {
@@ -169,10 +132,8 @@ fn budget_truncation_is_implementation_independent() {
         cfg.max_events = Some(budget);
         let wheel = Simulation::new(cfg.clone()).run_on(QueueKind::Wheel);
         let heap = Simulation::new(cfg.clone()).run_on(QueueKind::Heap);
-        let oracle = legacy::run(&cfg);
         assert_eq!(wheel.events, budget, "watchdog must stop exactly at the budget");
         assert_eq!(wheel.digest(), heap.digest(), "budget {budget}: queues diverged");
-        assert_eq!(wheel.digest(), oracle.digest(), "budget {budget}: oracle diverged");
-        assert_eq!(heap.events, oracle.events, "budget {budget}: event counts diverged");
+        assert_eq!(heap.events, budget, "budget {budget}: event counts diverged");
     }
 }

@@ -81,7 +81,7 @@ fn equivalent_on(events: &[Entry], granularity: f64) -> Result<(), String> {
 
 /// The wheel's dequeue order equals the heap's on randomized streams with
 /// ties, rollover, overflow, and interleaved pops — at the production
-/// granularity, a coarse one (many ties per bucket), and a very fine one
+/// granularity, coarse ones (many ties per bucket), and very fine ones
 /// (events scattered across all levels and the overflow list).
 #[test]
 fn wheel_matches_heap_on_randomized_streams() {
@@ -92,7 +92,7 @@ fn wheel_matches_heap_on_randomized_streams() {
     );
     Checker::new("wheel_matches_heap_on_randomized_streams").run(&strategy, |codes| {
         let events = stream(codes);
-        for granularity in [bevra::sim::wheel::DEFAULT_GRANULARITY, 0.125, 1e-6] {
+        for granularity in [bevra::sim::wheel::DEFAULT_GRANULARITY, 8.0, 0.125, 1.56e-5, 1e-6] {
             equivalent_on(&events, granularity)?;
         }
         Ok(())
