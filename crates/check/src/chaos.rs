@@ -20,10 +20,11 @@
 //!    fails leaving nothing behind, never a truncated file;
 //! 5. **determinism** — re-running the same case seed reproduces the
 //!    health ledger and every outcome bit pattern;
-//! 6. **cache transparency** — the persistent value-table cache under
-//!    injected load/store I/O faults degrades to recompute: cold and
-//!    warm cached sweeps reproduce the uncached sweep bit for bit, and
-//!    absorbed faults only ever cost time, never numbers.
+//! 6. **cache transparency** — the persistent value cache (value tables
+//!    and finished sweep batches) under injected load/store I/O faults
+//!    degrades to recompute: cold and warm cached sweeps reproduce the
+//!    uncached sweep bit for bit, and absorbed faults only ever cost
+//!    time, never numbers.
 //!
 //! Invariants 1, 2 and 6 run once per **registered kernel backend**
 //! (`bevra_engine::registry::backends()`): each backend's checked sweep
@@ -322,12 +323,12 @@ pub fn run_case(case_seed: u64) -> Result<ChaosStats, String> {
 
     // Invariants 1 + 2 + 6, per registered backend. Every backend's
     // checked sweep must complete with exact accounting, and the
-    // persistent value-table cache must be
-    // transparent under the active plan: injection decisions are pure
-    // functions of (plan seed, site, key), so a cold cached sweep
-    // (compute + store, possibly fault-blocked) and a warm cached sweep
-    // (load, possibly degraded to recompute) must both reproduce that
-    // same backend's uncached sweep bit for bit.
+    // persistent value cache must be transparent under the active plan:
+    // injection decisions are pure functions of (plan seed, site, key),
+    // so a cold cached sweep (compute + store, possibly fault-blocked)
+    // and a warm cached sweep (load, possibly degraded to recompute)
+    // must both reproduce that same backend's uncached sweep bit for
+    // bit.
     for kernel in bevra_engine::registry::backends() {
         let cap = kernel.capability();
         let uncached = SweepEngine::new(DiscreteModel::new(load.clone(), Arc::clone(&utility)))
@@ -394,9 +395,6 @@ pub fn run_case(case_seed: u64) -> Result<ChaosStats, String> {
     };
     match Simulation::new(sim_cfg).run_checked() {
         Ok(_) => return Err(fail("simulator outran an injected 10k-event budget".into())),
-        Err(SimError::DeadlineExpired { .. }) => {
-            return Err(fail("deadline expired with no deadline armed".into()))
-        }
         Err(SimError::BudgetExhausted { events, partial }) => {
             if events >= 10_000 {
                 return Err(fail(format!("watchdog fired late: {events} events")));

@@ -2,19 +2,21 @@
 //! capacity and price sweeps.
 
 use crate::cache::{f64_key, CacheStats, ShardedCache};
-use crate::checkpoint::{CheckpointStore, BATCH_POINTS};
 use crate::instrument::{span, SweepHealth};
-use crate::persist::{grid_key, GridRow, PersistentCache};
-use crate::pool::{
-    compute_retry_policy, parallel_map_supervised, parallel_map_with, thread_count, ItemError,
-};
+use crate::persist::{grid_key, sweep_key, GridRow, PersistentCache};
+use crate::pool::{parallel_map_supervised, parallel_map_with, thread_count};
 use bevra_core::welfare::SampledValue;
 use bevra_core::{equalizing_price_ratio, DiscreteModel, Kernel};
 use bevra_num::{brent, expand_bracket_up, NumError, NumResult};
 use bevra_obs::{enabled, metrics, ObsLevel};
-use bevra_resilience::Deadline;
+use bevra_resilience::RetryPolicy;
 use bevra_utility::Utility;
 use std::time::Instant;
+
+/// Grid points per sweep batch: [`SweepEngine::sweep_checked`] restores
+/// or evaluates, then stores, its grid this many points at a time, and
+/// crosses the `engine/ckpt-batch` kill site after each batch.
+pub const BATCH_POINTS: usize = 32;
 
 /// Time one grid-point evaluation into `hist` when per-point timing is on
 /// (`BEVRA_OBS=summary|trace`); otherwise just evaluate. Timing is
@@ -85,12 +87,13 @@ pub struct SweepPoint {
     pub bandwidth_gap: f64,
 }
 
-/// What one attempt at a grid point produced, before outcome mapping.
-enum PointEval {
-    /// The point evaluated; the optional string is a gap-solver cause.
-    Done(SweepPoint, Option<String>),
-    /// The ambient deadline expired before this point was evaluated.
-    DeadlineSkipped,
+impl SweepPoint {
+    /// Every derived quantity is finite.
+    fn is_finite(&self) -> bool {
+        [self.best_effort, self.reservation, self.performance_gap, self.bandwidth_gap]
+            .iter()
+            .all(|v| v.is_finite())
+    }
 }
 
 /// What one grid point of a checked sweep produced.
@@ -100,8 +103,7 @@ pub enum PointOutcome {
     /// sweep's [`SweepHealth`] counts as degraded).
     Ok(SweepPoint),
     /// The point produced no value: its worker panicked on every attempt
-    /// the retry policy permitted, its result slot was lost, or the
-    /// ambient deadline expired before it could be evaluated.
+    /// the retry policy permitted, or its result slot was lost.
     Failed {
         /// The capacity that failed.
         capacity: f64,
@@ -180,7 +182,6 @@ pub struct SweepEngine<U: Utility> {
     mode: ExecMode,
     kernel: &'static dyn Kernel,
     persist: Option<PersistentCache>,
-    ckpt: Option<CheckpointStore>,
     kmax: ShardedCache<Option<u64>>,
     b: ShardedCache<f64>,
     r: ShardedCache<f64>,
@@ -202,11 +203,9 @@ impl<U: Utility> SweepEngine<U> {
     }
 
     /// Engine with an explicit execution mode. The kernel backend comes
-    /// from `BEVRA_KERNEL` via the registry, the persistent cache from
+    /// from `BEVRA_KERNEL` via the registry and the persistent cache from
     /// `BEVRA_CACHE` (see [`crate::registry::from_env`] and
-    /// [`PersistentCache::from_env`]), and the crash-safe sweep
-    /// checkpoint store from `BEVRA_CHECKPOINT`
-    /// ([`CheckpointStore::from_env`]); all can be overridden with the
+    /// [`PersistentCache::from_env`]); both can be overridden with the
     /// builder methods.
     #[must_use]
     pub fn with_mode(model: DiscreteModel<U>, mode: ExecMode) -> Self {
@@ -215,7 +214,6 @@ impl<U: Utility> SweepEngine<U> {
             mode,
             kernel: crate::registry::from_env(),
             persist: PersistentCache::from_env(),
-            ckpt: CheckpointStore::from_env("bevra-engine"),
             kmax: ShardedCache::new(),
             b: ShardedCache::new(),
             r: ShardedCache::new(),
@@ -237,20 +235,6 @@ impl<U: Utility> SweepEngine<U> {
     pub fn with_persistent_cache(mut self, cache: PersistentCache) -> Self {
         self.persist = Some(cache);
         self
-    }
-
-    /// Attach an explicit crash-safe checkpoint store (builder style),
-    /// replacing whatever `BEVRA_CHECKPOINT` configured.
-    #[must_use]
-    pub fn with_checkpoints(mut self, store: CheckpointStore) -> Self {
-        self.ckpt = Some(store);
-        self
-    }
-
-    /// The attached checkpoint store, if any (for inspecting its
-    /// restored/store counters after a sweep).
-    pub fn checkpoint_store(&self) -> Option<&CheckpointStore> {
-        self.ckpt.as_ref()
     }
 
     /// The wrapped model.
@@ -446,22 +430,21 @@ impl<U: Utility> SweepEngine<U> {
     /// (non-finite or failed gap solve) and failed (panicked) points —
     /// one bad point no longer aborts the sweep.
     ///
-    /// Resilience wiring:
+    /// After one up-front [`Self::prime`], the grid runs in batches of
+    /// [`BATCH_POINTS`]:
     ///
-    /// * **retry** — per-point panics are retried under the ambient
-    ///   compute policy ([`compute_retry_policy`]: one immediate serial
-    ///   retry, `BEVRA_RETRY` overrides); retries spent land in
-    ///   `health.retries`.
-    /// * **deadline** — the ambient `BEVRA_DEADLINE_MS` deadline is
-    ///   checked at sweep-point granularity; points skipped after expiry
-    ///   degrade to [`PointOutcome::Failed`] with a deadline cause.
-    /// * **checkpointing** — with a [`CheckpointStore`] attached
-    ///   (`BEVRA_CHECKPOINT=rw`), completed clean points are persisted
-    ///   every [`BATCH_POINTS`] grid points and restored bitwise on the
-    ///   next run over the same key, so a killed sweep resumes instead of
-    ///   recomputing; a fully clean sweep clears its checkpoint. The
-    ///   `engine/ckpt-batch` fault site between batches is the chaos
-    ///   suite's kill point.
+    /// * **restore** — with a [`PersistentCache`] attached, a batch whose
+    ///   finished rows are on disk is restored bitwise instead of
+    ///   evaluated, so a killed sweep resumes and a repeated one is
+    ///   read back;
+    /// * **retry** — otherwise the batch is evaluated, and per-point
+    ///   panics are retried under [`RetryPolicy::compute`] (one immediate
+    ///   serial retry); retries spent land in `health.retries`;
+    /// * **store** — a batch whose every point is clean (finite, no
+    ///   solver cause) is stored to the cache;
+    /// * **kill site** — the `engine/ckpt-batch` fault site after each
+    ///   batch is the chaos suite's kill point: everything before it is
+    ///   already on disk.
     ///
     /// With no fault plan active and a panic-free evaluation, the `Ok`
     /// points are bitwise-identical to the legacy [`Self::sweep`] under
@@ -474,15 +457,11 @@ impl<U: Utility> SweepEngine<U> {
         self.prime(capacities);
         let timing = enabled(ObsLevel::Summary);
         let lat = metrics::histogram("engine/sweep_point_ns");
-        let deadline = Deadline::from_env("bevra-engine");
-        let policy = compute_retry_policy();
+        let policy = RetryPolicy::compute();
         let threads = self.mode.threads();
+        let cap = self.kernel.capability();
         let indexed: Vec<(usize, f64)> = capacities.iter().copied().enumerate().collect();
-        let n = indexed.len();
-        let eval = |&(i, c): &(usize, f64), attempt: u32| -> PointEval {
-            if deadline.expired() {
-                return PointEval::DeadlineSkipped;
-            }
+        let eval = |&(i, c): &(usize, f64), attempt: u32| {
             bevra_faults::panic_point_attempt("engine/point", i as u64, u64::from(attempt));
             timed_point(timing, &lat, || {
                 let best_effort = self.best_effort(c);
@@ -492,84 +471,56 @@ impl<U: Utility> SweepEngine<U> {
                     Ok(g) => (g, None),
                     Err(e) => (f64::NAN, Some(format!("bandwidth gap at C = {c}: {e}"))),
                 };
-                PointEval::Done(
-                    SweepPoint {
-                        capacity: c,
-                        best_effort,
-                        reservation,
-                        performance_gap,
-                        bandwidth_gap,
-                    },
-                    gap_cause,
-                )
+                let point = SweepPoint {
+                    capacity: c,
+                    best_effort,
+                    reservation,
+                    performance_gap,
+                    bandwidth_gap,
+                };
+                (point, gap_cause)
             })
         };
 
-        let mut slots: Vec<Option<Result<PointEval, ItemError>>> = (0..n).map(|_| None).collect();
-        let mut retries_total = 0u64;
-        if let Some(cs) = &self.ckpt {
-            let key = grid_key(&self.model, &self.kernel.capability(), capacities);
-            for (i, pt) in cs.load(key, n).into_iter().enumerate() {
-                if let Some(pt) = pt {
-                    slots[i] = Some(Ok(PointEval::Done(pt, None)));
-                }
-            }
-            let is_clean = |pt: &SweepPoint| {
-                [pt.best_effort, pt.reservation, pt.performance_gap, pt.bandwidth_gap]
-                    .iter()
-                    .all(|v| v.is_finite())
-            };
-            let mut clean: Vec<(usize, SweepPoint)> = slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| match s {
-                    Some(Ok(PointEval::Done(pt, None))) if is_clean(pt) => Some((i, *pt)),
-                    _ => None,
-                })
-                .collect();
-            for (batch_idx, batch) in indexed.chunks(BATCH_POINTS).enumerate() {
-                let todo: Vec<(usize, f64)> =
-                    batch.iter().filter(|(i, _)| slots[*i].is_none()).copied().collect();
-                if !todo.is_empty() {
-                    let (results, retries) =
-                        parallel_map_supervised(&todo, threads, &policy, eval);
-                    retries_total += retries;
-                    for ((i, _), r) in todo.iter().zip(results) {
-                        if let Ok(PointEval::Done(pt, None)) = &r {
-                            if is_clean(pt) {
-                                clean.push((*i, *pt));
-                            }
-                        }
-                        slots[*i] = Some(r);
+        let mut results = Vec::with_capacity(indexed.len());
+        let mut retries = 0u64;
+        for (batch_idx, batch) in indexed.chunks(BATCH_POINTS).enumerate() {
+            let cs: Vec<f64> = batch.iter().map(|&(_, c)| c).collect();
+            let cache = self.persist.as_ref().map(|pc| (pc, sweep_key(&self.model, &cap, &cs)));
+            if let Some(points) = cache.and_then(|(pc, key)| pc.load_sweep(key, &cs)) {
+                results.extend(points.into_iter().map(|pt| Ok((pt, None))));
+            } else {
+                let (done, spent) = parallel_map_supervised(batch, threads, &policy, eval);
+                retries += spent;
+                if let Some((pc, key)) = cache {
+                    let clean: Option<Vec<SweepPoint>> = done
+                        .iter()
+                        .map(|r| match r {
+                            Ok((pt, None)) if pt.is_finite() => Some(*pt),
+                            _ => None,
+                        })
+                        .collect();
+                    if let Some(points) = clean {
+                        pc.store_sweep(key, &points);
                     }
-                    cs.store(key, n, &clean);
                 }
-                // Kill site: a `panic:engine/ckpt-batch` rule crashes the
-                // sweep *between* batches — everything evaluated so far is
-                // already on disk, so the next run resumes from here.
-                bevra_faults::panic_point("engine/ckpt-batch", batch_idx as u64);
+                results.extend(done);
             }
-            if clean.len() == n {
-                cs.clear(key);
-            }
-        } else {
-            let (results, retries) = parallel_map_supervised(&indexed, threads, &policy, eval);
-            retries_total += retries;
-            for (slot, r) in slots.iter_mut().zip(results) {
-                *slot = Some(r);
-            }
+            // Kill site: a `panic:engine/ckpt-batch` rule crashes the
+            // sweep *between* batches — every clean batch so far is
+            // already on disk, so the next run resumes from here.
+            bevra_faults::panic_point("engine/ckpt-batch", batch_idx as u64);
         }
 
         let mut health = SweepHealth::new();
-        let cap = self.kernel.capability();
         health.kernel = Some(cap.name.to_string());
         health.simd = Some(cap.simd.as_str().to_string());
-        health.retries = retries_total;
-        let outcomes = slots
+        health.retries = retries;
+        let outcomes = results
             .into_iter()
             .zip(&indexed)
-            .map(|(r, &(index, capacity))| match r.unwrap_or(Err(ItemError::Missing)) {
-                Ok(PointEval::Done(pt, gap_cause)) => {
+            .map(|(r, &(index, capacity))| match r {
+                Ok((pt, gap_cause)) => {
                     let mut non_finite_fields = 0u64;
                     for v in
                         [pt.best_effort, pt.reservation, pt.performance_gap, pt.bandwidth_gap]
@@ -589,12 +540,7 @@ impl<U: Utility> SweepEngine<U> {
                     }
                     PointOutcome::Ok(pt)
                 }
-                Ok(PointEval::DeadlineSkipped) => {
-                    let cause = format!("deadline expired before evaluating C = {capacity}");
-                    health.note_failed(&cause);
-                    PointOutcome::Failed { capacity, index, cause }
-                }
-                Err(e @ (ItemError::Panic { .. } | ItemError::Missing)) => {
+                Err(e) => {
                     let cause = e.to_string();
                     health.note_failed(&cause);
                     PointOutcome::Failed { capacity, index, cause }
@@ -728,6 +674,7 @@ impl<U: Utility> SweepEngine<U> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bevra_faults::{install, FaultKind, FaultPlan, FaultRule};
     use bevra_load::{Geometric, Poisson, Tabulated};
     use bevra_utility::{AdaptiveExp, Rigid};
 
@@ -738,6 +685,14 @@ mod tests {
 
     fn grid() -> Vec<f64> {
         (1..=24).map(|i| f64::from(i) * 9.0).collect()
+    }
+
+    /// Sweep under an empty fault plan: holding the install lock keeps a
+    /// plan another test installs concurrently (a kill at
+    /// `engine/ckpt-batch`, which every sweep crosses) out of this run.
+    fn clean_sweep<U: Utility>(engine: &SweepEngine<U>, cs: &[f64]) -> Vec<SweepPoint> {
+        let _guard = install(FaultPlan::seeded(0));
+        engine.sweep(cs)
     }
 
     /// Keep injected-panic backtrace spam out of the test output without
@@ -764,8 +719,8 @@ mod tests {
     #[test]
     fn parallel_sweep_bitwise_matches_serial() {
         let cs = grid();
-        let serial = poisson_engine(ExecMode::Serial).sweep(&cs);
-        let par = poisson_engine(ExecMode::Parallel { threads: 8 }).sweep(&cs);
+        let serial = clean_sweep(&poisson_engine(ExecMode::Serial), &cs);
+        let par = clean_sweep(&poisson_engine(ExecMode::Parallel { threads: 8 }), &cs);
         for (s, p) in serial.iter().zip(&par) {
             assert_eq!(s.best_effort.to_bits(), p.best_effort.to_bits());
             assert_eq!(s.reservation.to_bits(), p.reservation.to_bits());
@@ -780,7 +735,7 @@ mod tests {
         let load = Tabulated::from_model(&Geometric::from_mean(50.0), 1e-12, 1 << 16);
         let model = DiscreteModel::new(load.clone(), Rigid::unit());
         let engine = SweepEngine::new(DiscreteModel::new(load, Rigid::unit()));
-        for (&c, pt) in cs.iter().zip(engine.sweep(&cs)) {
+        for (&c, pt) in cs.iter().zip(clean_sweep(&engine, &cs)) {
             assert_eq!(model.best_effort(c).to_bits(), pt.best_effort.to_bits());
             assert_eq!(model.reservation(c).to_bits(), pt.reservation.to_bits());
             let legacy_gap = bevra_core::bandwidth_gap(&model, c).unwrap_or(f64::NAN);
@@ -792,9 +747,9 @@ mod tests {
     fn caches_hit_on_resweep() {
         let engine = poisson_engine(ExecMode::Parallel { threads: 4 });
         let cs = grid();
-        let first = engine.sweep(&cs);
+        let first = clean_sweep(&engine, &cs);
         let misses_after_first: u64 = engine.cache_stats().iter().map(|(_, s)| s.misses).sum();
-        let second = engine.sweep(&cs);
+        let second = clean_sweep(&engine, &cs);
         let misses_after_second: u64 = engine.cache_stats().iter().map(|(_, s)| s.misses).sum();
         assert_eq!(misses_after_first, misses_after_second, "second sweep is all hits");
         for (a, b) in first.iter().zip(&second) {
@@ -819,11 +774,15 @@ mod tests {
         let cs = grid();
         let load = Tabulated::from_model(&Poisson::new(50.0), 1e-12, 1 << 16);
         let model = DiscreteModel::new(load, AdaptiveExp::paper());
-        let batched =
-            poisson_engine(ExecMode::Serial).with_kernel(bevra_core::kernel::batch()).sweep(&cs);
-        let batched_par = poisson_engine(ExecMode::Parallel { threads: 5 })
-            .with_kernel(bevra_core::kernel::batch())
-            .sweep(&cs);
+        let batched = clean_sweep(
+            &poisson_engine(ExecMode::Serial).with_kernel(bevra_core::kernel::batch()),
+            &cs,
+        );
+        let batched_par = clean_sweep(
+            &poisson_engine(ExecMode::Parallel { threads: 5 })
+                .with_kernel(bevra_core::kernel::batch()),
+            &cs,
+        );
         for ((&c, b), p) in cs.iter().zip(&batched).zip(&batched_par) {
             let (be, rv) = (model.best_effort(c), model.reservation(c));
             let gap = bevra_core::bandwidth_gap(&model, c).unwrap_or(f64::NAN);
@@ -839,10 +798,14 @@ mod tests {
     #[test]
     fn fast_kernel_is_close_but_fast_tables_never_cross_keys() {
         let cs = grid();
-        let exact =
-            poisson_engine(ExecMode::Serial).with_kernel(bevra_core::kernel::batch()).sweep(&cs);
-        let fast =
-            poisson_engine(ExecMode::Serial).with_kernel(bevra_core::kernel::fast()).sweep(&cs);
+        let exact = clean_sweep(
+            &poisson_engine(ExecMode::Serial).with_kernel(bevra_core::kernel::batch()),
+            &cs,
+        );
+        let fast = clean_sweep(
+            &poisson_engine(ExecMode::Serial).with_kernel(bevra_core::kernel::fast()),
+            &cs,
+        );
         for (e, f) in exact.iter().zip(&fast) {
             let tol = 1e-12 * e.best_effort.abs().max(1e-300);
             assert!(
@@ -866,7 +829,7 @@ mod tests {
         let cold = poisson_engine(ExecMode::Serial).with_persistent_cache(
             crate::persist::PersistentCache::new(&dir, crate::persist::CacheMode::ReadWrite),
         );
-        let first = cold.sweep(&cs);
+        let first = clean_sweep(&cold, &cs);
         let cold_stats = cold.cache_stats();
         let (_, pc) = cold_stats.iter().find(|(n, _)| n == "persistent").expect("pcache stats");
         assert_eq!((pc.hits, pc.misses), (0, 1), "cold run misses once");
@@ -876,7 +839,7 @@ mod tests {
         let warm = poisson_engine(ExecMode::Serial).with_persistent_cache(
             crate::persist::PersistentCache::new(&dir, crate::persist::CacheMode::ReadWrite),
         );
-        let second = warm.sweep(&cs);
+        let second = clean_sweep(&warm, &cs);
         let warm_stats = warm.cache_stats();
         let (_, pw) = warm_stats.iter().find(|(n, _)| n == "persistent").expect("pcache stats");
         assert_eq!((pw.hits, pw.misses), (1, 0), "warm run is a pure hit");
@@ -890,56 +853,9 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_sweep_resumes_bitwise_after_kill() {
-        use crate::checkpoint::CheckpointStore;
-        use crate::persist::CacheMode;
-        use bevra_faults::{install, FaultKind, FaultPlan, FaultRule};
-        let dir = std::env::temp_dir()
-            .join(format!("bevra-engine-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // 40 points → two checkpoint batches of 32 + 8.
-        let cs: Vec<f64> = (1..=40).map(|i| f64::from(i) * 7.0).collect();
-        let reference = poisson_engine(ExecMode::Serial).sweep(&cs);
-
-        // Interrupted run: the kill site fires after batch 0 is stored.
-        let killed_engine = poisson_engine(ExecMode::Serial)
-            .with_checkpoints(CheckpointStore::new(&dir, CacheMode::ReadWrite));
-        let plan = FaultPlan::seeded(0)
-            .rule(FaultRule::at_key(FaultKind::Panic, "engine/ckpt-batch", 0));
-        {
-            silence_injected_panics();
-            let _guard = install(plan);
-            let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                killed_engine.sweep_checked(&cs)
-            }));
-            assert!(killed.is_err(), "the ckpt-batch kill site must fire");
-        }
-        assert!(
-            killed_engine.checkpoint_store().is_some_and(|s| s.stores() >= 1),
-            "batch 0 was checkpointed before the kill"
-        );
-
-        // Resumed run: restores batch 0 bitwise and completes the rest.
-        let resumed_engine = poisson_engine(ExecMode::Serial)
-            .with_checkpoints(CheckpointStore::new(&dir, CacheMode::ReadWrite));
-        let resumed = resumed_engine.sweep_checked(&cs);
-        let store = resumed_engine.checkpoint_store().expect("store attached");
-        assert_eq!(store.restored_points(), 32, "first batch restored from disk");
-        assert!(resumed.health.is_clean(), "resume is clean: {}", resumed.health);
-        for (a, b) in reference.iter().zip(resumed.points()) {
-            assert_eq!(a.best_effort.to_bits(), b.best_effort.to_bits());
-            assert_eq!(a.reservation.to_bits(), b.reservation.to_bits());
-            assert_eq!(a.performance_gap.to_bits(), b.performance_gap.to_bits());
-            assert_eq!(a.bandwidth_gap.to_bits(), b.bandwidth_gap.to_bits());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn transient_point_panic_is_rescued_and_ledgered() {
-        use bevra_faults::{install, FaultKind, FaultPlan, FaultRule};
         let cs = grid();
-        let reference = poisson_engine(ExecMode::Serial).sweep(&cs);
+        let reference = clean_sweep(&poisson_engine(ExecMode::Serial), &cs);
         let plan = FaultPlan::seeded(0)
             .rule(FaultRule::at_key(FaultKind::Panic, "engine/point", 3).with_n(1));
         let checked = {

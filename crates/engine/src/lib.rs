@@ -10,19 +10,17 @@
 //! * [`pool`] — scoped-thread `parallel_map` with deterministic output
 //!   ordering (`BEVRA_THREADS` overrides the worker count), plus
 //!   [`parallel_map_supervised`] which catches per-item panics and
-//!   retries them under a `bevra_resilience::RetryPolicy`
-//!   (`BEVRA_RETRY`-overridable; then a structured [`ItemError`]) so one
-//!   bad grid point degrades instead of aborting the sweep;
-//! * [`checkpoint`] — a crash-safe sweep checkpoint store
-//!   (`BEVRA_CHECKPOINT=rw|ro`): completed grid points are persisted
-//!   batch-wise with atomic writes and restored bitwise on resume, so a
-//!   killed sweep continues instead of recomputing;
+//!   retries them under a `bevra_resilience::RetryPolicy` (then a
+//!   structured [`ItemError`]) so one bad grid point degrades instead of
+//!   aborting the sweep;
 //! * [`cache`] — sharded thread-safe memo tables keyed by capacity bit
 //!   patterns, with hit/miss counters;
-//! * [`persist`] — an on-disk cross-run value-table cache keyed by content
-//!   hashes of (load digest, utility, grid), gated by
-//!   `BEVRA_CACHE=off|rw|ro`, so warm figure regeneration skips the value
-//!   tables entirely (corrupt or missing entries degrade to recompute);
+//! * [`persist`] — the engine's only on-disk store: a cross-run value
+//!   cache keyed by content hashes of (load digest, utility, grid), gated
+//!   by `BEVRA_CACHE=off|rw|ro`. It holds value-table rows, so warm
+//!   figure regeneration skips the value tables, and finished sweep
+//!   batches, so a killed sweep resumes and a repeated one is read back
+//!   (corrupt or missing entries degrade to recompute);
 //! * [`engine`] — the [`SweepEngine`] tying both to a
 //!   [`bevra_core::DiscreteModel`]: memoized `k_max(C)` tables, `B`/`R`
 //!   evaluations shared between the gap root-finder and the welfare
@@ -88,7 +86,6 @@
 #![deny(missing_docs)]
 
 pub mod cache;
-pub mod checkpoint;
 pub mod engine;
 pub mod instrument;
 pub mod ledger;
@@ -98,7 +95,6 @@ pub mod registry;
 
 pub use bevra_core::{Kernel, KernelCapability, ParityClass, SimdLevel};
 pub use cache::{CacheStats, ShardedCache};
-pub use checkpoint::{CheckpointStore, CHECKPOINT_DIR_ENV, CHECKPOINT_ENV};
 pub use engine::{
     Architecture, CheckedSweep, ExecMode, PointOutcome, SweepEngine, SweepPoint,
 };
@@ -109,7 +105,7 @@ pub use instrument::{
     StageRecord, SweepHealth, SweepReport,
 };
 pub use pool::{
-    chunk_ranges, compute_retry_policy, default_thread_count, parallel_map,
-    parallel_map_isolated, parallel_map_supervised, parallel_map_with, parse_thread_count,
-    thread_count, ItemError, MAX_THREADS, THREADS_ENV,
+    chunk_ranges, default_thread_count, parallel_map, parallel_map_isolated,
+    parallel_map_supervised, parallel_map_with, parse_thread_count, thread_count, ItemError,
+    MAX_THREADS, THREADS_ENV,
 };

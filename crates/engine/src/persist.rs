@@ -1,21 +1,35 @@
-//! Persistent cross-run value-table cache.
+//! Persistent cross-run value cache: the engine's only on-disk store.
 //!
 //! Regenerating a figure recomputes the same `k_max`/`B`/`R` grid tables
-//! run after run. This module persists those tables to disk, keyed by a
-//! **content hash** of everything the values depend on — the load table's
-//! digest, the utility (name plus probed values and knots), the mean load,
-//! any admission-cap override, the result-affecting fields of the active
-//! backend's [`KernelCapability`], and the exact grid bit patterns — so a
-//! warm second run skips every table recomputation while any change to
-//! the model (or a switch to a backend in a different parity class)
-//! re-keys and recomputes from scratch.
+//! and the same `(C, B, R, δ, Δ)` sweep rows run after run. This module
+//! persists both to disk, keyed by a **content hash** of everything the
+//! values depend on — the load table's digest, the utility (name plus
+//! probed values and knots), the mean load, any admission-cap override,
+//! the result-affecting fields of the active backend's
+//! [`KernelCapability`], and the exact grid bit patterns — so a warm
+//! second run skips every table recomputation and every finished sweep
+//! batch, while any change to the model (or a switch to a backend in a
+//! different parity class) re-keys and recomputes from scratch.
+//!
+//! Two kinds of entry share the directory, keyed apart by their format
+//! tag ([`grid_key`] for value tables, `sweep_key` for sweep rows):
+//!
+//! * **value-table rows** `(k_max, B, R)` per capacity, stored by
+//!   `SweepEngine::prime` and counted as hits/misses;
+//! * **sweep rows** `(C, B, R, δ, Δ)` for one finished batch of
+//!   `SweepEngine::sweep_checked`, stored only when every point of the
+//!   batch is clean and counted by [`PersistentCache::restored_points`].
+//!   A killed sweep resumes from them, and a finished one leaves them in
+//!   place for the next run. Under a fault plan that injects panics they
+//!   are stored but not restored, so the plan's sweeps are evaluated.
 //!
 //! Design rules:
 //!
 //! * **Never wrong, never fatal.** Entries carry the full capacity list
-//!   and an FNV checksum; a missing, truncated, corrupt, or mismatched
-//!   file is a cache miss (recompute), never an error and never a wrong
-//!   number. Store failures are logged to metrics and swallowed.
+//!   and an FNV checksum ([`frame_entry`]); a missing, truncated,
+//!   corrupt, or mismatched file is a cache miss (recompute), never an
+//!   error and never a wrong number. Store failures are logged to
+//!   metrics and swallowed.
 //! * **Atomic writes.** Entries are written via
 //!   [`bevra_faults::atomic_write`] (write-temp-then-rename, the PR 4
 //!   path), so a crashed or fault-injected writer can't leave a torn
@@ -28,20 +42,27 @@
 //!
 //! Gating: [`PersistentCache::from_env`] reads `BEVRA_CACHE`
 //! (`off`/unset, `rw`, `ro`) and `BEVRA_CACHE_DIR` (default
-//! `<repo>/results/cache`). Hit/miss/store/error counters are exported
-//! through `bevra-obs` metrics (`engine/pcache/*`) and surfaced by
-//! `SweepEngine::cache_stats` under the name `"persistent"`.
+//! `<repo>/results/cache`). Hit/miss/store/restore/error counters are
+//! exported through `bevra-obs` metrics (`engine/pcache/*`); hits and
+//! misses are surfaced by `SweepEngine::cache_stats` under the name
+//! `"persistent"`.
 
 use crate::cache::CacheStats;
+use crate::engine::SweepPoint;
 use bevra_core::kernel::{KernelCapability, ParityClass};
 use bevra_faults::FaultKind;
 use bevra_obs::metrics;
 use bevra_utility::Utility;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Format tag; bump when the entry layout changes (old entries then miss).
+/// Format tag of value-table entries; bump when the layout changes (old
+/// entries then miss).
 const FORMAT: &str = "bevra-cache v1";
+
+/// Format tag of sweep-row entries; bump when the layout changes.
+const SWEEP_FORMAT: &str = "bevra-sweep v1";
 
 /// Fixed probe bandwidths hashed into the utility fingerprint. Chosen to
 /// straddle every regime the families distinguish (near-zero curvature,
@@ -71,6 +92,7 @@ pub struct PersistentCache {
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
+    restored: AtomicU64,
     io_errors: AtomicU64,
 }
 
@@ -95,7 +117,8 @@ impl Fnv {
     }
 }
 
-/// Content-hash key for one (model, kernel capability, grid) combination.
+/// Content-hash key of the value-table rows for one (model, kernel
+/// capability, grid) combination.
 ///
 /// Hashes the load digest, mean load, utility fingerprint (name, probed
 /// values, knots), admission-cap override, the result-affecting slice of
@@ -107,16 +130,36 @@ impl Fnv {
 /// tolerance's bit pattern), and the `portable` flag. SIMD level and
 /// fault-site coverage are deliberately excluded — they describe *how* a
 /// backend computes, not *what* it computes, so two backends differing
-/// only there may legitimately share entries (the built-in `scalar` and
-/// `batch` backends do exactly this via a shared `cache_tag`).
+/// only there may legitimately share entries.
 #[must_use]
 pub fn grid_key<U: Utility>(
     model: &bevra_core::DiscreteModel<U>,
     capability: &KernelCapability,
     capacities: &[f64],
 ) -> u64 {
+    content_key(FORMAT, model, capability, capacities)
+}
+
+/// Content-hash key of the sweep rows for one batch of grid capacities:
+/// the same inputs as [`grid_key`] under the sweep format tag, so a batch
+/// never collides with the value-table entry of the same capacities.
+#[must_use]
+pub(crate) fn sweep_key<U: Utility>(
+    model: &bevra_core::DiscreteModel<U>,
+    capability: &KernelCapability,
+    capacities: &[f64],
+) -> u64 {
+    content_key(SWEEP_FORMAT, model, capability, capacities)
+}
+
+fn content_key<U: Utility>(
+    format: &str,
+    model: &bevra_core::DiscreteModel<U>,
+    capability: &KernelCapability,
+    capacities: &[f64],
+) -> u64 {
     let mut h = Fnv::new();
-    h.eat(FORMAT.as_bytes());
+    h.eat(format.as_bytes());
     h.eat_u64(model.load().digest());
     h.eat_f64(model.mean_load());
     let u = model.utility();
@@ -150,6 +193,40 @@ pub fn grid_key<U: Utility>(
     h.0
 }
 
+/// Frame an entry body for disk: a `format` tag line, the `key` line,
+/// `body` (newline-terminated lines), and a closing `crc` line holding
+/// the FNV-1a of everything before it. Every on-disk store of the
+/// workspace — value-table and sweep rows here, lane reports in the
+/// simulator's fleet checkpoint — writes this framing.
+#[must_use]
+pub fn frame_entry(format: &str, key: u64, body: &str) -> Vec<u8> {
+    let mut text = format!("{format}\nkey {key:016x}\n{body}");
+    let mut h = Fnv::new();
+    h.eat(text.as_bytes());
+    let _ = writeln!(text, "crc {:016x}", h.0);
+    text.into_bytes()
+}
+
+/// The body of an entry written by [`frame_entry`], or `None` when the
+/// checksum, the format tag, or the key does not match — a torn,
+/// bit-flipped, or foreign file never reaches a body parser.
+#[must_use]
+pub fn unframe_entry<'a>(text: &'a str, format: &str, key: u64) -> Option<&'a str> {
+    // Checksum first: everything before the final `crc` line must hash to
+    // the recorded value.
+    let crc_at = text.rfind("crc ")?;
+    let (framed, crc_line) = text.split_at(crc_at);
+    let recorded = u64::from_str_radix(crc_line.strip_prefix("crc ")?.trim(), 16).ok()?;
+    let mut h = Fnv::new();
+    h.eat(framed.as_bytes());
+    if h.0 != recorded {
+        return None;
+    }
+    let rest = framed.strip_prefix(format)?.strip_prefix("\nkey ")?;
+    let (stored_key, body) = rest.split_once('\n')?;
+    (u64::from_str_radix(stored_key, 16).ok()? == key).then_some(body)
+}
+
 /// True when the active fault plan can corrupt computed values — the
 /// persistent cache must then neither serve nor record anything.
 fn plan_corrupts_values() -> bool {
@@ -158,6 +235,14 @@ fn plan_corrupts_values() -> bool {
             .iter()
             .any(|r| matches!(r.kind, FaultKind::Nan | FaultKind::Inf | FaultKind::NumErr))
     })
+}
+
+/// True when the active fault plan injects panics. Sweep batches are then
+/// evaluated, never restored: a restore would skip the very evaluation
+/// the plan targets. Their stores still land, so a killed run resumes.
+fn plan_injects_panics() -> bool {
+    bevra_faults::current_plan()
+        .is_some_and(|plan| plan.rules.iter().any(|r| r.kind == FaultKind::Panic))
 }
 
 impl PersistentCache {
@@ -171,6 +256,7 @@ impl PersistentCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
+            restored: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
         }
     }
@@ -195,9 +281,10 @@ impl PersistentCache {
         &self.dir
     }
 
-    /// Lookup counters, in the same shape as the in-memory memo tables
-    /// (`hits`/`misses`; store and I/O-error counts are exported as
-    /// metrics only).
+    /// Value-table lookup counters, in the same shape as the in-memory
+    /// memo tables (`hits`/`misses`; sweep rows are counted by
+    /// [`Self::restored_points`], store and I/O-error counts are
+    /// exported as metrics only).
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -212,9 +299,14 @@ impl PersistentCache {
         self.io_errors.load(Ordering::Relaxed)
     }
 
-    /// Successful entry stores.
+    /// Successful entry stores, value-table and sweep rows alike.
     pub fn stores(&self) -> u64 {
         self.stores.load(Ordering::Relaxed)
+    }
+
+    /// Sweep points restored from finished-batch entries so far.
+    pub fn restored_points(&self) -> u64 {
+        self.restored.load(Ordering::Relaxed)
     }
 
     fn entry_path(&self, key: u64) -> PathBuf {
@@ -229,7 +321,9 @@ impl PersistentCache {
             // Don't count: the cache is administratively bypassed.
             return None;
         }
-        let loaded = self.load_inner(key, capacities);
+        let loaded = self
+            .read(key)
+            .and_then(|text| parse_rows(unframe_entry(&text, FORMAT, key)?, capacities));
         if loaded.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             metrics::counter("engine/pcache/hit").inc();
@@ -242,7 +336,57 @@ impl PersistentCache {
         loaded
     }
 
-    fn load_inner(&self, key: u64, capacities: &[f64]) -> Option<Vec<GridRow>> {
+    /// Persist `rows` under `key` (no-op in [`CacheMode::ReadOnly`] or
+    /// under a value-corrupting fault plan). Failures are swallowed after
+    /// counting: a cache that can't write degrades to recompute-always.
+    pub fn store(&self, key: u64, capacities: &[f64], rows: &[GridRow]) {
+        debug_assert_eq!(capacities.len(), rows.len());
+        let mut body = format!("n {}\n", rows.len());
+        for (&c, &(kmax, b, r)) in capacities.iter().zip(rows) {
+            let km = kmax.map_or_else(|| "-".to_string(), |k| k.to_string());
+            let (c, b, r) = (c.to_bits(), b.to_bits(), r.to_bits());
+            let _ = writeln!(body, "{c:016x} {km} {b:016x} {r:016x}");
+        }
+        self.write(key, &frame_entry(FORMAT, key, &body));
+    }
+
+    /// Load the finished sweep rows stored under `key` (a `sweep_key`)
+    /// for the batch `capacities`, one point per capacity. Same rules as
+    /// [`Self::load`], plus no restore under a plan that injects panics;
+    /// counted by [`Self::restored_points`] instead of hits/misses.
+    pub(crate) fn load_sweep(&self, key: u64, capacities: &[f64]) -> Option<Vec<SweepPoint>> {
+        if plan_corrupts_values() || plan_injects_panics() {
+            return None;
+        }
+        let text = self.read(key)?;
+        let points = parse_sweep(unframe_entry(&text, SWEEP_FORMAT, key)?, capacities)?;
+        self.restored.fetch_add(points.len() as u64, Ordering::Relaxed);
+        metrics::counter("engine/pcache/restored").add(points.len() as u64);
+        Some(points)
+    }
+
+    /// Persist one finished sweep batch under `key`. The caller stores
+    /// only batches whose every point is clean (finite, no solver cause),
+    /// so a restore can never change a health ledger.
+    pub(crate) fn store_sweep(&self, key: u64, points: &[SweepPoint]) {
+        let mut body = format!("n {}\n", points.len());
+        for p in points {
+            let _ = writeln!(
+                body,
+                "{:016x} {:016x} {:016x} {:016x} {:016x}",
+                p.capacity.to_bits(),
+                p.best_effort.to_bits(),
+                p.reservation.to_bits(),
+                p.performance_gap.to_bits(),
+                p.bandwidth_gap.to_bits(),
+            );
+        }
+        self.write(key, &frame_entry(SWEEP_FORMAT, key, &body));
+    }
+
+    /// The raw entry under `key`, or `None` on an injected or real read
+    /// failure.
+    fn read(&self, key: u64) -> Option<String> {
         // Fault site: a `io-transient:io/cache/load` or permanent rule
         // makes this lookup fail like an unreadable file. Reads don't
         // retry — recompute is the degradation path.
@@ -251,23 +395,19 @@ impl PersistentCache {
             metrics::counter("engine/pcache/io_error").inc();
             return None;
         }
-        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        parse_entry(&text, key, capacities)
+        std::fs::read_to_string(self.entry_path(key)).ok()
     }
 
-    /// Persist `rows` under `key` (no-op in [`CacheMode::ReadOnly`] or
-    /// under a value-corrupting fault plan). Failures are swallowed after
-    /// counting: a cache that can't write degrades to recompute-always.
-    pub fn store(&self, key: u64, capacities: &[f64], rows: &[GridRow]) {
+    /// Atomically write one framed entry (no-op in read-only mode or under
+    /// a value-corrupting fault plan).
+    fn write(&self, key: u64, bytes: &[u8]) {
         if self.mode == CacheMode::ReadOnly || plan_corrupts_values() {
             return;
         }
-        debug_assert_eq!(capacities.len(), rows.len());
-        let bytes = serialize_entry(key, capacities, rows);
         // `atomic_write` prefixes the site with `io/`, giving the chaos
         // plans the `io/cache/store` site; it retries transient faults
         // with backoff and leaves only temp debris on permanent ones.
-        match bevra_faults::atomic_write("cache/store", &self.entry_path(key), &bytes) {
+        match bevra_faults::atomic_write("cache/store", &self.entry_path(key), bytes) {
             Ok(_) => {
                 self.stores.fetch_add(1, Ordering::Relaxed);
                 metrics::counter("engine/pcache/store").inc();
@@ -292,8 +432,8 @@ impl PersistentCache {
 /// `site` is a fault-injection site consulted per attempt as `io/<site>`,
 /// like [`bevra_faults::atomic_write`]: transient faults are retried
 /// under the workspace I/O retry policy
-/// ([`bevra_resilience::RetryPolicy::io`], overridable with
-/// `BEVRA_RETRY`), waiting on the ambient fault-aware clock
+/// ([`bevra_resilience::RetryPolicy::io`]), waiting on the ambient
+/// fault-aware clock
 /// (virtual-clock, sleep-free, whenever a fault plan is active);
 /// permanent ones surface as errors.
 ///
@@ -316,7 +456,7 @@ pub fn append_line(site: &str, path: &Path, line: &str) -> std::io::Result<()> {
         }
     }
     let full_site = format!("io/{site}");
-    let policy = RetryPolicy::from_env("bevra-engine", RetryPolicy::io());
+    let policy = RetryPolicy::io();
     let mut clock = bevra_resilience::ambient_clock();
     let attempt_once = |attempt: u32| -> Result<(), std::io::Error> {
         match bevra_faults::io_fault(&full_site, u64::from(attempt)) {
@@ -366,70 +506,60 @@ fn default_dir() -> PathBuf {
         .join("cache")
 }
 
-fn serialize_entry(key: u64, capacities: &[f64], rows: &[GridRow]) -> Vec<u8> {
-    use std::fmt::Write as _;
-    let mut body = String::new();
-    let _ = writeln!(body, "{FORMAT}");
-    let _ = writeln!(body, "key {key:016x}");
-    let _ = writeln!(body, "n {}", rows.len());
-    for (&c, &(kmax, b, r)) in capacities.iter().zip(rows) {
-        let km = kmax.map_or_else(|| "-".to_string(), |k| k.to_string());
-        let _ = writeln!(body, "{:016x} {km} {:016x} {:016x}", c.to_bits(), b.to_bits(), r.to_bits());
-    }
-    let mut h = Fnv::new();
-    h.eat(body.as_bytes());
-    let _ = writeln!(body, "crc {:016x}", h.0);
-    body.into_bytes()
-}
-
-/// Parse and fully validate one entry; `None` on any mismatch.
-fn parse_entry(text: &str, key: u64, capacities: &[f64]) -> Option<Vec<GridRow>> {
-    // Checksum first: everything before the final `crc` line must hash to
-    // the recorded value, so torn or bit-flipped files never parse.
-    let crc_at = text.rfind("crc ")?;
-    let (body, crc_line) = text.split_at(crc_at);
-    let recorded = u64::from_str_radix(crc_line.strip_prefix("crc ")?.trim(), 16).ok()?;
-    let mut h = Fnv::new();
-    h.eat(body.as_bytes());
-    if h.0 != recorded {
-        return None;
-    }
-
+/// Parse an entry body — an `n` line, then one line per capacity that
+/// opens with the capacity's bits — handing each line's remaining fields
+/// to `row`; `None` unless the body matches `capacities` exactly.
+fn parse_body<T>(
+    body: &str,
+    capacities: &[f64],
+    row: impl Fn(f64, &[&str]) -> Option<T>,
+) -> Option<Vec<T>> {
     let mut lines = body.lines();
-    if lines.next()? != FORMAT {
-        return None;
-    }
-    let stored_key = u64::from_str_radix(lines.next()?.strip_prefix("key ")?, 16).ok()?;
-    if stored_key != key {
-        return None;
-    }
     let n: usize = lines.next()?.strip_prefix("n ")?.parse().ok()?;
     if n != capacities.len() {
         return None;
     }
-    let mut rows = Vec::with_capacity(n);
-    for &c in capacities {
-        let line = lines.next()?;
-        let mut fields = line.split_ascii_whitespace();
-        let c_bits = u64::from_str_radix(fields.next()?, 16).ok()?;
-        if c_bits != c.to_bits() {
-            return None;
+    let rows = capacities
+        .iter()
+        .map(|&c| {
+            let fields: Vec<&str> = lines.next()?.split_ascii_whitespace().collect();
+            let (first, rest) = fields.split_first()?;
+            if u64::from_str_radix(first, 16).ok()? != c.to_bits() {
+                return None;
+            }
+            row(c, rest)
+        })
+        .collect::<Option<Vec<T>>>()?;
+    lines.next().is_none().then_some(rows)
+}
+
+/// Parse a value-table body: `k_max B R` after each capacity.
+fn parse_rows(body: &str, capacities: &[f64]) -> Option<Vec<GridRow>> {
+    parse_body(body, capacities, |_, fields| match *fields {
+        [km, b, r] => {
+            let kmax = if km == "-" { None } else { Some(km.parse().ok()?) };
+            Some((kmax, hex_f64(b)?, hex_f64(r)?))
         }
-        let kmax = match fields.next()? {
-            "-" => None,
-            k => Some(k.parse().ok()?),
-        };
-        let b = f64::from_bits(u64::from_str_radix(fields.next()?, 16).ok()?);
-        let r = f64::from_bits(u64::from_str_radix(fields.next()?, 16).ok()?);
-        if fields.next().is_some() {
-            return None;
-        }
-        rows.push((kmax, b, r));
-    }
-    if lines.next().is_some() {
-        return None;
-    }
-    Some(rows)
+        _ => None,
+    })
+}
+
+/// Parse a sweep-row body: `B R δ Δ` after each capacity.
+fn parse_sweep(body: &str, capacities: &[f64]) -> Option<Vec<SweepPoint>> {
+    parse_body(body, capacities, |capacity, fields| match *fields {
+        [b, r, d, g] => Some(SweepPoint {
+            capacity,
+            best_effort: hex_f64(b)?,
+            reservation: hex_f64(r)?,
+            performance_gap: hex_f64(d)?,
+            bandwidth_gap: hex_f64(g)?,
+        }),
+        _ => None,
+    })
+}
+
+fn hex_f64(field: &str) -> Option<f64> {
+    u64::from_str_radix(field, 16).ok().map(f64::from_bits)
 }
 
 #[cfg(test)]
@@ -499,6 +629,36 @@ mod tests {
     }
 
     #[test]
+    fn sweep_rows_round_trip_apart_from_value_rows() {
+        let pc = PersistentCache::new(tmp_dir("sweep"), CacheMode::ReadWrite);
+        let caps = [2.0, 40.0];
+        let points: Vec<SweepPoint> = caps
+            .iter()
+            .map(|&c| SweepPoint {
+                capacity: c,
+                best_effort: c * 0.5,
+                reservation: c * 0.75,
+                performance_gap: c * 0.25,
+                bandwidth_gap: c * 0.125,
+            })
+            .collect();
+        pc.store_sweep(9, &points);
+        assert!(pc.load(9, &caps).is_none(), "a sweep entry is not a value-table entry");
+        assert!(pc.load_sweep(9, &[2.0, 41.0]).is_none(), "grid mismatch restores nothing");
+        let got = pc.load_sweep(9, &caps).expect("restored");
+        for (g, w) in got.iter().zip(&points) {
+            assert_eq!(g.bandwidth_gap.to_bits(), w.bandwidth_gap.to_bits());
+            assert_eq!(g.performance_gap.to_bits(), w.performance_gap.to_bits());
+        }
+        assert_eq!(pc.restored_points(), 2);
+        assert_eq!((pc.stats().hits, pc.stats().misses), (0, 1), "sweep rows never count");
+        let _guard = bevra_faults::install(bevra_faults::FaultPlan::seeded(0).rule(
+            bevra_faults::FaultRule::always(FaultKind::Panic, "engine/point"),
+        ));
+        assert!(pc.load_sweep(9, &caps).is_none(), "a panic plan's sweeps are evaluated");
+    }
+
+    #[test]
     fn key_separates_models_and_grids() {
         let load = Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 10);
         let m1 = DiscreteModel::new(load.clone(), Rigid::unit());
@@ -513,6 +673,7 @@ mod tests {
         assert_ne!(k1, grid_key(&m3, &batch, &caps), "utility family re-keys");
         assert_ne!(k1, grid_key(&m1, &fast, &caps), "parity class re-keys");
         assert_ne!(k1, grid_key(&m1, &batch, &caps[..2]), "grid re-keys");
+        assert_ne!(k1, sweep_key(&m1, &batch, &caps), "sweep rows are keyed apart");
         let capped = DiscreteModel::new(load, Rigid::unit()).with_admission_cap(5);
         assert_ne!(k1, grid_key(&capped, &batch, &caps), "admission cap re-keys");
     }

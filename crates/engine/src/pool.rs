@@ -25,8 +25,8 @@
 //! structured `PointOutcome::Failed` entries and `SweepHealth` counts.
 //!
 //! [`parallel_map_isolated`] is the policy-free wrapper: the historical
-//! "one immediate serial retry" behavior, now spelled
-//! [`RetryPolicy::compute`] and overridable with `BEVRA_RETRY`.
+//! "one immediate serial retry" behavior, spelled
+//! [`RetryPolicy::compute`].
 //!
 //! Retry decisions are **per-item-local** (a pure function of the item and
 //! its attempt count), never shared across workers — shared retry state
@@ -186,13 +186,6 @@ where
         .collect()
 }
 
-/// The ambient compute-path retry policy: [`RetryPolicy::compute`] (one
-/// immediate serial retry, no backoff), overridable with `BEVRA_RETRY`.
-#[must_use]
-pub fn compute_retry_policy() -> RetryPolicy {
-    RetryPolicy::from_env("bevra-engine", RetryPolicy::compute())
-}
-
 /// [`parallel_map_with`], but with per-item panic isolation and
 /// policy-driven serial retry: each call of `f` runs under
 /// [`catch_unwind`] with its attempt index, a panicking item is retried
@@ -285,9 +278,9 @@ where
     (results, retries.load(Ordering::Relaxed))
 }
 
-/// [`parallel_map_supervised`] under the ambient compute policy
-/// ([`compute_retry_policy`]), discarding the retry counter — the
-/// attempt-blind compatibility entry point.
+/// [`parallel_map_supervised`] under the compute policy
+/// ([`RetryPolicy::compute`]: one immediate serial retry), discarding the
+/// retry counter — the attempt-blind compatibility entry point.
 pub fn parallel_map_isolated<T, U, F>(
     items: &[T],
     threads: usize,
@@ -298,7 +291,7 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    parallel_map_supervised(items, threads, &compute_retry_policy(), |item, _attempt| f(item)).0
+    parallel_map_supervised(items, threads, &RetryPolicy::compute(), |item, _attempt| f(item)).0
 }
 
 /// Split `0..n` into `chunks` contiguous, balanced, non-empty ranges

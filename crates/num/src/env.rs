@@ -38,35 +38,10 @@ pub fn env_count(name: &str, max: usize, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Upper bound accepted for millisecond-valued overrides
-/// (`BEVRA_DEADLINE_MS` and the `RetryPolicy` grammar): about 11.5 days.
-/// Larger values are always a typo, never a deadline.
-pub const MAX_MILLIS: u64 = 1_000_000_000;
-
-/// Parse a millisecond-valued override. `Some(ms)` iff the trimmed string
-/// is an integer in `1..=`[`MAX_MILLIS`]; `None` otherwise.
-///
-/// ```
-/// use bevra_num::env::parse_millis;
-/// assert_eq!(parse_millis(" 250 "), Some(250));
-/// assert_eq!(parse_millis("0"), None);
-/// assert_eq!(parse_millis("1000000000001"), None);
-/// assert_eq!(parse_millis("soon"), None);
-/// ```
-#[must_use]
-pub fn parse_millis(raw: &str) -> Option<u64> {
-    match raw.trim().parse::<u64>() {
-        Ok(ms) if (1..=MAX_MILLIS).contains(&ms) => Some(ms),
-        _ => None,
-    }
-}
-
-/// The workspace's malformed-environment contract, shared by
-/// `BEVRA_FAULTS`, `BEVRA_RETRY`, `BEVRA_DEADLINE_MS` and
-/// `BEVRA_CHECKPOINT`: a value that fails to parse is reported **once**
-/// per `(component, variable)` pair on stderr and then ignored — a typo'd
-/// knob degrades to the default, it never aborts a run and never spams a
-/// sweep's worth of warnings.
+/// The malformed-environment contract of `BEVRA_SIMD`: a value that fails
+/// to parse is reported **once** per `(component, variable)` pair on
+/// stderr and then ignored — a typo'd knob degrades to the default, it
+/// never aborts a run and never spams a sweep's worth of warnings.
 pub fn warn_malformed_env(component: &str, var: &str, detail: &str) {
     use std::collections::HashSet;
     use std::sync::Mutex;
@@ -100,17 +75,6 @@ mod tests {
     #[test]
     fn env_count_falls_back_on_missing_variable() {
         assert_eq!(env_count("BEVRA_TEST_UNSET_VARIABLE_XYZ", 16, 7), 7);
-    }
-
-    #[test]
-    fn millis_accepts_in_range_and_rejects_empty_garbage_huge() {
-        assert_eq!(parse_millis("1"), Some(1));
-        assert_eq!(parse_millis(" 30000 "), Some(30_000));
-        assert_eq!(parse_millis(&MAX_MILLIS.to_string()), Some(MAX_MILLIS));
-        for raw in ["0", "-5", "", "   ", "abc", "1.5", "1e3", "1000000001", "99999999999999999999"]
-        {
-            assert_eq!(parse_millis(raw), None, "raw = {raw:?}");
-        }
     }
 
     #[test]

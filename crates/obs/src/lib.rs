@@ -26,8 +26,9 @@
 //!   seqlock rings of structured events (span boundaries, counter deltas,
 //!   fault trips, health records, ordered by a logical sequence counter)
 //!   drained to a `results/<id>-blackbox.jsonl` black box by a chained
-//!   panic hook or at the end of a faulted run. Gated independently by
-//!   `BEVRA_RECORDER` (default on; the off path is one relaxed load).
+//!   panic hook or at the end of a faulted run. On unless
+//!   `recorder::set_recording(false)` turns it off (the off path is one
+//!   relaxed load).
 //!
 //! # The `BEVRA_OBS` gate
 //!

@@ -28,19 +28,14 @@
 //!
 //! # Gating
 //!
-//! On by default. `BEVRA_RECORDER=off|0|false` disables it (one relaxed
-//! atomic load on every record site thereafter); [`set_recording`]
-//! overrides programmatically for benches and tests.
+//! On unless [`set_recording`]`(false)` turns it off (benches measuring its
+//! cost do); the off path is one relaxed atomic load on every record site.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError};
-
-/// Environment variable gating the flight recorder (`off|0|false` disable
-/// it; anything else, including unset, leaves it on).
-pub const RECORDER_ENV: &str = "BEVRA_RECORDER";
 
 /// Slots per per-thread ring; also the upper bound on events in a blackbox
 /// from any single thread.
@@ -76,7 +71,7 @@ fn recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Whether the flight recorder is on — one relaxed atomic load after the
-/// first call initializes the gate from [`RECORDER_ENV`].
+/// first call turns the gate on.
 #[inline]
 #[must_use]
 pub fn recording() -> bool {
@@ -89,19 +84,7 @@ pub fn recording() -> bool {
 
 #[cold]
 fn init_gate() -> bool {
-    let on = match std::env::var(RECORDER_ENV) {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "off" || v == "0" || v == "false")
-        }
-        Err(_) => true,
-    };
-    let _ = GATE.compare_exchange(
-        GATE_UNINIT,
-        if on { GATE_ON } else { GATE_OFF },
-        Ordering::Relaxed,
-        Ordering::Relaxed,
-    );
+    let _ = GATE.compare_exchange(GATE_UNINIT, GATE_ON, Ordering::Relaxed, Ordering::Relaxed);
     let now_on = GATE.load(Ordering::Relaxed) == GATE_ON;
     if now_on {
         hook_faults();
@@ -110,7 +93,7 @@ fn init_gate() -> bool {
 }
 
 /// Force the recorder on or off for the rest of the process (benches and
-/// tests; production runs use [`RECORDER_ENV`]).
+/// tests; production runs leave it on).
 pub fn set_recording(on: bool) {
     GATE.store(if on { GATE_ON } else { GATE_OFF }, Ordering::Relaxed);
     if on {

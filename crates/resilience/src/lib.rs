@@ -1,9 +1,9 @@
-//! Failure handling for the workspace: deterministic retries, cooperative
-//! deadlines, circuit breakers, and supervised work units.
+//! Failure handling for the workspace: deterministic retries, circuit
+//! breakers, and supervised work units.
 //!
 //! The rest of the workspace *injects* adversity (`bevra-faults`) and
 //! *accounts* for it (`SweepHealth`, `FleetHealth`); this crate is the layer
-//! that *recovers*. Its four primitives share one design rule — *nothing
+//! that *recovers*. Its three primitives share one design rule — *nothing
 //! here may perturb a deterministic result*:
 //!
 //! * [`RetryPolicy`] — exponential backoff whose jitter is drawn from
@@ -12,10 +12,6 @@
 //!   total budget). Waiting goes through the [`Clock`] abstraction from
 //!   `bevra-faults`: real sleeps in production ([`WallClock`]), accounted
 //!   virtual time under an active fault plan ([`VirtualClock`]).
-//! * [`Deadline`] — a cooperative wall-clock budget token checked at coarse
-//!   granularity (sweep points, simulator event batches). An expired
-//!   deadline degrades a run to partial-with-health; it never kills work
-//!   mid-item, so partial results stay bit-exact prefixes.
 //! * [`CircuitBreaker`] — a per-site closed/open/half-open state machine
 //!   with a *call-counted* (not wall-clock) probe cadence, so breaker
 //!   behavior replays identically run to run.
@@ -23,26 +19,17 @@
 //!   consulting a [`CircuitBreaker`] so persistent failure fails fast
 //!   instead of burning the retry budget on every unit.
 //!
-//! Environment knobs, all following the workspace's warn-once-and-ignore
-//! contract for malformed values
-//! ([`bevra_num::env::warn_malformed_env`]):
-//!
-//! | variable | effect |
-//! |---|---|
-//! | `BEVRA_RETRY` | override a retry policy: `attempts=4,base=1,max=50,budget=200,seed=7` |
-//! | `BEVRA_DEADLINE_MS` | cooperative deadline for sweeps and simulations |
-//! | `BEVRA_CHECKPOINT` | checkpoint/resume mode (`rw`/`ro`, read by `bevra-engine`/`bevra-sim`) |
+//! The crate reads no environment variable: callers pick a policy
+//! ([`RetryPolicy::compute`], [`RetryPolicy::io`]) in code.
 
 #![deny(missing_docs)]
 
 pub mod breaker;
-pub mod deadline;
 pub mod retry;
 pub mod supervisor;
 
 pub use breaker::{BreakerState, CircuitBreaker};
-pub use deadline::{Deadline, DEADLINE_ENV};
-pub use retry::{RetryOutcome, RetryPolicy, RETRY_ENV};
+pub use retry::{RetryOutcome, RetryPolicy};
 pub use supervisor::{Supervisor, SupervisorStats};
 
 // Re-export the clock abstraction this crate's waiting is built on, so

@@ -1,14 +1,6 @@
 //! Deterministic exponential backoff with seeded jitter.
 
 use bevra_faults::io::Clock;
-use bevra_num::env::{warn_malformed_env, MAX_MILLIS};
-
-/// Environment variable overriding a [`RetryPolicy`] (see
-/// [`RetryPolicy::from_env`] for the grammar).
-pub const RETRY_ENV: &str = "BEVRA_RETRY";
-
-/// Most attempts any override may request; more is always a typo.
-pub const MAX_ATTEMPTS: u32 = 64;
 
 /// An exponential-backoff retry policy whose schedule is a pure function
 /// of the policy itself.
@@ -140,67 +132,6 @@ impl RetryPolicy {
             }
         }
     }
-
-    /// Parse the `BEVRA_RETRY` grammar onto `self`: comma- or
-    /// semicolon-separated `key=value` clauses, keys `attempts`, `base`,
-    /// `max`, `budget` (milliseconds) and `seed`. Unmentioned fields keep
-    /// their current values.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first malformed clause.
-    pub fn parse_onto(mut self, text: &str) -> Result<Self, String> {
-        for clause in text.split([',', ';']) {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            let (key, value) = clause
-                .split_once('=')
-                .ok_or_else(|| format!("clause missing '=': {clause:?}"))?;
-            let (key, value) = (key.trim(), value.trim());
-            let ms = || -> Result<u64, String> {
-                match value.parse::<u64>() {
-                    Ok(v) if v <= MAX_MILLIS => Ok(v),
-                    _ => Err(format!("bad millisecond value in {clause:?}")),
-                }
-            };
-            match key {
-                "attempts" => {
-                    self.max_attempts =
-                        bevra_num::env::parse_bounded_count(value, MAX_ATTEMPTS as usize)
-                            .ok_or_else(|| format!("bad attempts value in {clause:?}"))?
-                            as u32;
-                }
-                "base" => self.base_backoff_ms = ms()?,
-                "max" => self.max_backoff_ms = ms()?,
-                "budget" => self.total_budget_ms = ms()?,
-                "seed" => {
-                    self.seed =
-                        value.parse().map_err(|_| format!("bad seed value in {clause:?}"))?;
-                }
-                _ => return Err(format!("unknown key {key:?} in {clause:?}")),
-            }
-        }
-        Ok(self)
-    }
-
-    /// `default`, overridden by [`RETRY_ENV`] when set and well-formed.
-    /// A malformed value is reported once per component and ignored — the
-    /// same contract `BEVRA_FAULTS` follows.
-    #[must_use]
-    pub fn from_env(component: &str, default: Self) -> Self {
-        match std::env::var(RETRY_ENV) {
-            Ok(raw) => match default.parse_onto(&raw) {
-                Ok(policy) => policy,
-                Err(e) => {
-                    warn_malformed_env(component, RETRY_ENV, &e);
-                    default
-                }
-            },
-            Err(_) => default,
-        }
-    }
 }
 
 /// What one policy-driven [`RetryPolicy::run`] did.
@@ -277,23 +208,5 @@ mod tests {
         let (result, outcome): (Result<(), _>, _) = p.run(&mut clock, |_| Err("always"));
         assert_eq!(result, Err("always"));
         assert_eq!(outcome.attempts, 3);
-    }
-
-    #[test]
-    fn parse_overrides_and_rejects_garbage() {
-        let base = RetryPolicy::io();
-        let p = base.parse_onto("attempts=6, base=2, max=80, budget=300, seed=9").unwrap();
-        assert_eq!(p.max_attempts, 6);
-        assert_eq!(p.base_backoff_ms, 2);
-        assert_eq!(p.max_backoff_ms, 80);
-        assert_eq!(p.total_budget_ms, 300);
-        assert_eq!(p.seed, 9);
-        assert_eq!(base.parse_onto("").unwrap(), base, "empty override is a no-op");
-        for bad in [
-            "attempts", "attempts=0", "attempts=65", "attempts=lots", "base=-1", "base=1.5",
-            "max=99999999999999999999", "budget=abc", "seed=0x7", "pace=3",
-        ] {
-            assert!(base.parse_onto(bad).is_err(), "accepted {bad:?}");
-        }
     }
 }

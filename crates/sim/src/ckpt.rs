@@ -9,26 +9,26 @@
 //! uninterrupted run's (`tests/resilience.rs` pins this against the
 //! workspace's fleet digest).
 //!
-//! The design rules are shared with the engine's sweep checkpoint
-//! (`bevra_engine::checkpoint`):
+//! The design rules are shared with the engine's persistent value cache
+//! (`bevra_engine::persist`):
 //!
-//! * **Never wrong, never fatal.** Entries carry the key, the lane
-//!   count, and an FNV checksum; a missing, truncated, corrupt, or
-//!   mismatched file restores nothing. Store failures are counted and
-//!   swallowed.
+//! * **Never wrong, never fatal.** Entries use the cache's framing
+//!   ([`frame_entry`]: format tag, key, FNV checksum) plus the lane
+//!   count; a missing, truncated, corrupt, or mismatched file restores
+//!   nothing. Store failures are counted and swallowed.
 //! * **Atomic writes** via [`bevra_faults::atomic_write`]
 //!   (write-temp-then-rename), fault sites `fleet-ckpt/store` and
 //!   `io/fleet-ckpt/load`.
-//! * **Only clean lanes.** Truncated (budget- or deadline-cut) lanes are
-//!   never checkpointed — they are re-run on resume, so a resumed run
-//!   can only be *more* complete than the interrupted one.
+//! * **Only clean lanes.** Budget-truncated lanes are never
+//!   checkpointed — they are re-run on resume, so a resumed run can only
+//!   be *more* complete than the interrupted one.
 //!
-//! Gating is the engine's: `BEVRA_CHECKPOINT` (`rw`/`ro`, anything else
-//! warns once and is ignored) and `BEVRA_CHECKPOINT_DIR`.
+//! Checkpointing is opt-in: attach a store with `Fleet::with_checkpoint`.
 
 use crate::runner::SimReport;
 use crate::stats::Welford;
-use bevra_engine::{CacheMode, CheckpointStore};
+use bevra_engine::persist::{frame_entry, unframe_entry};
+use bevra_engine::CacheMode;
 use bevra_obs::metrics;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,16 +52,6 @@ pub struct FleetCheckpoint {
     io_errors: AtomicU64,
 }
 
-/// FNV-1a over a byte stream (the workspace content hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl FleetCheckpoint {
     /// Store rooted at `dir` with an explicit mode. The directory is
     /// created lazily by the first store (via `atomic_write`).
@@ -74,26 +64,6 @@ impl FleetCheckpoint {
             stores: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
         }
-    }
-
-    /// Store configured from the environment — the same
-    /// `BEVRA_CHECKPOINT` / `BEVRA_CHECKPOINT_DIR` contract as the
-    /// engine's sweep checkpoint (malformed modes warn once, attributed
-    /// to `component`, and disable checkpointing).
-    #[must_use]
-    pub fn from_env(component: &str) -> Option<Self> {
-        // Reuse the engine's parsing (env grammar, warn-once dedup,
-        // default directory) so the two checkpoint layers can never
-        // drift apart in how they read the knobs.
-        let engine = CheckpointStore::from_env(component)?;
-        let mode = if std::env::var(bevra_engine::CHECKPOINT_ENV)
-            .is_ok_and(|v| v.trim() == "ro")
-        {
-            CacheMode::ReadOnly
-        } else {
-            CacheMode::ReadWrite
-        };
-        Some(Self::new(engine.dir(), mode))
     }
 
     /// The store's root directory.
@@ -181,8 +151,6 @@ fn serialize_entry(key: u64, lanes: usize, reports: &[(usize, &SimReport)]) -> V
     let mut sorted: Vec<&(usize, &SimReport)> = reports.iter().collect();
     sorted.sort_by_key(|(lane, _)| *lane);
     let mut body = String::new();
-    let _ = writeln!(body, "{FORMAT}");
-    let _ = writeln!(body, "key {key:016x}");
     let _ = writeln!(body, "lanes {lanes}");
     for (lane, r) in sorted {
         let _ = write!(
@@ -205,26 +173,12 @@ fn serialize_entry(key: u64, lanes: usize, reports: &[(usize, &SimReport)]) -> V
         }
         let _ = writeln!(body, " {:016x}", total_time.to_bits());
     }
-    let _ = writeln!(body, "crc {:016x}", fnv1a(body.as_bytes()));
-    body.into_bytes()
+    frame_entry(FORMAT, key, &body)
 }
 
 /// Parse and fully validate one entry; `None` on any mismatch.
 fn parse_entry(text: &str, key: u64, lanes: usize) -> Option<Vec<(usize, SimReport)>> {
-    let crc_at = text.rfind("crc ")?;
-    let (body, crc_line) = text.split_at(crc_at);
-    let recorded = u64::from_str_radix(crc_line.strip_prefix("crc ")?.trim(), 16).ok()?;
-    if fnv1a(body.as_bytes()) != recorded {
-        return None;
-    }
-    let mut lines = body.lines();
-    if lines.next()? != FORMAT {
-        return None;
-    }
-    let stored_key = u64::from_str_radix(lines.next()?.strip_prefix("key ")?, 16).ok()?;
-    if stored_key != key {
-        return None;
-    }
+    let mut lines = unframe_entry(text, FORMAT, key)?.lines();
     let stored_lanes: usize = lines.next()?.strip_prefix("lanes ")?.parse().ok()?;
     if stored_lanes != lanes {
         return None;

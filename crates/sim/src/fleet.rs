@@ -23,34 +23,32 @@
 //! condemns its lanes outright: after the parallel phase, a serial
 //! [`Supervisor`] re-runs each missing lane individually — in strict lane
 //! order, from the lane's derived seed, re-crossing `sim/lane` with an
-//! incremented attempt index — under the ambient
-//! [`RetryPolicy`] (`BEVRA_RETRY`, default one immediate retry). A
-//! transient fault (`n=`-bounded rule) is thereby *rescued*: the restarted
-//! lane reproduces its exact bits and the merged digest equals the
-//! fault-free run's, with the restart recorded in
+//! incremented attempt index — under [`RetryPolicy::compute`] (one
+//! immediate retry). A transient fault (`n=`-bounded rule) is thereby
+//! *rescued*: the restarted lane reproduces its exact bits and the merged
+//! digest equals the fault-free run's, with the restart recorded in
 //! [`FleetHealth::restarts`]. Persistent faults exhaust the policy, trip
 //! the supervisor's [`CircuitBreaker`]
 //! ([`FleetHealth::breaker_trips`]), and remaining dead lanes are
 //! rejected fast, each recorded as a single-lane [`ShardFailure`].
 //! Because recovery is serial and seeded, rescued runs replay
 //! identically. Budget exhaustion inside a lane (the `sim/budget`
-//! watchdog) and cooperative deadline expiry are *not* failures: the
-//! lane's partial report merges and the lane is counted in
-//! [`FleetHealth::truncated_lanes`].
+//! watchdog) is *not* a failure: the lane's partial report merges and the
+//! lane is counted in [`FleetHealth::truncated_lanes`].
 //!
 //! # Checkpoint/resume
 //!
-//! With `BEVRA_CHECKPOINT=rw` (see [`crate::ckpt`]) the fleet persists
-//! completed clean lanes after every [`GROUP_SHARDS`] shards, crossing
-//! the `panic:sim/fleet-ckpt` kill site between groups, and restores them
-//! bitwise on the next run — a killed ≥10M-flow fleet resumes instead of
-//! starting over, and the resumed merged digest is identical to an
-//! uninterrupted run's.
+//! With a [`FleetCheckpoint`] attached ([`Fleet::with_checkpoint`]) the
+//! fleet persists completed clean lanes after every [`GROUP_SHARDS`]
+//! shards, crossing the `panic:sim/fleet-ckpt` kill site between groups,
+//! and restores them bitwise on the next run — a killed ≥10M-flow fleet
+//! resumes instead of starting over, and the resumed merged digest is
+//! identical to an uninterrupted run's.
 
 use crate::ckpt::{FleetCheckpoint, GROUP_SHARDS};
 use crate::runner::{QueueKind, SimConfig, SimError, SimReport, Simulation};
 use bevra_obs::metrics;
-use bevra_resilience::{ambient_clock, CircuitBreaker, Deadline, RetryPolicy, Supervisor};
+use bevra_resilience::{ambient_clock, CircuitBreaker, RetryPolicy, Supervisor};
 use rand::derive_seed;
 
 /// Consecutive dead lanes that trip the recovery breaker.
@@ -100,8 +98,7 @@ pub struct FleetHealth {
     /// Lanes whose reports merged into the pooled result.
     pub ok_lanes: u32,
     /// Of the ok lanes, how many were truncated by the `sim/budget`
-    /// watchdog or the cooperative deadline (their partial reports still
-    /// merged).
+    /// watchdog (their partial reports still merged).
     pub truncated_lanes: u32,
     /// Lane re-executions performed by the recovery supervisor (every
     /// restart attempt of a panicked lane counts one, successful or not).
@@ -164,8 +161,7 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// New fleet from a config, with the ambient checkpoint store
-    /// (`BEVRA_CHECKPOINT`) if one is configured.
+    /// New fleet from a config, without a checkpoint store.
     ///
     /// # Panics
     ///
@@ -176,11 +172,11 @@ impl Fleet {
         assert!(cfg.lanes > 0, "a fleet needs at least one lane");
         assert!(cfg.base.capacity > 0.0, "capacity must be positive");
         assert!(cfg.base.horizon > 0.0, "horizon must be positive");
-        Self { cfg, ckpt: FleetCheckpoint::from_env("bevra-sim"), restarts_enabled: true }
+        Self { cfg, ckpt: None, restarts_enabled: true }
     }
 
-    /// Replace the checkpoint store (builder style) — tests and embedders
-    /// inject explicit stores without touching the environment.
+    /// Attach a checkpoint store (builder style): completed lanes persist
+    /// to it and a rerun resumes from it.
     #[must_use]
     pub fn with_checkpoint(mut self, store: FleetCheckpoint) -> Self {
         self.ckpt = Some(store);
@@ -237,9 +233,6 @@ impl Fleet {
         sp.add_points(lanes as u64);
         let ranges = bevra_engine::chunk_ranges(lanes, shards.max(1));
         let started = std::time::Instant::now();
-        // One cooperative deadline shared by every lane: the whole fleet
-        // gets a single `BEVRA_DEADLINE_MS` budget, not one per lane.
-        let deadline = Deadline::from_env("bevra-sim");
         let mut health = FleetHealth::default();
 
         // Per-lane result slots, filled by checkpoint restore, the
@@ -259,17 +252,14 @@ impl Fleet {
         }
 
         // One simulated lane, shared by the shard phase (attempt 0) and
-        // the recovery loop (attempt ≥ 1). Budget/deadline truncation is
+        // the recovery loop (attempt ≥ 1). Budget truncation is
         // degradation, not failure.
         let run_lane = |lane: usize, attempt: u64| -> (SimReport, bool) {
             bevra_faults::panic_point_attempt("sim/lane", lane as u64, attempt);
             let sim = Simulation::new(self.lane_config(lane as u32));
-            match sim.run_checked_deadline_on(queue, deadline) {
+            match sim.run_checked_on(queue) {
                 Ok(r) => (r, false),
-                Err(
-                    SimError::BudgetExhausted { partial, .. }
-                    | SimError::DeadlineExpired { partial, .. },
-                ) => (*partial, true),
+                Err(SimError::BudgetExhausted { partial, .. }) => (*partial, true),
             }
         };
 
@@ -330,13 +320,12 @@ impl Fleet {
         }
 
         // Recovery: re-run each missing lane individually, serially, in
-        // lane order, under the ambient retry policy and a breaker that
+        // lane order, under the compute retry policy and a breaker that
         // fails fast on persistent death. Serial + seeded = the rescue
         // replays identically regardless of shard/thread counts.
         if !failed_shards.is_empty() && self.restarts_enabled {
-            let policy = RetryPolicy::from_env("bevra-sim", RetryPolicy::compute());
             let mut sup = Supervisor::new(
-                policy,
+                RetryPolicy::compute(),
                 CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_PROBE_AFTER),
             );
             let mut clock = ambient_clock();

@@ -25,7 +25,6 @@ use crate::stats::Welford;
 use crate::wheel::{TimerWheelQueue, DEFAULT_GRANULARITY};
 use bevra_load::Tabulated;
 use bevra_obs::{enabled, metrics, ObsLevel};
-use bevra_resilience::Deadline;
 use bevra_utility::Utility;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -187,11 +186,6 @@ impl SimConfig {
     }
 }
 
-/// How often (in events) the event loop polls its cooperative deadline.
-/// Coarse enough that the disarmed hot path pays one branch per event,
-/// fine enough that an expired deadline stops a run within microseconds.
-pub const DEADLINE_CHECK_EVENTS: u64 = 4096;
-
 /// Why a checked run stopped early.
 #[derive(Debug)]
 pub enum SimError {
@@ -205,17 +199,6 @@ pub enum SimError {
         /// is deterministic) but covers less simulated time than asked.
         partial: Box<SimReport>,
     },
-    /// The cooperative deadline (`BEVRA_DEADLINE_MS`, or one passed to
-    /// [`Simulation::run_checked_deadline_on`]) expired. Checked every
-    /// [`DEADLINE_CHECK_EVENTS`] events, so the partial report is a
-    /// self-consistent prefix — but *where* it is cut depends on wall
-    /// clock, so deadline-truncated digests are not replay-stable.
-    DeadlineExpired {
-        /// Events processed before the deadline check fired.
-        events: u64,
-        /// Statistics accumulated up to the cut-off.
-        partial: Box<SimReport>,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -223,9 +206,6 @@ impl std::fmt::Display for SimError {
         match self {
             Self::BudgetExhausted { events, .. } => {
                 write!(f, "event budget exhausted after {events} event(s)")
-            }
-            Self::DeadlineExpired { events, .. } => {
-                write!(f, "cooperative deadline expired after {events} event(s)")
             }
         }
     }
@@ -367,68 +347,48 @@ impl Simulation {
     /// run use `run_checked`.
     #[must_use]
     pub fn run(&self) -> SimReport {
-        match self.run_checked() {
-            Ok(report) => report,
-            Err(
-                SimError::BudgetExhausted { partial, .. }
-                | SimError::DeadlineExpired { partial, .. },
-            ) => *partial,
-        }
+        self.run_on(QueueKind::Wheel)
     }
 
     /// Execute the run to completion and aggregate the report, stopping
     /// with [`SimError::BudgetExhausted`] — carrying the partial report —
     /// if the event loop processes more than [`SimConfig::max_events`]
     /// events (or an injected `sim/budget` override) before reaching the
-    /// horizon.
-    ///
-    /// The run uses the timer wheel; the ambient `BEVRA_DEADLINE_MS`
-    /// deadline (if any) is armed fresh for it.
+    /// horizon. The run uses the timer wheel.
     ///
     /// # Errors
     ///
-    /// [`SimError::BudgetExhausted`] when the watchdog fires;
-    /// [`SimError::DeadlineExpired`] when the ambient deadline passes.
+    /// [`SimError::BudgetExhausted`] when the watchdog fires.
     pub fn run_checked(&self) -> Result<SimReport, SimError> {
-        self.run_checked_deadline_on(QueueKind::Wheel, Deadline::from_env("bevra-sim"))
+        self.run_checked_on(QueueKind::Wheel)
     }
 
     /// [`Simulation::run`] on an explicitly chosen queue implementation —
     /// the differential suite runs both kinds and asserts digest equality.
     #[must_use]
     pub fn run_on(&self, kind: QueueKind) -> SimReport {
-        match self.run_checked_deadline_on(kind, Deadline::from_env("bevra-sim")) {
+        match self.run_checked_on(kind) {
             Ok(report) => report,
-            Err(
-                SimError::BudgetExhausted { partial, .. }
-                | SimError::DeadlineExpired { partial, .. },
-            ) => *partial,
+            Err(SimError::BudgetExhausted { partial, .. }) => *partial,
         }
     }
 
-    /// [`Simulation::run_checked`] on an explicit queue under an explicit,
-    /// possibly shared,
-    /// cooperative [`Deadline`] — the fleet arms one deadline and passes
-    /// it to every lane so the whole fleet shares a single time budget.
+    /// [`Simulation::run_checked`] on an explicit queue — the fleet runs
+    /// every lane through this.
     ///
     /// # Errors
     ///
-    /// [`SimError::BudgetExhausted`] when the watchdog fires;
-    /// [`SimError::DeadlineExpired`] when `deadline` passes.
-    pub fn run_checked_deadline_on(
-        &self,
-        kind: QueueKind,
-        deadline: Deadline,
-    ) -> Result<SimReport, SimError> {
+    /// [`SimError::BudgetExhausted`] when the watchdog fires.
+    pub(crate) fn run_checked_on(&self, kind: QueueKind) -> Result<SimReport, SimError> {
         match kind {
-            QueueKind::Heap => EventLoop::new(&self.cfg, BinaryHeapQueue::new()).run(deadline),
+            QueueKind::Heap => EventLoop::new(&self.cfg, BinaryHeapQueue::new()).run(),
             QueueKind::Wheel => {
                 // ~1 pending event per level-0 bucket is the calendar-queue
                 // sweet spot; total event rate is ≈ 2·λ (each flow arrives
                 // and departs). Only a performance choice — any granularity
                 // gives the identical dequeue order.
                 let g = (0.5 / self.cfg.arrivals.mean_rate()).clamp(1e-9, DEFAULT_GRANULARITY);
-                EventLoop::new(&self.cfg, TimerWheelQueue::with_granularity(g)).run(deadline)
+                EventLoop::new(&self.cfg, TimerWheelQueue::with_granularity(g)).run()
             }
         }
     }
@@ -491,7 +451,7 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn run(mut self, deadline: Deadline) -> Result<SimReport, SimError> {
+    fn run(mut self) -> Result<SimReport, SimError> {
         // Event-loop observability: a span per run (nests under
         // `sim/run_batch` when batched on the same thread) plus, at
         // `BEVRA_OBS=summary` and above, per-event counters and the
@@ -520,7 +480,6 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
         // over the configured ceiling. Checked before each event so a
         // budget of N processes exactly N events.
         let budget = bevra_faults::budget_override("sim/budget").or(self.cfg.max_events);
-        let deadline_armed = deadline.armed();
         let mut events: u64 = 0;
 
         while let Some(ev) = self.queue.pop() {
@@ -531,20 +490,6 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
                 self.report.census = self.census;
                 self.report.events = events;
                 return Err(SimError::BudgetExhausted {
-                    events,
-                    partial: Box::new(self.report),
-                });
-            }
-            // Cooperative deadline, polled every DEADLINE_CHECK_EVENTS
-            // events so the disarmed hot path pays one branch per event
-            // and an armed one touches the wall clock only rarely.
-            if deadline_armed
-                && events.is_multiple_of(DEADLINE_CHECK_EVENTS)
-                && deadline.expired()
-            {
-                self.report.census = self.census;
-                self.report.events = events;
-                return Err(SimError::DeadlineExpired {
                     events,
                     partial: Box::new(self.report),
                 });
@@ -913,9 +858,7 @@ mod tests {
         let mut cfg = base_cfg(40.0, Discipline::BestEffort);
         cfg.max_events = Some(5_000);
         let err = Simulation::new(cfg.clone()).run_checked().expect_err("budget must fire");
-        let SimError::BudgetExhausted { events, partial } = err else {
-            panic!("expected BudgetExhausted, got {err}");
-        };
+        let SimError::BudgetExhausted { events, partial } = err;
         assert_eq!(events, 5_000, "a budget of N processes exactly N events");
         assert_eq!(partial.events, 5_000, "partial report carries the event count");
         assert!(format!("{}", SimError::BudgetExhausted {

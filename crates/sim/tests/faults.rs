@@ -31,9 +31,7 @@ fn injected_budget_override_truncates_run() {
         .rule(FaultRule::always(FaultKind::Budget, "sim/budget").with_n(3_000));
     let _guard = install(plan);
     let err = Simulation::new(cfg()).run_checked().expect_err("override must fire");
-    let SimError::BudgetExhausted { events, partial } = err else {
-        panic!("expected BudgetExhausted, got {err}");
-    };
+    let SimError::BudgetExhausted { events, partial } = err;
     assert_eq!(events, 3_000);
     assert!(partial.completed > 0, "partial report carries real statistics");
     assert!(partial.occupancy().mean() > 0.0, "census flushed at the cut-off");
