@@ -176,7 +176,7 @@ impl CheckedSweep {
 ///   the same scalar code path;
 /// * **instrumentation** — every sweep stage opens a
 ///   [`crate::instrument::span()`], and [`Self::cache_stats`] exposes
-///   hit/miss counters for the emitted perf reports.
+///   hit/miss counters for the run ledger.
 pub struct SweepEngine<U: Utility> {
     model: DiscreteModel<U>,
     mode: ExecMode,

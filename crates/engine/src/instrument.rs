@@ -1,18 +1,15 @@
-//! Sweep instrumentation, now a thin shim over [`bevra_obs`].
+//! Sweep instrumentation, a thin shim over [`bevra_obs`].
 //!
-//! The span registry moved to `bevra-obs` in PR 2: spans are hierarchical
-//! and thread-aware there (per-thread buffers instead of this module's
-//! original flat global `Mutex<Vec>`), and a poisoned buffer degrades to
-//! dropping the record instead of panicking inside `Drop`. The public
-//! surface of this module — [`span()`], [`Span`], [`StageRecord`],
-//! [`drain_stages`] — is unchanged; existing callers compile as before.
+//! Spans live in `bevra-obs` (hierarchical, thread-aware, per-thread
+//! buffers; a poisoned buffer drops the record instead of panicking inside
+//! `Drop`); this module re-exports [`span()`], [`Span`], [`StageRecord`]
+//! and [`drain_stages`].
 //!
-//! What remains engine-specific: the cache-counter registry
-//! ([`record_caches`]/[`drain_caches`], tied to [`CacheStats`]), the
+//! What is engine-specific: the cache-counter registry
+//! ([`record_caches`]/[`drain_caches`], tied to [`CacheStats`]) and the
 //! degradation ledger ([`SweepHealth`] with [`record_health`]/
-//! [`drain_health`]) and the [`SweepReport`] aggregation that figure
-//! binaries serialize to JSON and CSV next to their artifacts under
-//! `results/`.
+//! [`drain_health`]). A figure run drains all three into its one
+//! [`crate::ledger::LedgerRecord`].
 
 pub use bevra_obs::{drain_stages, span, Span, StageRecord};
 
@@ -31,7 +28,7 @@ static HEALTH: Mutex<Vec<(String, SweepHealth)>> = Mutex::new(Vec::new());
 /// The invariant the chaos suite asserts: nothing degrades silently.
 /// Every non-finite value an engine sweep produces (whether from a real
 /// solver failure or an injected fault) is counted here and surfaces in
-/// the emitted `-perf.json`/`-perf.csv` artifacts.
+/// the run's ledger line.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepHealth {
     /// Points that evaluated to fully finite values.
@@ -167,9 +164,9 @@ impl std::fmt::Display for SweepHealth {
 }
 
 /// Publish one sweep stage's degradation ledger under `label` so the
-/// next [`drain_health`] (and through it the emitted perf artifacts)
-/// picks it up. Degraded/failed counts are mirrored into the metrics
-/// registry at [`ObsLevel::Summary`], and every ledger (clean or not)
+/// next [`drain_health`] (and through it the run ledger) picks it up.
+/// Degraded/failed counts are mirrored into the metrics registry at
+/// [`ObsLevel::Summary`], and every ledger (clean or not)
 /// leaves a `health` event in the flight recorder so a post-mortem black
 /// box shows which stages had completed. A poisoned registry drops the
 /// record rather than propagating the panic.
@@ -233,201 +230,6 @@ pub fn drain_caches() -> Vec<(String, CacheStats)> {
     std::mem::take(&mut *CACHES.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
-/// Aggregated instrumentation of one figure/sweep run: its stages plus the
-/// cache counters and degradation ledgers of every engine involved.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SweepReport {
-    /// Completed stages in execution order.
-    pub stages: Vec<StageRecord>,
-    /// Named cache counters, e.g. `("best_effort", stats)`.
-    pub caches: Vec<(String, CacheStats)>,
-    /// Named degradation ledgers, e.g. `("fig2/sweep", health)`.
-    pub health: Vec<(String, SweepHealth)>,
-    /// Worker threads the run was configured with.
-    pub threads: usize,
-}
-
-impl SweepReport {
-    /// Build a report from drained stages and cache counters (no health
-    /// ledgers — attach them with [`Self::with_health`]).
-    #[must_use]
-    pub fn new(
-        stages: Vec<StageRecord>,
-        caches: Vec<(String, CacheStats)>,
-        threads: usize,
-    ) -> Self {
-        Self { stages, caches, health: Vec::new(), threads }
-    }
-
-    /// Attach drained degradation ledgers to the report.
-    #[must_use]
-    pub fn with_health(mut self, health: Vec<(String, SweepHealth)>) -> Self {
-        self.health = health;
-        self
-    }
-
-    /// Total wall-clock seconds across stages.
-    #[must_use]
-    pub fn total_seconds(&self) -> f64 {
-        self.stages.iter().map(|s| s.seconds).sum()
-    }
-
-    /// Total evaluated points across stages.
-    #[must_use]
-    pub fn total_points(&self) -> u64 {
-        self.stages.iter().map(|s| s.points).sum()
-    }
-
-    /// Aggregate throughput in points per second (like
-    /// [`StageRecord::points_per_sec`]: infinite for a zero-duration
-    /// report that did evaluate points, 0.0 for an empty one).
-    #[must_use]
-    pub fn points_per_sec(&self) -> f64 {
-        let secs = self.total_seconds();
-        if secs > 0.0 {
-            self.total_points() as f64 / secs
-        } else if self.total_points() > 0 {
-            f64::INFINITY
-        } else {
-            0.0
-        }
-    }
-
-    /// JSON serialization (hand-rolled: no serde offline). Non-finite
-    /// rates (a zero-duration stage) serialize as `null` — JSON has no
-    /// `Infinity`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        fn jnum(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x:?}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"total_seconds\": {},\n", jnum(self.total_seconds())));
-        out.push_str(&format!("  \"total_points\": {},\n", self.total_points()));
-        out.push_str(&format!("  \"points_per_sec\": {},\n", jnum(self.points_per_sec())));
-        out.push_str("  \"stages\": [\n");
-        for (i, s) in self.stages.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"seconds\": {}, \"points\": {}, \"points_per_sec\": {}}}{}\n",
-                esc(&s.name),
-                jnum(s.seconds),
-                s.points,
-                jnum(s.points_per_sec()),
-                if i + 1 < self.stages.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"caches\": [\n");
-        for (i, (name, st)) in self.caches.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"hits\": {}, \"misses\": {}, \"hit_rate\": {}}}{}\n",
-                esc(name),
-                st.hits,
-                st.misses,
-                jnum(st.hit_rate()),
-                if i + 1 < self.caches.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"health\": [\n");
-        for (i, (name, h)) in self.health.iter().enumerate() {
-            let first = h.first_failure.as_ref().map_or_else(
-                || "null".to_string(),
-                |c| format!("\"{}\"", esc(c)),
-            );
-            let kernel = h.kernel.as_ref().map_or_else(
-                || "null".to_string(),
-                |k| format!("\"{}\"", esc(k)),
-            );
-            let simd = h.simd.as_ref().map_or_else(
-                || "null".to_string(),
-                |k| format!("\"{}\"", esc(k)),
-            );
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"ok\": {}, \"degraded\": {}, \"failed\": {}, \"non_finite\": {}, \"retries\": {}, \"breaker_trips\": {}, \"restarts\": {}, \"first_failure\": {}, \"kernel\": {}, \"simd\": {}}}{}\n",
-                esc(name),
-                h.ok,
-                h.degraded,
-                h.failed,
-                h.non_finite,
-                h.retries,
-                h.breaker_trips,
-                h.restarts,
-                first,
-                kernel,
-                simd,
-                if i + 1 < self.health.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// CSV serialization: one `stage` row per stage, one `cache` row per
-    /// cache, one `health` row per degradation ledger, with a shared
-    /// header. Non-finite numeric cells are emitted empty — consistent
-    /// with the `null`-for-non-finite rule of [`Self::to_json`].
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        fn cnum(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x:?}")
-            } else {
-                String::new()
-            }
-        }
-        let mut out = String::from(
-            "kind,name,seconds,points,points_per_sec,hits,misses,hit_rate,ok,degraded,failed,non_finite,retries,breaker_trips,restarts,first_failure,kernel,simd\n",
-        );
-        for s in &self.stages {
-            out.push_str(&format!(
-                "stage,{},{},{},{},,,,,,,,,,,,,\n",
-                s.name,
-                cnum(s.seconds),
-                s.points,
-                cnum(s.points_per_sec())
-            ));
-        }
-        for (name, st) in &self.caches {
-            out.push_str(&format!(
-                "cache,{},,,,{},{},{},,,,,,,,,,\n",
-                name,
-                st.hits,
-                st.misses,
-                cnum(st.hit_rate())
-            ));
-        }
-        for (name, h) in &self.health {
-            let first = h.first_failure.as_deref().unwrap_or("");
-            // CSV-quote the free-text cause (it may contain commas).
-            let first = format!("\"{}\"", first.replace('"', "\"\""));
-            let kernel = h.kernel.as_deref().unwrap_or("");
-            let simd = h.simd.as_deref().unwrap_or("");
-            out.push_str(&format!(
-                "health,{},,,,,,,{},{},{},{},{},{},{},{},{},{}\n",
-                name,
-                h.ok,
-                h.degraded,
-                h.failed,
-                h.non_finite,
-                h.retries,
-                h.breaker_trips,
-                h.restarts,
-                first,
-                kernel,
-                simd
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,36 +245,6 @@ mod tests {
             stages.iter().find(|r| r.name == "engine-shim/stage").expect("span recorded");
         assert_eq!(rec.points, 42);
         assert!(rec.seconds >= 0.0);
-    }
-
-    #[test]
-    fn report_serializes() {
-        let report = SweepReport::new(
-            vec![StageRecord { name: "sweep/utility".into(), seconds: 0.5, points: 100 }],
-            vec![("best_effort".into(), CacheStats { hits: 10, misses: 5 })],
-            8,
-        );
-        assert!((report.points_per_sec() - 200.0).abs() < 1e-9);
-        let json = report.to_json();
-        assert!(json.contains("\"sweep/utility\""));
-        assert!(json.contains("\"hits\": 10"));
-        let csv = report.to_csv();
-        assert!(csv.lines().count() == 3);
-        assert!(csv.contains("stage,sweep/utility"));
-        assert!(csv.contains("cache,best_effort"));
-    }
-
-    #[test]
-    fn zero_duration_stage_rates() {
-        let busy = StageRecord { name: "s".into(), seconds: 0.0, points: 10 };
-        assert_eq!(busy.points_per_sec(), f64::INFINITY);
-        let idle = StageRecord { name: "s".into(), seconds: 0.0, points: 0 };
-        assert_eq!(idle.points_per_sec(), 0.0);
-        // Non-finite rates must serialize as null, keeping the JSON valid.
-        let report = SweepReport::new(vec![busy], vec![], 1);
-        let json = report.to_json();
-        assert!(json.contains("\"points_per_sec\": null"), "json: {json}");
-        assert!(!json.contains("inf"), "no bare inf tokens in JSON");
     }
 
     #[test]
@@ -512,27 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn report_serializes_resilience_columns() {
-        let mut h = SweepHealth::new();
-        h.note_ok();
-        h.retries = 2;
-        h.breaker_trips = 1;
-        h.restarts = 3;
-        let report =
-            SweepReport::new(vec![], vec![], 1).with_health(vec![("fleet".into(), h)]);
-        let json = report.to_json();
-        assert!(json.contains("\"retries\": 2"), "json: {json}");
-        assert!(json.contains("\"breaker_trips\": 1"), "json: {json}");
-        assert!(json.contains("\"restarts\": 3"), "json: {json}");
-        let csv = report.to_csv();
-        assert!(
-            csv.lines().next().is_some_and(|h| h.contains("retries,breaker_trips,restarts")),
-            "csv header: {csv}"
-        );
-        assert!(csv.contains("health,fleet,,,,,,,1,0,0,0,2,1,3,"), "csv: {csv}");
-    }
-
-    #[test]
     fn health_record_drain_roundtrip() {
         let mut h = SweepHealth::new();
         h.note_ok();
@@ -545,32 +296,6 @@ mod tests {
             .expect("recorded ledger drained");
         assert_eq!(got, &h);
         assert!(!drain_health().iter().any(|(n, _)| n == "roundtrip/sweep"));
-    }
-
-    #[test]
-    fn report_serializes_health_section() {
-        let mut dirty = SweepHealth::new();
-        dirty.note_ok();
-        dirty.note_degraded("bandwidth gap: \"no bracket\", giving up");
-        dirty.non_finite = 1;
-        dirty.kernel = Some("batch".into());
-        dirty.simd = Some("autovec".into());
-        let report = SweepReport::new(vec![], vec![], 4)
-            .with_health(vec![("fig2/sweep".into(), dirty), ("fig2/gamma".into(), SweepHealth::new())]);
-        let json = report.to_json();
-        assert!(json.contains("\"health\""), "json: {json}");
-        assert!(json.contains("\"degraded\": 1"), "json: {json}");
-        assert!(json.contains("\\\"no bracket\\\""), "cause is escaped: {json}");
-        assert!(json.contains("\"first_failure\": null"), "clean ledger: {json}");
-        assert!(json.contains("\"kernel\": \"batch\""), "kernel stamp: {json}");
-        assert!(json.contains("\"kernel\": null"), "unstamped ledger: {json}");
-        assert!(json.contains("\"simd\": \"autovec\""), "simd stamp: {json}");
-        assert!(json.contains("\"simd\": null"), "unstamped simd: {json}");
-        let csv = report.to_csv();
-        assert!(csv.lines().next().is_some_and(|h| h.ends_with("kernel,simd")));
-        assert!(csv.contains("health,fig2/sweep,,,,,,,1,1,0,1,"), "csv: {csv}");
-        assert!(csv.contains("\"\"no bracket\"\""), "csv-quoted cause: {csv}");
-        assert!(csv.contains(", giving up\",batch,autovec\n"), "kernel+simd columns: {csv}");
     }
 
     #[test]
@@ -588,20 +313,6 @@ mod tests {
         a.merge(&c);
         assert_eq!(a.kernel.as_deref(), Some("fast"), "existing stamp wins");
         assert_eq!(a.total(), 3);
-    }
-
-    #[test]
-    fn csv_non_finite_cells_are_empty() {
-        let report = SweepReport::new(
-            vec![StageRecord { name: "s".into(), seconds: 0.0, points: 10 }],
-            vec![],
-            1,
-        );
-        let csv = report.to_csv();
-        // The zero-duration stage has an infinite rate: emitted empty,
-        // matching the JSON null rule.
-        assert!(csv.contains("stage,s,0.0,10,,"), "csv: {csv}");
-        assert!(!csv.contains("inf"), "no bare inf tokens in CSV: {csv}");
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! The cross-run ledger: one structured line per sweep run.
+//! The cross-run ledger: one structured line per figure run.
 //!
-//! Every figure/sweep run appends one [`LedgerRecord`] to
+//! Every figure run appends one [`LedgerRecord`] to
 //! `results/ledger.jsonl` — a JSONL file shared by all runs on a machine.
-//! A record captures what would otherwise have to be reconstructed from
-//! scattered artifacts: the config/load fingerprint the run evaluated,
-//! the kernel capability stamp, cache hit counters, the degradation
-//! ledger ([`crate::SweepHealth`] totals), throughput (ns per point), and
-//! a digest of the numeric results. The `obs-report` binary in
-//! `bevra-report` renders trend tables over this file and flags
-//! perf/digest regressions.
+//! The line is the run's one machine-readable record: the config/load
+//! fingerprint the run evaluated, the kernel capability stamp, the time
+//! and work of each stage, the hit/miss counters of each cache, the
+//! merged degradation ledger ([`crate::SweepHealth`] totals and first
+//! cause), and a digest of the numeric results. The `obs-report` binary
+//! in `bevra-report` renders trend tables over this file and flags
+//! digest regressions and per-stage perf regressions.
 //!
 //! # Durability
 //!
@@ -18,11 +18,17 @@
 //! so readers detect and skip torn or bit-flipped lines instead of
 //! mis-parsing them; see the parser in `bevra-report`.
 
+use crate::cache::CacheStats;
+use crate::instrument::StageRecord;
+use bevra_obs::export::{esc, jnum};
+use std::fmt::Write as _;
 use std::path::Path;
 
 /// Schema tag carried by every ledger line; bump on layout changes so old
-/// readers skip new lines (and vice versa) instead of misreading them.
-pub const LEDGER_SCHEMA: &str = "bevra-ledger-v1";
+/// readers skip new lines instead of misreading them. The reader in
+/// `bevra-report` also accepts `bevra-ledger-v1` lines, whose run totals
+/// parse as one stage and one cache named `total`.
+pub const LEDGER_SCHEMA: &str = "bevra-ledger-v2";
 
 /// Default ledger file name (under the run's `results/` directory).
 pub const LEDGER_FILE: &str = "ledger.jsonl";
@@ -38,6 +44,27 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Fold drained stage records into one record per stage name, summing the
+/// seconds and points of repeats. Each name keeps the place of its first
+/// record, so for spans completed on one thread (a figure's stages) the
+/// order is first-completion order.
+/// A figure runs `sweep/points` once per utility; the ledger keeps one
+/// `sweep/points` entry with both runs' time and work.
+#[must_use]
+pub fn sum_stages(stages: impl IntoIterator<Item = StageRecord>) -> Vec<StageRecord> {
+    let mut out: Vec<StageRecord> = Vec::new();
+    for s in stages {
+        match out.iter_mut().find(|o| o.name == s.name) {
+            Some(o) => {
+                o.seconds += s.seconds;
+                o.points += s.points;
+            }
+            None => out.push(s),
+        }
+    }
+    out
 }
 
 /// One run's ledger entry. Field order in the serialized line matches
@@ -59,20 +86,16 @@ pub struct LedgerRecord {
     pub kernel: String,
     /// Resolved SIMD dispatch tier of that backend (`"none"`, `"autovec"`,
     /// `"avx2"`, `"avx512"`, `"neon"`; empty when no kernel stamp
-    /// applies). Appended to the schema mid-stream: readers treat an
-    /// absent field as `"unknown"`, so pre-existing ledger lines keep
-    /// parsing — see `bevra-report`'s append-tolerance test.
+    /// applies). Appended to the v1 schema mid-stream: readers treat an
+    /// absent field as `"unknown"`.
     pub simd: String,
     /// Worker threads the run was configured with.
     pub threads: u64,
-    /// Total evaluated points across stages.
-    pub points: u64,
-    /// Total wall-clock seconds across stages.
-    pub seconds: f64,
-    /// Cache hits summed over every cache the run reported.
-    pub cache_hits: u64,
-    /// Cache misses summed over every cache the run reported.
-    pub cache_misses: u64,
+    /// Time and work per stage: one entry per stage name (see
+    /// [`sum_stages`]).
+    pub stages: Vec<StageRecord>,
+    /// Hit/miss counters per reported cache (`<family>/<table>`).
+    pub caches: Vec<(String, CacheStats)>,
     /// Points that evaluated cleanly (summed over health ledgers).
     pub ok: u64,
     /// Points that produced degraded values.
@@ -88,51 +111,68 @@ pub struct LedgerRecord {
     pub breaker_trips: u64,
     /// Worker/lane restarts performed by supervisors during the run.
     pub restarts: u64,
+    /// Cause of the first degraded or failed point, in the merge order of
+    /// the run's health ledgers; `None` for a clean run.
+    pub first_failure: Option<String>,
     /// Digest of the run's numeric results. Two runs with equal
     /// fingerprints and kernels must produce equal digests — a mismatch
     /// is a determinism regression `obs-report` flags.
     pub digest: u64,
 }
 
+/// A JSON string literal: `s` quoted and escaped.
+fn json_str(s: &str) -> String {
+    format!("\"{}\"", esc(s))
+}
+
 impl LedgerRecord {
-    /// Nanoseconds per evaluated point (0.0 when no points were timed).
+    /// Wall-clock seconds summed over the stages.
     #[must_use]
-    pub fn ns_per_point(&self) -> f64 {
-        if self.points == 0 {
-            0.0
-        } else {
-            self.seconds * 1e9 / self.points as f64
-        }
+    pub fn seconds(&self) -> f64 {
+        self.stages.iter().map(|s| s.seconds).sum()
     }
 
     /// Serialize as one JSONL line (no trailing newline), ending in the
     /// `"crc"` field: FNV-1a over every byte before `,"crc":"`.
     #[must_use]
     pub fn to_line(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let seconds = if self.seconds.is_finite() { format!("{:?}", self.seconds) } else { "null".to_string() };
-        let nspp = self.ns_per_point();
-        let nspp = if nspp.is_finite() { format!("{nspp:?}") } else { "null".to_string() };
-        let prefix = format!(
-            "{{\"schema\":\"{LEDGER_SCHEMA}\",\"id\":\"{}\",\"unix_ms\":{},\
-             \"fingerprint\":\"{:016x}\",\"kernel\":\"{}\",\"threads\":{},\
-             \"points\":{},\"seconds\":{},\"ns_per_point\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\
-             \"ok\":{},\"degraded\":{},\"failed\":{},\"non_finite\":{},\
-             \"retries\":{},\"breaker_trips\":{},\"restarts\":{},\
-             \"simd\":\"{}\",\"digest\":\"{:016x}\"",
-            esc(&self.id),
+        let mut line = format!(
+            "{{\"schema\":\"{LEDGER_SCHEMA}\",\"id\":{},\"unix_ms\":{},\
+             \"fingerprint\":\"{:016x}\",\"kernel\":{},\"simd\":{},\"threads\":{},\
+             \"stages\":[",
+            json_str(&self.id),
             self.unix_ms,
             self.fingerprint,
-            esc(&self.kernel),
+            json_str(&self.kernel),
+            json_str(&self.simd),
             self.threads,
-            self.points,
-            seconds,
-            nspp,
-            self.cache_hits,
-            self.cache_misses,
+        );
+        for (i, s) in self.stages.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(
+                line,
+                "{sep}{{\"name\":{},\"seconds\":{},\"points\":{}}}",
+                json_str(&s.name),
+                jnum(s.seconds),
+                s.points,
+            );
+        }
+        line.push_str("],\"caches\":[");
+        for (i, (name, st)) in self.caches.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(
+                line,
+                "{sep}{{\"name\":{},\"hits\":{},\"misses\":{}}}",
+                json_str(name),
+                st.hits,
+                st.misses,
+            );
+        }
+        let _ = write!(
+            line,
+            "],\"ok\":{},\"degraded\":{},\"failed\":{},\"non_finite\":{},\
+             \"retries\":{},\"breaker_trips\":{},\"restarts\":{},\
+             \"first_failure\":{},\"digest\":\"{:016x}\"",
             self.ok,
             self.degraded,
             self.failed,
@@ -140,11 +180,12 @@ impl LedgerRecord {
             self.retries,
             self.breaker_trips,
             self.restarts,
-            esc(&self.simd),
+            self.first_failure.as_deref().map_or_else(|| "null".to_string(), json_str),
             self.digest,
         );
-        let crc = fnv1a(prefix.as_bytes());
-        format!("{prefix},\"crc\":\"{crc:016x}\"}}")
+        let crc = fnv1a(line.as_bytes());
+        let _ = write!(line, ",\"crc\":\"{crc:016x}\"}}");
+        line
     }
 
     /// Append this record to the ledger at `path` (fault site
@@ -164,6 +205,10 @@ impl LedgerRecord {
 mod tests {
     use super::*;
 
+    fn stage(name: &str, seconds: f64, points: u64) -> StageRecord {
+        StageRecord { name: name.into(), seconds, points }
+    }
+
     fn sample() -> LedgerRecord {
         LedgerRecord {
             id: "fig2".into(),
@@ -172,10 +217,8 @@ mod tests {
             kernel: "batch".into(),
             simd: "autovec".into(),
             threads: 8,
-            points: 1000,
-            seconds: 0.5,
-            cache_hits: 40,
-            cache_misses: 10,
+            stages: vec![stage("sweep/points", 0.25, 96), stage("welfare/gamma", 0.5, 400)],
+            caches: vec![("rigid/best_effort".into(), CacheStats { hits: 40, misses: 10 })],
             ok: 998,
             degraded: 1,
             failed: 1,
@@ -183,6 +226,7 @@ mod tests {
             retries: 3,
             breaker_trips: 1,
             restarts: 2,
+            first_failure: Some("gap solver: \"no bracket\"\nat C = 4".into()),
             digest: 0x0123_4567_89AB_CDEF,
         }
     }
@@ -190,9 +234,15 @@ mod tests {
     #[test]
     fn line_is_single_json_object_with_crc_suffix() {
         let line = sample().to_line();
-        assert!(!line.contains('\n'));
+        assert!(!line.contains('\n'), "the cause's newline is escaped: {line}");
         assert!(line.starts_with(&format!("{{\"schema\":\"{LEDGER_SCHEMA}\"")));
         assert!(line.ends_with('}'));
+        assert!(line.contains(
+            "\"stages\":[{\"name\":\"sweep/points\",\"seconds\":0.25,\"points\":96},\
+             {\"name\":\"welfare/gamma\",\"seconds\":0.5,\"points\":400}]"
+        ));
+        assert!(line.contains("\"caches\":[{\"name\":\"rigid/best_effort\",\"hits\":40,\"misses\":10}]"));
+        assert!(line.contains("\"first_failure\":\"gap solver: \\\"no bracket\\\"\\nat C = 4\""));
         let crc_at = line.rfind(",\"crc\":\"").expect("crc field present");
         let recorded = &line[crc_at + ",\"crc\":\"".len()..line.len() - 2];
         let expect = fnv1a(&line.as_bytes()[..crc_at]);
@@ -200,14 +250,27 @@ mod tests {
     }
 
     #[test]
-    fn ns_per_point_handles_zero_points() {
+    fn sum_stages_folds_repeats_in_first_completion_order() {
+        let summed = sum_stages(vec![
+            stage("sweep/points", 0.25, 48),
+            stage("welfare/value-table-B", 1.0, 801),
+            stage("sweep/points", 0.5, 48),
+        ]);
+        assert_eq!(
+            summed,
+            vec![stage("sweep/points", 0.75, 96), stage("welfare/value-table-B", 1.0, 801)]
+        );
         let mut r = sample();
-        assert!((r.ns_per_point() - 500_000.0).abs() < 1e-6);
-        r.points = 0;
-        assert_eq!(r.ns_per_point(), 0.0);
-        r.points = 10;
-        r.seconds = f64::INFINITY;
-        assert!(r.to_line().contains("\"ns_per_point\":null"));
+        r.stages = summed;
+        assert!((r.seconds() - 1.75).abs() < 1e-12);
+        r.stages = vec![stage("s", f64::INFINITY, 1)];
+        assert!(r.to_line().contains("\"seconds\":null"), "non-finite seconds stay valid JSON");
+        r.stages.clear();
+        r.caches.clear();
+        r.first_failure = None;
+        let line = r.to_line();
+        assert!(line.contains("\"stages\":[],\"caches\":[],\"ok\":"), "{line}");
+        assert!(line.contains("\"first_failure\":null"), "{line}");
     }
 
     #[test]

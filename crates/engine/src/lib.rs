@@ -27,11 +27,13 @@
 //!   tables, and parallel grid sweeps;
 //! * [`instrument`] — spans per sweep stage (a shim over the workspace's
 //!   [`bevra_obs`] observability crate: hierarchical, thread-aware,
-//!   panic-safe) plus a [`SweepReport`] counters struct (cache
-//!   hits/misses, points/sec) that the report crate emits as JSON/CSV
-//!   next to each figure. With `BEVRA_OBS=summary|trace` the engine also
-//!   records per-point latency histograms and cache hit-rate metrics, and
-//!   figure binaries export chrome-trace JSON — see the `bevra-obs` docs.
+//!   panic-safe) plus the cache-counter and [`SweepHealth`] registries a
+//!   figure run drains into its [`ledger`] line. With
+//!   `BEVRA_OBS=summary|trace` the engine also records per-point latency
+//!   histograms and cache hit-rate metrics, and figure binaries export
+//!   chrome-trace JSON — see the `bevra-obs` docs;
+//! * [`ledger`] — the run ledger: one CRC-tailed JSON line per figure run
+//!   with per-stage times, per-cache counters, and merged health.
 //!
 //! # Kernel backends
 //!
@@ -40,9 +42,9 @@
 //! self-reports a [`bevra_core::KernelCapability`] record — name, parity
 //! class (`Bitwise` vs `Tolerance`), SIMD level, fault-site coverage,
 //! cache-key tag — that flows into the persistent-cache key
-//! ([`grid_key`]), the [`SweepHealth`] ledger, and the emitted perf
-//! artifacts. Three backends are built in: `batch` (loop-interchanged
-//! grids, bitwise, the default), `fast` (vectorized ULP-budgeted exp),
+//! ([`grid_key`]), the [`SweepHealth`] ledger, and the run ledger. Three
+//! backends are built in: `batch` (loop-interchanged grids, bitwise, the
+//! default), `fast` (vectorized ULP-budgeted exp),
 //! and `deterministic-portable` (integer-scaled exp path with identical
 //! bits on every libm). `BEVRA_KERNEL=<name>` selects one; unknown names
 //! fall back to `batch` with a warning. The parity and chaos suites
@@ -65,7 +67,7 @@
 //! [`SweepEngine::sweep_checked`] is the failure-aware sweep: every grid
 //! point gets a [`PointOutcome`] and the run a [`SweepHealth`] ledger
 //! (ok/degraded/failed counts, non-finite tally, first failure cause)
-//! that the report crate serializes into each figure's `-perf` artifacts.
+//! that the report crate merges into each figure run's ledger line.
 //! Fault injection for exercising these paths lives in `bevra-faults`
 //! (`BEVRA_FAULTS`); with no plan active the checked paths are
 //! bitwise-identical to the legacy ones.
@@ -102,7 +104,7 @@ pub use ledger::{LedgerRecord, LEDGER_FILE, LEDGER_SCHEMA};
 pub use persist::{append_line, grid_key, CacheMode, GridRow, PersistentCache};
 pub use instrument::{
     drain_caches, drain_health, drain_stages, record_caches, record_health, span, Span,
-    StageRecord, SweepHealth, SweepReport,
+    StageRecord, SweepHealth,
 };
 pub use pool::{
     chunk_ranges, default_thread_count, parallel_map, parallel_map_isolated,

@@ -1,7 +1,7 @@
 //! Atomic artifact persistence with injectable failures.
 //!
-//! Every artifact the workspace emits (figure JSON, panel CSVs, perf
-//! reports, traces) goes through [`atomic_write`]: render fully in
+//! Every file artifact the workspace emits (figure JSON, panel CSVs,
+//! traces) goes through [`atomic_write`]: render fully in
 //! memory, write to a sibling temp file, then `rename` onto the final
 //! path. On POSIX the rename is atomic, so an interrupt — real or
 //! injected — leaves either the complete old artifact or the complete

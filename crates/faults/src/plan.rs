@@ -29,7 +29,7 @@
 //! ```
 //!
 //! Site patterns match a query site exactly, as a `/`-separated prefix
-//! (`io` matches `io/report/perf-json`), or universally with `*`.
+//! (`io` matches `io/report/panel-csv`), or universally with `*`.
 //!
 //! # Determinism
 //!
@@ -343,7 +343,7 @@ mod tests {
     fn site_matching_is_exact_prefix_or_star() {
         let r = FaultRule::always(FaultKind::Nan, "io/report");
         assert!(r.matches_site("io/report"));
-        assert!(r.matches_site("io/report/perf-json"));
+        assert!(r.matches_site("io/report/panel-csv"));
         assert!(!r.matches_site("io/reporting"), "prefix must end at '/'");
         assert!(!r.matches_site("io"));
         assert!(FaultRule::always(FaultKind::Nan, "*").matches_site("anything/at/all"));

@@ -1,5 +1,5 @@
-//! Exporters over the collected spans and metrics: chrome-trace JSON,
-//! JSONL event log, and a plain-text summary table.
+//! Exporters over the collected spans and metrics: chrome-trace JSON and
+//! a plain-text summary table.
 //!
 //! The chrome-trace output follows the [Trace Event Format] (`"X"`
 //! complete events, microsecond timestamps, one `tid` track per
@@ -9,9 +9,10 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //!
 //! Figure binaries call [`export_run`], which consults [`crate::level`]:
-//! nothing happens at `Off`, the summary table and Prometheus text
-//! exposition are produced at `Summary`, and the trace/JSONL files are
-//! additionally written at `Trace`.
+//! nothing happens at `Off`, the summary table is rendered at `Summary`,
+//! and the trace file is additionally written at `Trace`. The per-stage
+//! times and cache counters of a figure run are not exported here: they
+//! go to the run ledger (`bevra_engine::ledger`).
 
 use crate::metrics::{self, MetricsSnapshot};
 use crate::span::{drain_trace, SpanEvent};
@@ -19,7 +20,11 @@ use crate::ObsLevel;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-fn esc(s: &str) -> String {
+/// Escape `s` for the inside of a JSON string literal: quotes,
+/// backslashes and every control character, so the result never breaks a
+/// one-line JSON record.
+#[must_use]
+pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -38,7 +43,8 @@ fn esc(s: &str) -> String {
 
 /// JSON number: shortest-round-trip for finite values, `null` for NaN/Inf
 /// (JSON has neither).
-fn jnum(x: f64) -> String {
+#[must_use]
+pub fn jnum(x: f64) -> String {
     if x.is_finite() {
         format!("{x:?}")
     } else {
@@ -111,76 +117,6 @@ pub fn trace_json(events: &[SpanEvent]) -> String {
     out
 }
 
-/// Serialize span events plus a metrics snapshot as a JSONL event log:
-/// one self-describing JSON object per line (`"type"` discriminates
-/// `span` / `counter` / `gauge` / `histogram` / `windowed` / `rate`).
-#[must_use]
-pub fn jsonl(events: &[SpanEvent], snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for e in events {
-        let _ = writeln!(
-            out,
-            "{{\"type\": \"span\", \"name\": \"{}\", \"tid\": {}, \"depth\": {}, \
-             \"parent\": {}, \"start_us\": {}, \"dur_us\": {}, \"points\": {}}}",
-            esc(&e.name),
-            e.tid,
-            e.depth,
-            e.parent
-                .as_deref()
-                .map_or_else(|| "null".to_string(), |p| format!("\"{}\"", esc(p))),
-            jnum(e.start_us),
-            jnum(e.dur_us),
-            e.points,
-        );
-    }
-    for (name, v) in &snap.counters {
-        let _ = writeln!(out, "{{\"type\": \"counter\", \"name\": \"{}\", \"value\": {v}}}", esc(name));
-    }
-    for (name, v) in &snap.gauges {
-        let _ = writeln!(
-            out,
-            "{{\"type\": \"gauge\", \"name\": \"{}\", \"value\": {}}}",
-            esc(name),
-            jnum(*v)
-        );
-    }
-    for (name, h) in &snap.histograms {
-        let _ = writeln!(
-            out,
-            "{{\"type\": \"histogram\", \"name\": \"{}\", \"count\": {}, \"mean\": {}, \
-             \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-            esc(name),
-            h.count,
-            jnum(h.mean),
-            jnum(h.p50),
-            jnum(h.p90),
-            jnum(h.p99),
-        );
-    }
-    for (name, h) in &snap.windowed {
-        let _ = writeln!(
-            out,
-            "{{\"type\": \"windowed\", \"name\": \"{}\", \"count\": {}, \"mean\": {}, \
-             \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-            esc(name),
-            h.count,
-            jnum(h.mean),
-            jnum(h.p50),
-            jnum(h.p90),
-            jnum(h.p99),
-        );
-    }
-    for (name, v) in &snap.rates {
-        let _ = writeln!(
-            out,
-            "{{\"type\": \"rate\", \"name\": \"{}\", \"per_sec\": {}}}",
-            esc(name),
-            jnum(*v)
-        );
-    }
-    out
-}
-
 /// Render a metrics snapshot as a plain-text table (the `summary` level's
 /// stdout output). Empty string when nothing was recorded.
 #[must_use]
@@ -211,22 +147,6 @@ pub fn summary_table(snap: &MetricsSnapshot) -> String {
             );
         }
     }
-    if !snap.windowed.is_empty() {
-        out.push_str("windowed histograms (count / mean / p50 / p90 / p99):\n");
-        for (name, h) in &snap.windowed {
-            let _ = writeln!(
-                out,
-                "  {name:<44} {:>10} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
-                h.count, h.mean, h.p50, h.p90, h.p99
-            );
-        }
-    }
-    if !snap.rates.is_empty() {
-        out.push_str("rates (events/sec):\n");
-        for (name, v) in &snap.rates {
-            let _ = writeln!(out, "  {name:<44} {v:>14.3}");
-        }
-    }
     out
 }
 
@@ -235,10 +155,6 @@ pub fn summary_table(snap: &MetricsSnapshot) -> String {
 pub struct RunExport {
     /// Path of the chrome-trace JSON, when written (`Trace` level).
     pub trace_path: Option<PathBuf>,
-    /// Path of the JSONL event log, when written (`Trace` level).
-    pub jsonl_path: Option<PathBuf>,
-    /// Path of the Prometheus text exposition, when written (`Summary`+).
-    pub prom_path: Option<PathBuf>,
     /// Rendered summary table, when collection was on (`Summary`+) and
     /// metrics exist.
     pub summary: Option<String>,
@@ -246,40 +162,27 @@ pub struct RunExport {
 
 /// Export everything collected for run `id` into `dir` according to the
 /// current [`crate::level`]: at `Off` this is a no-op; at `Summary` the
-/// metrics summary table is rendered and the registry is written as a
-/// Prometheus text exposition (`<id>-metrics.prom`); at `Trace` the
-/// buffered span events are additionally drained and written as
-/// `<id>-trace.json` + `<id>-obs.jsonl`.
+/// metrics summary table is rendered; at `Trace` the buffered span events
+/// are additionally drained and written as `<id>-trace.json`.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures creating `dir` or writing the export files.
+/// Propagates I/O failures creating `dir` or writing the trace file.
 pub fn export_run(id: &str, dir: &Path) -> std::io::Result<RunExport> {
     let level = crate::level();
     let mut out = RunExport::default();
     if level < ObsLevel::Summary {
         return Ok(out);
     }
-    let snap = metrics::snapshot();
-    std::fs::create_dir_all(dir)?;
-    let prom = metrics::prometheus_text();
-    if !prom.is_empty() {
-        let prom_path = dir.join(format!("{id}-metrics.prom"));
-        bevra_faults::atomic_write("obs/prom", &prom_path, prom.as_bytes())?;
-        out.prom_path = Some(prom_path);
-    }
     if level >= ObsLevel::Trace {
-        let events = drain_trace();
-        // Atomic writes (temp + rename): an interrupted export leaves the
-        // previous trace/log complete instead of a truncated JSON file.
+        std::fs::create_dir_all(dir)?;
+        // Atomic write (temp + rename): an interrupted export leaves the
+        // previous trace complete instead of a truncated JSON file.
         let trace_path = dir.join(format!("{id}-trace.json"));
-        bevra_faults::atomic_write("obs/trace", &trace_path, trace_json(&events).as_bytes())?;
-        let jsonl_path = dir.join(format!("{id}-obs.jsonl"));
-        bevra_faults::atomic_write("obs/jsonl", &jsonl_path, jsonl(&events, &snap).as_bytes())?;
+        bevra_faults::atomic_write("obs/trace", &trace_path, trace_json(&drain_trace()).as_bytes())?;
         out.trace_path = Some(trace_path);
-        out.jsonl_path = Some(jsonl_path);
     }
-    let table = summary_table(&snap);
+    let table = summary_table(&metrics::snapshot());
     if !table.is_empty() {
         out.summary = Some(table);
     }
@@ -341,46 +244,20 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_one_object_per_line() {
+    fn summary_table_renders_sections() {
         let snap = MetricsSnapshot {
-            counters: vec![("sim/admitted".into(), 12)],
-            gauges: vec![("cache/hit_rate".into(), 0.75)],
+            counters: vec![("net/admitted".into(), 3)],
             histograms: vec![(
                 "sim/occupancy".into(),
                 HistogramSummary { count: 5, mean: 2.0, p50: 1.5, p90: 3.0, p99: 3.0 },
             )],
-            windowed: vec![(
-                "serve/latency".into(),
-                HistogramSummary { count: 2, mean: 4.0, p50: 3.0, p90: 6.0, p99: 6.0 },
-            )],
-            rates: vec![("serve/arrivals".into(), 1.25)],
-        };
-        let log = jsonl(&sample_events(), &snap);
-        let lines: Vec<&str> = log.lines().collect();
-        assert_eq!(
-            lines.len(),
-            7,
-            "2 spans + 1 counter + 1 gauge + 1 histogram + 1 windowed + 1 rate"
-        );
-        for line in &lines {
-            assert!(line.starts_with('{') && line.ends_with('}'), "line {line}");
-        }
-        assert!(log.contains("\"type\": \"histogram\""));
-        assert!(log.contains("\"type\": \"windowed\""));
-        assert!(log.contains("\"type\": \"rate\""));
-    }
-
-    #[test]
-    fn summary_table_renders_sections() {
-        let snap = MetricsSnapshot {
-            counters: vec![("net/admitted".into(), 3)],
-            rates: vec![("net/arrivals".into(), 0.5)],
             ..MetricsSnapshot::default()
         };
         let table = summary_table(&snap);
         assert!(table.contains("observability summary"));
         assert!(table.contains("net/admitted"));
-        assert!(table.contains("rates (events/sec):"));
+        assert!(table.contains("histograms (count / mean / p50 / p90 / p99):"));
+        assert!(table.contains("sim/occupancy"));
         assert!(!table.contains("gauges:"), "empty sections omitted");
         assert!(summary_table(&MetricsSnapshot::default()).is_empty());
     }

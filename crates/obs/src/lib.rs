@@ -9,15 +9,15 @@
 //!   buffers its completed spans locally (one short uncontended lock per
 //!   top-level record, never a global hot lock), nesting is tracked by a
 //!   per-thread stack, and completed spans double as the flat
-//!   [`span::StageRecord`] list consumed by the engine's perf reports;
+//!   [`span::StageRecord`] list whose per-stage totals the run ledger
+//!   records;
 //! * [`metrics`] — a process-global registry of named [`metrics::Counter`]s,
 //!   [`metrics::Gauge`]s, and log-bucketed [`metrics::Histogram`]s
 //!   (p50/p90/p99 summaries), all plain atomics so recording never
 //!   allocates;
-//! * [`export`] — exporters over the collected data: a JSONL event
-//!   log, a `chrome://tracing`-compatible trace JSON (open it in
-//!   [Perfetto](https://ui.perfetto.dev)), a Prometheus-style text
-//!   exposition of the metrics registry, and a plain-text summary table
+//! * [`export`] — exporters over the collected data: a
+//!   `chrome://tracing`-compatible trace JSON (open it in
+//!   [Perfetto](https://ui.perfetto.dev)) and a plain-text summary table
 //!   printed by the figure binaries;
 //! * [`energy`] — an optional zero-dep RAPL energy probe over
 //!   `/sys/class/powercap` (Linux-only; absent or unreadable → `None`,
@@ -39,7 +39,7 @@
 //! |---------------------|---------------------------------------------------------------------------------------|
 //! | unset / `off` / `0` | coarse stage timings only; fine-grained metrics and trace events skipped entirely     |
 //! | `summary` / `1`     | plus metrics (event counters, occupancy/latency histograms, cache hit rates) + table  |
-//! | `trace` / `2`       | plus per-span trace events: `results/<id>-trace.json` and `results/<id>-obs.jsonl`    |
+//! | `trace` / `2`       | plus per-span trace events, written to `results/<id>-trace.json`                      |
 //!
 //! Unrecognized values fall back to `off`. Instrumented hot paths (the
 //! simulator event loop, per-point sweep timing) guard on [`enabled`] — a
@@ -90,13 +90,12 @@ pub const OBS_ENV: &str = "BEVRA_OBS";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum ObsLevel {
-    /// Coarse stage timings only (the perf-report baseline); fine-grained
+    /// Coarse stage timings only (what the run ledger records); fine-grained
     /// metrics and trace events are skipped. The default.
     Off = 0,
     /// Metrics (counters, gauges, histograms) plus a printed summary table.
     Summary = 1,
-    /// Everything: per-span trace events exported as chrome-trace JSON and
-    /// a JSONL event log.
+    /// Everything: per-span trace events exported as chrome-trace JSON.
     Trace = 2,
 }
 

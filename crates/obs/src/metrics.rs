@@ -12,19 +12,11 @@
 //! single `fetch_add`. Quantiles (p50/p90/p99) locate the bucket holding
 //! the requested rank and interpolate linearly inside it, so estimates are
 //! not rounded to bucket representatives (powers of two).
-//!
-//! For the serving path (the `bevra-serve` load estimator) two windowed
-//! primitives sit alongside the cumulative ones: [`WindowedHistogram`]
-//! (a rotating ring of fixed-width time windows, each a full log₂
-//! histogram) and [`DecayingRate`] (an exponentially decaying events/sec
-//! gauge). [`prometheus_text`] renders the whole registry in the
-//! Prometheus text exposition format.
 
 use crate::recorder::{self, EventKind};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Instant;
 
 /// A monotonically increasing event counter.
 ///
@@ -226,225 +218,6 @@ impl HistogramSummary {
     }
 }
 
-/// Default [`WindowedHistogram`] window width.
-pub const WINDOW_WIDTH_MS: u64 = 1_000;
-
-/// Windows retained by a [`WindowedHistogram`].
-pub const WINDOW_SLOTS: usize = 4;
-
-/// One rotating window: a full log₂ histogram stamped with the epoch
-/// (window index) it currently holds. `stamp` is epoch + 1; 0 = empty.
-#[derive(Debug)]
-struct WindowSlot {
-    stamp: AtomicU64,
-    counts: [AtomicU64; BUCKETS],
-    total: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Default for WindowSlot {
-    fn default() -> Self {
-        Self {
-            stamp: AtomicU64::new(0),
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            total: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-impl WindowSlot {
-    fn clear(&self) {
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.total.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A rotating ring of [`WINDOW_SLOTS`] fixed-width time windows, each a
-/// full log₂ histogram — the "what happened in the last few seconds" view
-/// a load estimator reads, as opposed to [`Histogram`]'s
-/// since-process-start view.
-///
-/// Rotation is lock-free and approximate by design: the first recorder to
-/// touch a new window claims its slot with a CAS and clears it; a sample
-/// racing with that clear may be dropped or double-cleared. Windowed
-/// metrics feed trend estimation, not accounting, so losing a sample at a
-/// window boundary is acceptable (and bounded: one sample per thread per
-/// rotation).
-#[derive(Debug)]
-pub struct WindowedHistogram {
-    width_ms: u64,
-    origin: Instant,
-    windows: [WindowSlot; WINDOW_SLOTS],
-}
-
-impl Default for WindowedHistogram {
-    fn default() -> Self {
-        Self::with_width(WINDOW_WIDTH_MS)
-    }
-}
-
-impl WindowedHistogram {
-    /// A windowed histogram with `width_ms`-wide windows (minimum 1 ms).
-    #[must_use]
-    pub fn with_width(width_ms: u64) -> Self {
-        Self {
-            width_ms: width_ms.max(1),
-            origin: Instant::now(),
-            windows: std::array::from_fn(|_| WindowSlot::default()),
-        }
-    }
-
-    /// The window epoch (index since construction) containing "now".
-    #[must_use]
-    pub fn current_epoch(&self) -> u64 {
-        u64::try_from(self.origin.elapsed().as_millis()).unwrap_or(u64::MAX) / self.width_ms
-    }
-
-    /// Record one sample into the current wall-clock window.
-    pub fn record(&self, v: u64) {
-        self.record_at(self.current_epoch(), v);
-    }
-
-    /// Record one sample into window `epoch` — the deterministic test hook
-    /// (and the entry point for callers that track logical time). Samples
-    /// older than the resident window of their slot are dropped.
-    pub fn record_at(&self, epoch: u64, v: u64) {
-        let idx = (epoch % WINDOW_SLOTS as u64) as usize;
-        let Some(slot) = self.windows.get(idx) else { return };
-        let stamp = epoch + 1;
-        let resident = slot.stamp.load(Ordering::Relaxed);
-        if resident != stamp {
-            if resident > stamp {
-                return; // sample from an already-rotated-out window
-            }
-            if slot
-                .stamp
-                .compare_exchange(resident, stamp, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                slot.clear();
-            }
-            if slot.stamp.load(Ordering::Relaxed) != stamp {
-                return;
-            }
-        }
-        slot.counts[Histogram::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        slot.total.fetch_add(1, Ordering::Relaxed);
-        slot.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Merge the live windows into one cumulative [`Histogram`] (used by
-    /// the summary and Prometheus paths).
-    #[must_use]
-    pub fn merged(&self) -> Histogram {
-        let h = Histogram::default();
-        for w in &self.windows {
-            if w.stamp.load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            for (i, c) in w.counts.iter().enumerate() {
-                h.counts[i].fetch_add(c.load(Ordering::Relaxed), Ordering::Relaxed);
-            }
-            h.total.fetch_add(w.total.load(Ordering::Relaxed), Ordering::Relaxed);
-            h.sum.fetch_add(w.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        h
-    }
-
-    /// Summary over the live windows (the last [`WINDOW_SLOTS`] ×
-    /// window-width span).
-    #[must_use]
-    pub fn summary(&self) -> HistogramSummary {
-        HistogramSummary::of(&self.merged())
-    }
-
-    fn reset(&self) {
-        for w in &self.windows {
-            w.stamp.store(0, Ordering::Relaxed);
-            w.clear();
-        }
-    }
-}
-
-/// Default [`DecayingRate`] time constant.
-pub const RATE_TAU_MS: u64 = 10_000;
-
-/// An exponentially decaying events-per-second gauge: each observation
-/// adds `n/τ` to the estimate after decaying it by `e^(−Δt/τ)`, so the
-/// estimate tracks the recent arrival rate and halves every `τ·ln 2` of
-/// silence. Discretization biases the steady-state estimate high by at
-/// most `Δt/2τ` for inter-arrival gap `Δt` — fine for load estimation.
-#[derive(Debug)]
-pub struct DecayingRate {
-    tau_ms: u64,
-    origin: Instant,
-    /// `(decayed rate in events/sec, timestamp ms of last decay)`.
-    state: Mutex<(f64, u64)>,
-}
-
-impl Default for DecayingRate {
-    fn default() -> Self {
-        Self::with_tau(RATE_TAU_MS)
-    }
-}
-
-impl DecayingRate {
-    /// A rate gauge with time constant `tau_ms` (minimum 1 ms).
-    #[must_use]
-    pub fn with_tau(tau_ms: u64) -> Self {
-        Self {
-            tau_ms: tau_ms.max(1),
-            origin: Instant::now(),
-            state: Mutex::new((0.0, 0)),
-        }
-    }
-
-    fn now_ms(&self) -> u64 {
-        u64::try_from(self.origin.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
-
-    /// Record `n` events now.
-    pub fn observe(&self, n: u64) {
-        self.observe_at(self.now_ms(), n);
-    }
-
-    /// Record `n` events at `ms` (milliseconds on the gauge's own clock) —
-    /// the deterministic test hook. Out-of-order observations decay
-    /// nothing and just add in.
-    pub fn observe_at(&self, ms: u64, n: u64) {
-        let tau = self.tau_ms as f64;
-        let mut st = recover(self.state.lock());
-        let dt = ms.saturating_sub(st.1);
-        if dt > 0 {
-            st.0 *= (-(dt as f64) / tau).exp();
-            st.1 = ms;
-        }
-        st.0 += n as f64 * 1000.0 / tau;
-    }
-
-    /// The decayed estimate as of now, in events/sec.
-    #[must_use]
-    pub fn rate(&self) -> f64 {
-        self.rate_at(self.now_ms())
-    }
-
-    /// The decayed estimate as of `ms`, in events/sec.
-    #[must_use]
-    pub fn rate_at(&self, ms: u64) -> f64 {
-        let st = recover(self.state.lock());
-        let dt = ms.saturating_sub(st.1);
-        st.0 * (-(dt as f64) / self.tau_ms as f64).exp()
-    }
-
-    fn reset(&self) {
-        *recover(self.state.lock()) = (0.0, 0);
-    }
-}
-
 /// Point-in-time view of every registered metric, names sorted.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
@@ -454,21 +227,13 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<(String, f64)>,
     /// Histogram name → summary.
     pub histograms: Vec<(String, HistogramSummary)>,
-    /// Windowed histogram name → summary over its live windows.
-    pub windowed: Vec<(String, HistogramSummary)>,
-    /// Decaying rate gauge name → events/sec estimate.
-    pub rates: Vec<(String, f64)>,
 }
 
 impl MetricsSnapshot {
     /// Whether no metric has been registered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.windowed.is_empty()
-            && self.rates.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 }
 
@@ -477,8 +242,6 @@ struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    windowed: Mutex<BTreeMap<String, Arc<WindowedHistogram>>>,
-    rates: Mutex<BTreeMap<String, Arc<DecayingRate>>>,
 }
 
 fn registry() -> &'static Registry {
@@ -530,22 +293,6 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
     Arc::clone(map.entry(name.to_string()).or_default())
 }
 
-/// The windowed histogram registered under `name` (created on first use
-/// with [`WINDOW_WIDTH_MS`]-wide windows).
-#[must_use]
-pub fn windowed_histogram(name: &str) -> Arc<WindowedHistogram> {
-    let mut map = recover(registry().windowed.lock());
-    Arc::clone(map.entry(name.to_string()).or_default())
-}
-
-/// The decaying rate gauge registered under `name` (created on first use
-/// with time constant [`RATE_TAU_MS`]).
-#[must_use]
-pub fn rate(name: &str) -> Arc<DecayingRate> {
-    let mut map = recover(registry().rates.lock());
-    Arc::clone(map.entry(name.to_string()).or_default())
-}
-
 /// Snapshot every registered metric (names sorted by the registry's
 /// `BTreeMap` ordering, so output is deterministic).
 #[must_use]
@@ -564,14 +311,6 @@ pub fn snapshot() -> MetricsSnapshot {
             .iter()
             .map(|(k, v)| (k.clone(), HistogramSummary::of(v)))
             .collect(),
-        windowed: recover(reg.windowed.lock())
-            .iter()
-            .map(|(k, v)| (k.clone(), v.summary()))
-            .collect(),
-        rates: recover(reg.rates.lock())
-            .iter()
-            .map(|(k, v)| (k.clone(), v.rate()))
-            .collect(),
     }
 }
 
@@ -588,76 +327,6 @@ pub fn reset_all() {
     for h in recover(reg.histograms.lock()).values() {
         h.reset();
     }
-    for w in recover(reg.windowed.lock()).values() {
-        w.reset();
-    }
-    for r in recover(reg.rates.lock()).values() {
-        r.reset();
-    }
-}
-
-/// Sanitized Prometheus metric name: `bevra_` prefix, every character
-/// outside `[A-Za-z0-9_]` replaced with `_`.
-fn prom_name(name: &str) -> String {
-    let mut s = String::with_capacity(name.len() + 6);
-    s.push_str("bevra_");
-    for c in name.chars() {
-        s.push(if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' });
-    }
-    s
-}
-
-/// Append one histogram in Prometheus exposition format: cumulative
-/// `_bucket{le="…"}` lines over the non-empty log₂ buckets (upper bound
-/// of bucket `k` is `2^k`; bucket 0's is `0`), a `+Inf` bucket, `_sum`,
-/// and `_count`.
-fn prom_histogram(out: &mut String, name: &str, h: &Histogram) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let mut cum = 0u64;
-    for (bucket, c) in h.counts.iter().enumerate() {
-        let c = c.load(Ordering::Relaxed);
-        if c == 0 {
-            continue;
-        }
-        cum += c;
-        let le = if bucket == 0 { 0.0 } else { (bucket as f64).exp2() };
-        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}");
-    }
-    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count());
-    let _ = writeln!(out, "{name}_sum {}", h.sum.load(Ordering::Relaxed));
-    let _ = writeln!(out, "{name}_count {}", h.count());
-}
-
-/// Render every registered metric in the Prometheus text exposition
-/// format (the wire format a `bevra-serve` `/metrics` endpoint will
-/// serve): counters as `counter`, gauges and decaying rates as `gauge`
-/// (rates get a `_per_sec` suffix), histograms — cumulative and windowed
-/// — as `histogram` with log₂ `le` bucket bounds.
-#[must_use]
-pub fn prometheus_text() -> String {
-    use std::fmt::Write as _;
-    let reg = registry();
-    let mut out = String::new();
-    for (name, c) in recover(reg.counters.lock()).iter() {
-        let m = prom_name(name);
-        let _ = writeln!(out, "# TYPE {m} counter\n{m} {}", c.get());
-    }
-    for (name, g) in recover(reg.gauges.lock()).iter() {
-        let m = prom_name(name);
-        let _ = writeln!(out, "# TYPE {m} gauge\n{m} {}", g.get());
-    }
-    for (name, r) in recover(reg.rates.lock()).iter() {
-        let m = format!("{}_per_sec", prom_name(name));
-        let _ = writeln!(out, "# TYPE {m} gauge\n{m} {}", r.rate());
-    }
-    for (name, h) in recover(reg.histograms.lock()).iter() {
-        prom_histogram(&mut out, &prom_name(name), h);
-    }
-    for (name, w) in recover(reg.windowed.lock()).iter() {
-        prom_histogram(&mut out, &format!("{}_window", prom_name(name)), &w.merged());
-    }
-    out
 }
 
 #[cfg(test)]
@@ -754,41 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_histogram_rotates_and_merges() {
-        let w = WindowedHistogram::with_width(1_000);
-        for i in 0..10 {
-            w.record_at(0, 100 + i);
-        }
-        w.record_at(1, 5_000);
-        let s = w.summary();
-        assert_eq!(s.count, 11, "both live windows merged");
-        // Epochs 4.. reuse slot 0 (4 % 4): the old window is cleared.
-        w.record_at(4, 7);
-        let s = w.summary();
-        assert_eq!(s.count, 2, "epoch-0 window rotated out, epoch-1 + epoch-4 remain");
-        // A straggler sample for the rotated-out epoch 0 is dropped.
-        w.record_at(0, 1);
-        assert_eq!(w.summary().count, 2);
-    }
-
-    #[test]
-    fn decaying_rate_tracks_and_decays() {
-        let r = DecayingRate::with_tau(10_000);
-        // 1 event/sec for 30 s: estimate converges near 1.0/s (discrete
-        // EWMA bias is ≤ Δt/2τ = 5%).
-        for s in 0..30 {
-            r.observe_at(s * 1000, 1);
-        }
-        let rate = r.rate_at(29_000);
-        assert!((0.85..=1.1).contains(&rate), "rate {rate}");
-        // τ·ln2 of silence halves it.
-        let halved = r.rate_at(29_000 + 6_931);
-        assert!((halved / rate - 0.5).abs() < 0.01, "halved {halved} from {rate}");
-        // Long silence decays toward zero.
-        assert!(r.rate_at(200_000) < 1e-4);
-    }
-
-    #[test]
     fn tracked_counter_records_deltas_in_recorder() {
         let _g = guard();
         crate::recorder::set_recording(true);
@@ -807,37 +441,6 @@ mod tests {
             .collect();
         assert!(deltas.contains(&(3, 3)), "deltas {deltas:?}");
         assert!(deltas.contains(&(1, 4)), "deltas {deltas:?}");
-    }
-
-    #[test]
-    fn prometheus_text_exposition() {
-        let _g = guard();
-        counter("test/prom/ctr").add(7);
-        gauge("test/prom/g").set(2.5);
-        let h = histogram("test/prom/h");
-        h.reset();
-        h.record(100);
-        h.record(100_000);
-        let w = windowed_histogram("test/prom/w");
-        w.record_at(0, 9);
-        rate("test/prom/r").observe(5);
-        let text = prometheus_text();
-        assert!(text.contains("# TYPE bevra_test_prom_ctr counter"), "{text}");
-        assert!(text.contains("# TYPE bevra_test_prom_g gauge"));
-        assert!(text.contains("# TYPE bevra_test_prom_h histogram"));
-        assert!(text.contains("# TYPE bevra_test_prom_r_per_sec gauge"));
-        assert!(text.contains("# TYPE bevra_test_prom_w_window histogram"));
-        assert!(text.contains("bevra_test_prom_h_bucket{le=\"128\"} 1"), "{text}");
-        assert!(text.contains("bevra_test_prom_h_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("bevra_test_prom_h_sum 100100"));
-        assert!(text.contains("bevra_test_prom_h_count 2"));
-        // Cumulative le bounds are non-decreasing counts.
-        let cums: Vec<u64> = text
-            .lines()
-            .filter(|l| l.starts_with("bevra_test_prom_h_bucket"))
-            .filter_map(|l| l.split_whitespace().next_back()?.parse().ok())
-            .collect();
-        assert!(cums.windows(2).all(|p| p[0] <= p[1]), "{cums:?}");
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //!
 //! Completed spans are stored twice:
 //!
-//! * always as a flat [`StageRecord`] (name, seconds, points) — the
-//!   backwards-compatible perf-report surface drained by
-//!   [`drain_stages`];
+//! * always as a flat [`StageRecord`] (name, seconds, points), drained
+//!   by [`drain_stages`] into the run ledger's per-stage totals;
 //! * additionally, when [`crate::ObsLevel::Trace`] is on, as a
 //!   [`SpanEvent`] carrying thread id, depth, parent, and
 //!   epoch-relative timestamps — drained by [`drain_trace`] and exported
@@ -33,8 +32,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// One completed span, flattened for perf reports: the paper-era
-/// `StageRecord` surface (re-exported by `bevra_engine::instrument`).
+/// One completed span, flattened: the unit of the run ledger's `stages`
+/// array (re-exported by `bevra_engine::instrument`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageRecord {
     /// Stage name, e.g. `"sweep/points"` or `"welfare/gamma"`.

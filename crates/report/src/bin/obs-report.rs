@@ -1,7 +1,8 @@
 //! Cross-run observability report over `results/ledger.jsonl`.
 //!
 //! Renders the ledger history as a Markdown trend table and scans it for
-//! digest and perf regressions (see [`bevra_report::ledger`]). Exit
+//! digest and per-stage perf regressions (see [`bevra_report::ledger`]).
+//! Exit
 //! status: `0` when the ledger is clean, `1` when any regression was
 //! found, `2` on usage or I/O errors — so CI can gate on it directly.
 //!
@@ -10,8 +11,9 @@
 //! ```
 //!
 //! * `--ledger` — ledger file (default `results/ledger.jsonl`);
-//! * `--threshold` — perf-regression headroom over the historical median
-//!   ns-per-point (default 3.0, matching the perf-smoke gate);
+//! * `--threshold` — perf-regression headroom over a stage's historical
+//!   median ns-per-point (default 3.0, matching the perf-smoke gate);
+//!   stages whose latest run took under 10 ms are not gated;
 //! * `--last` — only render the newest `n` rows in the trend table
 //!   (regression scanning always sees the full history).
 

@@ -1,12 +1,14 @@
 //! Shared output pipeline for the figure binaries: print ASCII charts,
-//! persist JSON, write per-panel CSVs, and emit the engine's perf report.
+//! persist JSON, write per-panel CSVs, and append the run's ledger line.
 
 use crate::ascii::render_panel;
 use crate::csv::write_panel_csv;
 use crate::persist::save_figure;
 use crate::series::Figure;
-use bevra_engine::ledger::{fnv1a, LedgerRecord, LEDGER_FILE};
-use bevra_engine::{drain_caches, drain_health, drain_stages, thread_count, SweepReport};
+use bevra_engine::ledger::{fnv1a, sum_stages, LedgerRecord, LEDGER_FILE};
+use bevra_engine::{
+    drain_caches, drain_health, drain_stages, thread_count, CacheStats, StageRecord, SweepHealth,
+};
 use bevra_obs::recorder;
 use std::path::Path;
 
@@ -58,58 +60,54 @@ fn figure_digest(fig: &Figure) -> u64 {
     fnv1a(&bytes)
 }
 
-/// Build the run's ledger record from the figure and its drained perf
-/// report.
-fn ledger_record(fig: &Figure, report: &SweepReport) -> LedgerRecord {
+/// Build the run's ledger record from the figure and the instrumentation
+/// drained after building it: stages summed per name, caches as reported,
+/// health ledgers merged in report order.
+fn ledger_record(
+    fig: &Figure,
+    stages: Vec<StageRecord>,
+    caches: Vec<(String, CacheStats)>,
+    health: &[(String, SweepHealth)],
+) -> LedgerRecord {
     let unix_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
-    let mut health = bevra_engine::SweepHealth::new();
-    for (_, h) in &report.health {
-        health.merge(h);
+    let mut merged = SweepHealth::new();
+    for (_, h) in health {
+        merged.merge(h);
     }
-    let (cache_hits, cache_misses) = report
-        .caches
-        .iter()
-        .fold((0, 0), |(h, m), (_, st)| (h + st.hits, m + st.misses));
     LedgerRecord {
         id: fig.id.clone(),
         unix_ms,
         fingerprint: figure_fingerprint(fig),
-        kernel: health.kernel.clone().unwrap_or_default(),
-        simd: health.simd.clone().unwrap_or_default(),
-        threads: report.threads as u64,
-        points: report.total_points(),
-        seconds: report.total_seconds(),
-        cache_hits,
-        cache_misses,
-        ok: health.ok,
-        degraded: health.degraded,
-        failed: health.failed,
-        non_finite: health.non_finite,
-        retries: health.retries,
-        breaker_trips: health.breaker_trips,
-        restarts: health.restarts,
+        kernel: merged.kernel.unwrap_or_default(),
+        simd: merged.simd.unwrap_or_default(),
+        threads: thread_count() as u64,
+        stages: sum_stages(stages),
+        caches,
+        ok: merged.ok,
+        degraded: merged.degraded,
+        failed: merged.failed,
+        non_finite: merged.non_finite,
+        retries: merged.retries,
+        breaker_trips: merged.breaker_trips,
+        restarts: merged.restarts,
+        first_failure: merged.first_failure,
         digest: figure_digest(fig),
     }
 }
 
 /// Print a figure to stdout and write `results/<id>.json` plus
 /// `results/<id>-panel<N>.csv`, then drain the sweep instrumentation
-/// accumulated while the figure was built into `results/<id>-perf.json`
-/// and `results/<id>-perf.csv` (stage timings, throughput, cache
-/// hit/miss counters).
+/// accumulated while the figure was built (stage timings, cache hit/miss
+/// counters, health ledgers) into one record appended to
+/// `results/ledger.jsonl` — the cross-run history `obs-report` renders and
+/// gates on — and print a `perf:` line per stage. When the flight recorder
+/// saw fault trips, a black box is drained to `results/<id>-blackbox.jsonl`.
 ///
-/// Every run also appends one record to `results/ledger.jsonl` — the
-/// cross-run history `obs-report` renders and gates on — and, when the
-/// flight recorder saw fault trips, drains a black box to
-/// `results/<id>-blackbox.jsonl`.
-///
-/// With `BEVRA_OBS=summary` a metrics table is additionally printed and
-/// the metrics registry is exported as `results/<id>-metrics.prom`; with
+/// With `BEVRA_OBS=summary` a metrics table is additionally printed; with
 /// `BEVRA_OBS=trace` the buffered span events become
-/// `results/<id>-trace.json` (Perfetto-loadable chrome-trace) and
-/// `results/<id>-obs.jsonl`.
+/// `results/<id>-trace.json` (Perfetto-loadable chrome-trace).
 ///
 /// # Errors
 ///
@@ -126,36 +124,26 @@ pub fn emit_figure(fig: &Figure, dir: &Path) -> std::io::Result<()> {
         bevra_faults::atomic_write("report/panel-csv", &csv_path, &rendered)?;
     }
     let json = save_figure(fig, dir)?;
-    let report = SweepReport::new(drain_stages(), drain_caches(), thread_count())
-        .with_health(drain_health());
-    if !report.stages.is_empty() || !report.caches.is_empty() || !report.health.is_empty() {
-        bevra_faults::atomic_write(
-            "report/perf-json",
-            &dir.join(format!("{}-perf.json", fig.id)),
-            report.to_json().as_bytes(),
-        )?;
-        bevra_faults::atomic_write(
-            "report/perf-csv",
-            &dir.join(format!("{}-perf.csv", fig.id)),
-            report.to_csv().as_bytes(),
-        )?;
+    let health = drain_health();
+    let record = ledger_record(fig, drain_stages(), drain_caches(), &health);
+    for s in &record.stages {
         println!(
-            "perf: {threads} thread(s), {pts} points in {secs:.3}s ({rate:.0} points/s)",
-            threads = report.threads,
-            pts = report.total_points(),
-            secs = report.total_seconds(),
-            rate = report.points_per_sec(),
+            "perf: {}: {} points in {:.3}s ({:.0} points/s, {} thread(s))",
+            s.name,
+            s.points,
+            s.seconds,
+            s.points_per_sec(),
+            record.threads,
         );
-        for (label, health) in &report.health {
-            if !health.is_clean() {
-                println!("health: {label}: {health}");
-            }
+    }
+    for (label, h) in &health {
+        if !h.is_clean() {
+            println!("health: {label}: {h}");
         }
     }
     // One ledger line per run, regardless of obs level: the trend history
     // `obs-report` reads. A ledger that can't be reached degrades to a
     // warning — the figure artifacts above are already on disk.
-    let record = ledger_record(fig, &report);
     let ledger_path = dir.join(LEDGER_FILE);
     match record.append(&ledger_path) {
         Ok(()) => println!(
@@ -173,9 +161,6 @@ pub fn emit_figure(fig: &Figure, dir: &Path) -> std::io::Result<()> {
     if let Some(trace) = &obs.trace_path {
         println!("obs: wrote {} (load in https://ui.perfetto.dev)", trace.display());
     }
-    if let Some(prom) = &obs.prom_path {
-        println!("obs: wrote {}", prom.display());
-    }
     // A run that tripped injected faults but survived to the end (panic
     // isolation did its job) still ships its black box for post-mortems.
     if recorder::fault_trips() > 0 {
@@ -192,7 +177,7 @@ pub fn emit_figure(fig: &Figure, dir: &Path) -> std::io::Result<()> {
 /// the backend and its capability record, so a figure run's stdout
 /// records which parity class produced the artifacts. The figure binaries
 /// call this at the top of `main`; the per-sweep stamp also lands in the
-/// emitted `-perf` artifacts through the health ledger's `kernel` column.
+/// run's ledger line as its `kernel` and `simd` fields.
 pub fn announce_kernel() {
     let cap = bevra_engine::registry::from_env().capability();
     println!(
@@ -239,9 +224,29 @@ mod tests {
             }],
         };
         let dir = std::env::temp_dir().join("bevra-emit-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        // Two spans of one stage: the ledger line carries them summed.
+        for points in [3, 4] {
+            let mut sp = bevra_engine::span("emit-test/stage");
+            sp.add_points(points);
+        }
         emit_figure(&fig, &dir).unwrap();
         assert!(dir.join("emit-test.json").exists());
         assert!(dir.join("emit-test-panel1.csv").exists());
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(!names.iter().any(|n| n.contains("-perf.")), "no perf report: {names:?}");
+        let text = std::fs::read_to_string(dir.join(LEDGER_FILE)).unwrap();
+        let ledger = crate::ledger::parse_ledger(&text);
+        assert_eq!((ledger.records.len(), ledger.skipped), (1, 0), "{text}");
+        let stage = ledger.records[0]
+            .stages
+            .iter()
+            .find(|s| s.name == "emit-test/stage")
+            .expect("the span reached the ledger line");
+        assert_eq!(stage.points, 7);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -83,7 +83,7 @@ fn price_grid(q: Quality) -> Vec<f64> {
 ///
 /// All sweeps run through a [`SweepEngine`] (parallel per `BEVRA_THREADS`,
 /// memoized, bitwise-identical to the serial scalar path); its cache
-/// counters are published for the figure's perf report.
+/// counters are published for the figure's run ledger line.
 fn utility_panels<U: Utility>(
     load: &Arc<Tabulated>,
     utility: U,
@@ -96,7 +96,7 @@ fn utility_panels<U: Utility>(
     let tag = which.to_lowercase();
     // Checked sweep: a failed point (isolated worker panic) degrades to
     // NaN in the plotted series instead of aborting the figure, and the
-    // ledger lands in the perf report via record_health.
+    // ledger lands in the run ledger via record_health.
     let checked = engine.sweep_checked(&cs);
     let field = |get: fn(&bevra_engine::SweepPoint) -> f64| -> Vec<f64> {
         checked.outcomes.iter().map(|o| o.point().map_or(f64::NAN, get)).collect()

@@ -4,6 +4,7 @@
 //! injected engine-site panic.
 
 use bevra_engine::ledger::{LedgerRecord, LEDGER_FILE};
+use bevra_engine::{CacheStats, StageRecord};
 use bevra_report::json::JsonValue;
 use bevra_report::ledger::parse_ledger;
 use std::path::PathBuf;
@@ -22,10 +23,11 @@ fn record(id: &str, digest: u64) -> LedgerRecord {
         kernel: "batch".into(),
         simd: "autovec".into(),
         threads: 4,
-        points: 240,
-        seconds: 0.125,
-        cache_hits: 12,
-        cache_misses: 4,
+        stages: vec![
+            StageRecord { name: "sweep/points".into(), seconds: 0.125, points: 240 },
+            StageRecord { name: "welfare/gamma".into(), seconds: 0.0625, points: 48 },
+        ],
+        caches: vec![("rigid/best_effort".into(), CacheStats { hits: 12, misses: 4 })],
         ok: 238,
         degraded: 1,
         failed: 1,
@@ -33,6 +35,7 @@ fn record(id: &str, digest: u64) -> LedgerRecord {
         retries: 1,
         breaker_trips: 0,
         restarts: 0,
+        first_failure: Some("worker panicked".into()),
         digest,
     }
 }
