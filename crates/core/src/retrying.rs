@@ -23,11 +23,11 @@
 //! unchanged: it never blocks, so it never triggers retries.
 
 use crate::discrete::DiscreteModel;
-use bevra_load::{Algebraic, Geometric, Poisson, Tabulated};
+use bevra_load::{Algebraic, Geometric, LoadModel, Poisson, Tabulated};
 use bevra_num::{brent, expand_bracket_up, fixed_point, NumResult};
 use bevra_utility::Utility;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A family of load distributions parameterized by their mean — the paper's
 /// "the retries obey the same basic distribution" assumption. Families are
@@ -40,6 +40,12 @@ pub trait LoadFamily: Send + Sync {
 
     /// Family name for reports.
     fn name(&self) -> &'static str;
+
+    /// Table-cache traffic so far as `(hits, misses)`; a miss is a table
+    /// built. `(0, 0)` for a family that keeps no cache.
+    fn cache_stats(&self) -> (u64, u64) {
+        (0, 0)
+    }
 }
 
 /// Quantize a mean for caching: 1 part in 10⁴. Tables are *built at the
@@ -55,76 +61,113 @@ fn quantize(mean: f64) -> u64 {
 /// sufficient — sweeps revisit a small working set of means).
 const CACHE_CAP: usize = 64;
 
-macro_rules! cached_family {
-    ($(#[$doc:meta])* $name:ident, $fam:literal, $builder:expr) => {
-        $(#[$doc])*
-        pub struct $name {
-            tol: f64,
-            max_len: usize,
-            cache: Mutex<HashMap<u64, Arc<Tabulated>>>,
-        }
-
-        impl $name {
-            /// New family with tabulation tolerance and length cap.
-            #[must_use]
-            pub fn new(tol: f64, max_len: usize) -> Self {
-                Self { tol, max_len, cache: Mutex::new(HashMap::new()) }
-            }
-        }
-
-        impl LoadFamily for $name {
-            fn make(&self, mean: f64) -> Arc<Tabulated> {
-                let key = quantize(mean);
-                let mean_q = key as f64 / 1e4;
-                if let Some(hit) = self.cache.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-                    return Arc::clone(hit);
-                }
-                #[allow(clippy::redundant_closure_call)]
-                let built: Arc<Tabulated> =
-                    Arc::new(($builder)(mean_q, self.tol, self.max_len));
-                let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-                if cache.len() >= CACHE_CAP {
-                    cache.clear();
-                }
-                cache.insert(key, Arc::clone(&built));
-                built
-            }
-
-            fn name(&self) -> &'static str {
-                $fam
-            }
-        }
-    };
+/// The table cache behind every family: tables tabulated at the quantized
+/// mean with one tolerance and length cap, counted as hits and misses.
+struct TableCache {
+    tol: f64,
+    max_len: usize,
+    state: Mutex<CacheState>,
 }
 
-cached_family!(
-    /// Poisson loads of varying mean.
-    PoissonFamily,
-    "poisson",
-    |mean: f64, tol: f64, max_len: usize| Tabulated::from_model(
-        &Poisson::new(mean),
-        tol,
-        max_len
-    )
-);
+#[derive(Default)]
+struct CacheState {
+    tables: HashMap<u64, Arc<Tabulated>>,
+    hits: u64,
+    misses: u64,
+}
 
-cached_family!(
-    /// Exponential (geometric) loads of varying mean.
-    GeometricFamily,
-    "exponential",
-    |mean: f64, tol: f64, max_len: usize| Tabulated::from_model(
-        &Geometric::from_mean(mean),
-        tol,
-        max_len
-    )
-);
+impl TableCache {
+    fn new(tol: f64, max_len: usize) -> Self {
+        Self { tol, max_len, state: Mutex::default() }
+    }
+
+    /// The table of `model(mean)` at `mean` quantized, tabulated on a miss.
+    /// Two threads missing on one mean both build it; either copy is kept.
+    fn get<M: LoadModel>(&self, mean: f64, model: impl FnOnce(f64) -> M) -> Arc<Tabulated> {
+        let key = quantize(mean);
+        {
+            let mut st = self.lock();
+            if let Some(hit) = st.tables.get(&key).map(Arc::clone) {
+                st.hits += 1;
+                return hit;
+            }
+            st.misses += 1;
+        }
+        let model = model(key as f64 / 1e4);
+        let built = Arc::new(Tabulated::from_model(&model, self.tol, self.max_len));
+        let mut st = self.lock();
+        if st.tables.len() >= CACHE_CAP {
+            st.tables.clear();
+        }
+        st.tables.insert(key, Arc::clone(&built));
+        built
+    }
+
+    fn stats(&self) -> (u64, u64) {
+        let st = self.lock();
+        (st.hits, st.misses)
+    }
+
+    /// Every update leaves the state whole, so a poisoned lock is usable.
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Poisson loads of varying mean.
+pub struct PoissonFamily(TableCache);
+
+impl PoissonFamily {
+    /// New family with tabulation tolerance and length cap.
+    #[must_use]
+    pub fn new(tol: f64, max_len: usize) -> Self {
+        Self(TableCache::new(tol, max_len))
+    }
+}
+
+impl LoadFamily for PoissonFamily {
+    fn make(&self, mean: f64) -> Arc<Tabulated> {
+        self.0.get(mean, Poisson::new)
+    }
+
+    fn name(&self) -> &'static str {
+        "poisson"
+    }
+
+    fn cache_stats(&self) -> (u64, u64) {
+        self.0.stats()
+    }
+}
+
+/// Exponential (geometric) loads of varying mean.
+pub struct GeometricFamily(TableCache);
+
+impl GeometricFamily {
+    /// New family with tabulation tolerance and length cap.
+    #[must_use]
+    pub fn new(tol: f64, max_len: usize) -> Self {
+        Self(TableCache::new(tol, max_len))
+    }
+}
+
+impl LoadFamily for GeometricFamily {
+    fn make(&self, mean: f64) -> Arc<Tabulated> {
+        self.0.get(mean, Geometric::from_mean)
+    }
+
+    fn name(&self) -> &'static str {
+        "exponential"
+    }
+
+    fn cache_stats(&self) -> (u64, u64) {
+        self.0.stats()
+    }
+}
 
 /// Algebraic loads of varying mean with fixed tail exponent `z`.
 pub struct AlgebraicFamily {
     z: f64,
-    tol: f64,
-    max_len: usize,
-    cache: Mutex<HashMap<u64, Arc<Tabulated>>>,
+    cache: TableCache,
 }
 
 impl AlgebraicFamily {
@@ -132,31 +175,25 @@ impl AlgebraicFamily {
     #[must_use]
     pub fn new(z: f64, tol: f64, max_len: usize) -> Self {
         assert!(z > 2.0, "algebraic family requires z > 2");
-        Self { z, tol, max_len, cache: Mutex::new(HashMap::new()) }
+        Self { z, cache: TableCache::new(tol, max_len) }
     }
 }
 
 impl LoadFamily for AlgebraicFamily {
     fn make(&self, mean: f64) -> Arc<Tabulated> {
-        let key = quantize(mean);
-        let mean_q = key as f64 / 1e4;
-        if let Some(hit) = self.cache.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-            return Arc::clone(hit);
-        }
-        let model = Algebraic::from_mean(self.z, mean_q).unwrap_or_else(|e| {
-            panic!("algebraic family mean {mean_q} unachievable at z = {z}: {e:?}", z = self.z)
-        });
-        let built = Arc::new(Tabulated::from_model(&model, self.tol, self.max_len));
-        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        if cache.len() >= CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key, Arc::clone(&built));
-        built
+        self.cache.get(mean, |m| {
+            Algebraic::from_mean(self.z, m).unwrap_or_else(|e| {
+                panic!("algebraic family mean {m} unachievable at z = {z}: {e:?}", z = self.z)
+            })
+        })
     }
 
     fn name(&self) -> &'static str {
         "algebraic"
+    }
+
+    fn cache_stats(&self) -> (u64, u64) {
+        self.cache.stats()
     }
 }
 
@@ -171,6 +208,19 @@ pub struct RetryOutcome {
     pub retries: f64,
     /// Per-original-flow reservation utility `R̃(C)`.
     pub reservation: f64,
+}
+
+/// The α-free part of one retrying evaluation.
+#[derive(Clone, Copy)]
+struct Inflation {
+    /// `L̂`.
+    effective_mean: f64,
+    /// `θ` at `L̂`, clamped to 0.99.
+    blocking: f64,
+    /// `D = θ/(1−θ)`.
+    retries: f64,
+    /// Per-attempt reservation utility `R_{L̂}(C)`.
+    attempt_reservation: f64,
 }
 
 /// The §5.2 retrying model.
@@ -238,14 +288,14 @@ impl<U: Utility + Clone, F: LoadFamily> RetryModel<U, F> {
         self.model_at(self.base_mean).best_effort(capacity)
     }
 
-    /// Solve the load-inflation fixed point and evaluate the reservation
-    /// architecture with retries at capacity `C`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fixed-point failures (extreme overload where the retry
-    /// storm diverges).
-    pub fn evaluate(&self, capacity: f64) -> NumResult<RetryOutcome> {
+    /// The load family the model draws its tables from.
+    pub fn family(&self) -> &F {
+        &self.family
+    }
+
+    /// The α-free half of an evaluation at capacity `C`: the
+    /// load-inflation fixed point `L̂ = L·(1 + D(L̂))` and what it yields.
+    fn inflate(&self, capacity: f64) -> NumResult<Inflation> {
         let l = self.base_mean;
         // D(L̂) from the blocking rate; clamp θ away from 1 so the map stays
         // finite in deep overload (the physical reading: finite patience).
@@ -257,9 +307,35 @@ impl<U: Utility + Clone, F: LoadFamily> RetryModel<U, F> {
         let lhat = fixed_point(|x| l * (1.0 + d_of(x)), l, 0.5, 1e-9, 500)?;
         let model = self.model_at(lhat.max(l));
         let theta = model.blocking_fraction(capacity).min(0.99);
-        let d = theta / (1.0 - theta);
-        let r = ((lhat / l) * model.reservation(capacity) - self.alpha * d).max(0.0);
-        Ok(RetryOutcome { effective_mean: lhat, blocking: theta, retries: d, reservation: r })
+        Ok(Inflation {
+            effective_mean: lhat,
+            blocking: theta,
+            retries: theta / (1.0 - theta),
+            attempt_reservation: model.reservation(capacity),
+        })
+    }
+
+    /// The α half: per-original-flow utility `R̃ = ((L̂/L)·R_{L̂} − α·D)⁺`.
+    fn penalized(&self, inflation: &Inflation, alpha: f64) -> f64 {
+        let Inflation { effective_mean: lhat, retries: d, attempt_reservation: r, .. } = *inflation;
+        ((lhat / self.base_mean) * r - alpha * d).max(0.0)
+    }
+
+    /// Solve the load-inflation fixed point and evaluate the reservation
+    /// architecture with retries at capacity `C`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fixed-point failures (extreme overload where the retry
+    /// storm diverges).
+    pub fn evaluate(&self, capacity: f64) -> NumResult<RetryOutcome> {
+        let inflation = self.inflate(capacity)?;
+        Ok(RetryOutcome {
+            effective_mean: inflation.effective_mean,
+            blocking: inflation.blocking,
+            retries: inflation.retries,
+            reservation: self.penalized(&inflation, self.alpha),
+        })
     }
 
     /// Performance gap with retries `δ̃(C) = R̃(C) − B(C)`.
@@ -269,6 +345,29 @@ impl<U: Utility + Clone, F: LoadFamily> RetryModel<U, F> {
     /// Propagates [`RetryModel::evaluate`] failures.
     pub fn performance_gap(&self, capacity: f64) -> NumResult<f64> {
         Ok((self.evaluate(capacity)?.reservation - self.best_effort(capacity)).max(0.0))
+    }
+
+    /// `δ̃(C)` for every penalty in `alphas` (the model's own `α` is not
+    /// used) from one fixed-point solve: the load inflation does not depend
+    /// on `α`. Entry `i` is bitwise what a model built with `alphas[i]`
+    /// returns from [`RetryModel::performance_gap`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates fixed-point failures, as [`RetryModel::evaluate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every penalty is in `[0, 1]`.
+    pub fn performance_gaps<const N: usize>(
+        &self,
+        capacity: f64,
+        alphas: [f64; N],
+    ) -> NumResult<[f64; N]> {
+        assert!(alphas.iter().all(|a| (0.0..=1.0).contains(a)), "retry penalty must be in [0, 1]");
+        let inflation = self.inflate(capacity)?;
+        let best_effort = self.best_effort(capacity);
+        Ok(alphas.map(|a| (self.penalized(&inflation, a) - best_effort).max(0.0)))
     }
 
     /// Bandwidth gap with retries: solves `B(C + Δ) = R̃(C)`.
@@ -353,6 +452,53 @@ mod tests {
         let out = rm.evaluate(c).unwrap();
         let predicted = 1.0 - 0.5 * out.blocking;
         assert!((out.reservation - predicted).abs() < 5e-3, "{} vs {predicted}", out.reservation);
+    }
+
+    /// Lends one family to several models, which then share its cache.
+    struct Lent<'a, F>(&'a F);
+
+    impl<F: LoadFamily> LoadFamily for Lent<'_, F> {
+        fn make(&self, mean: f64) -> Arc<Tabulated> {
+            self.0.make(mean)
+        }
+
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+    }
+
+    #[test]
+    fn one_solve_serves_every_alpha_bitwise() {
+        const ALPHAS: [f64; 3] = [0.0, 0.1, 0.5];
+        // At L = 10, C = 3 clamps θ at 0.99; C = 20 and 40 block lightly.
+        // The per-α reference models share a cache apart from the model
+        // under test, so each table is built twice, not four times.
+        fn check<F: LoadFamily>(family: impl Fn() -> F) {
+            let shared = RetryModel::new(family(), AdaptiveExp::paper(), 10.0, 0.0);
+            assert_eq!(shared.evaluate(3.0).unwrap().blocking, 0.99);
+            let lent = family();
+            for c in [3.0, 20.0, 40.0] {
+                let gaps = shared.performance_gaps(c, ALPHAS).unwrap();
+                for (alpha, gap) in ALPHAS.into_iter().zip(gaps) {
+                    let one = RetryModel::new(Lent(&lent), AdaptiveExp::paper(), 10.0, alpha);
+                    let want = one.performance_gap(c).unwrap();
+                    let at = format!("{} C = {c} α = {alpha}", one.family().name());
+                    assert_eq!(gap.to_bits(), want.to_bits(), "{at}");
+                }
+            }
+        }
+        check(|| GeometricFamily::new(1e-10, 1 << 12));
+        check(|| AlgebraicFamily::new(3.0, 1e-7, 1 << 12));
+    }
+
+    #[test]
+    fn family_cache_counts_builds_as_misses() {
+        let fam = GeometricFamily::new(1e-10, 1 << 12);
+        let a = fam.make(50.0);
+        // Same quantized mean: served from the cache.
+        let b = fam.make(50.000_01);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(fam.cache_stats(), (1, 1));
     }
 
     #[test]

@@ -33,21 +33,32 @@ pub struct Algebraic {
 /// that is below 1e−14 relative, far under calibration needs.
 const EXPLICIT_HORIZON: u64 = 10_000;
 
-/// Raw sums `S_m(λ) = Σ_{k≥1} k^m / (λ + k^z)` for m = 0, 1.
-fn raw_sum(z: f64, lambda: f64, m: u32) -> NumResult<f64> {
+/// Most `k^z` values a [`raw_sums`] table keeps (8 MiB); terms past it
+/// compute `k^z` in place, so a huge horizon costs time, never memory.
+const POWERS_CAP: u64 = 1 << 20;
+
+/// Raw sums `(S₀(λ), S₁(λ))`, `S_m(λ) = Σ_{k≥1} k^m / (λ + k^z)`, in one
+/// pass. `powers` holds `k^z` for `k = 1, 2, …` and is extended here to
+/// this `λ`'s horizon, so a calibration that passes one table to every `λ`
+/// it tries computes each `k^z` once. Each term and each Neumaier
+/// accumulator sees the same operations in the same order as two separate
+/// per-`m` passes would.
+fn raw_sums(z: f64, lambda: f64, powers: &mut Vec<f64>) -> NumResult<(f64, f64)> {
     let horizon = EXPLICIT_HORIZON.max((8.0 * lambda.powf(1.0 / z)).ceil() as u64);
-    let mut acc = NeumaierSum::new();
-    for k in 1..=horizon {
-        let kf = k as f64;
-        acc.add(kf.powi(m as i32) / (lambda + kf.powf(z)));
+    let have = powers.len() as u64;
+    powers.extend((have + 1..=horizon.min(POWERS_CAP)).map(|k| (k as f64).powf(z)));
+    let rest = (powers.len() as u64 + 1..=horizon).map(|k| (k as f64).powf(z));
+    let (mut s0, mut s1) = (NeumaierSum::new(), NeumaierSum::new());
+    for (k, kz) in (1..=horizon).zip(powers.iter().copied().chain(rest)) {
+        let den = lambda + kz;
+        s0.add(1.0 / den);
+        s1.add(k as f64 / den);
     }
     // Midpoint rule: Σ_{k>K} f(k) ≈ ∫_{K+1/2}^∞ f(x) dx.
-    let tail = integrate_to_inf(
-        |x| x.powi(m as i32) / (lambda + x.powf(z)),
-        horizon as f64 + 0.5,
-        1e-12,
-    )?;
-    Ok(acc.total() + tail)
+    let from = horizon as f64 + 0.5;
+    let t0 = integrate_to_inf(|x| 1.0 / (lambda + x.powf(z)), from, 1e-12)?;
+    let t1 = integrate_to_inf(|x| x / (lambda + x.powf(z)), from, 1e-12)?;
+    Ok((s0.total() + t0, s1.total() + t1))
 }
 
 impl Algebraic {
@@ -59,14 +70,19 @@ impl Algebraic {
     /// [`NumError::InvalidInput`] unless `z > 2` and `λ ≥ 0`; numeric errors
     /// from the tail integrals are propagated.
     pub fn with_params(z: f64, lambda: f64) -> NumResult<Self> {
+        Self::with_powers(z, lambda, &mut Vec::new())
+    }
+
+    /// [`Algebraic::with_params`] over a shared `k^z` table (see
+    /// [`raw_sums`]).
+    fn with_powers(z: f64, lambda: f64, powers: &mut Vec<f64>) -> NumResult<Self> {
         if !(z > 2.0) {
             return Err(NumError::InvalidInput { what: "algebraic load requires z > 2" });
         }
         if !(lambda >= 0.0) {
             return Err(NumError::InvalidInput { what: "lambda must be nonnegative" });
         }
-        let s0 = raw_sum(z, lambda, 0)?;
-        let s1 = raw_sum(z, lambda, 1)?;
+        let (s0, s1) = raw_sums(z, lambda, powers)?;
         Ok(Self { z, lambda, norm: 1.0 / s0, mean: s1 / s0 })
     }
 
@@ -83,7 +99,10 @@ impl Algebraic {
     /// [`NumError::InvalidInput`] if `mean` is below the `λ = 0` minimum;
     /// propagates solver failures otherwise.
     pub fn from_mean(z: f64, mean: f64) -> NumResult<Self> {
-        let at_zero = Self::with_params(z, 0.0)?;
+        // One k^z table serves every λ below: only the division by λ + k^z
+        // changes between evaluations.
+        let mut powers = Vec::new();
+        let at_zero = Self::with_powers(z, 0.0, &mut powers)?;
         if mean < at_zero.mean {
             return Err(NumError::InvalidInput {
                 what: "target mean below the lambda = 0 minimum of the algebraic family",
@@ -93,9 +112,9 @@ impl Algebraic {
             return Ok(at_zero);
         }
         // Mean scales like λ^{1/z} for large λ; bracket by doubling.
-        let mean_err = |lambda: f64| -> f64 {
+        let mut mean_err = |lambda: f64| -> f64 {
             // Errors inside the closure surface as NaN and abort the solver.
-            match Self::with_params(z, lambda) {
+            match Self::with_powers(z, lambda, &mut powers) {
                 Ok(a) => a.mean - mean,
                 Err(_) => f64::NAN,
             }
@@ -107,8 +126,8 @@ impl Algebraic {
             }
             hi *= 4.0;
         }
-        let lambda = brent(mean_err, 0.0, hi, 1e-9 * hi.max(1.0))?;
-        Self::with_params(z, lambda)
+        let lambda = brent(&mut mean_err, 0.0, hi, 1e-9 * hi.max(1.0))?;
+        Self::with_powers(z, lambda, &mut powers)
     }
 }
 
@@ -188,6 +207,23 @@ mod tests {
     fn heavier_tail_calibrates_too() {
         let a = Algebraic::from_mean(2.5, 20.0).unwrap();
         assert!((a.mean() - 20.0).abs() < 1e-4, "mean {}", a.mean());
+    }
+
+    #[test]
+    fn calibration_bits_are_pinned() {
+        // (z, mean) → bits of λ, mean() and pmf(1). fig4's table digest keys
+        // the persistent cache, so a calibration speed-up must not move these.
+        let pins: [(f64, f64, [u64; 3]); 4] = [
+            (3.0, 100.0, [0x412E_23BF_680D_93F2, 0x4059_0000_0000_0117, 0x3F81_1406_186A_F4EE]),
+            (3.0, 1077.0426, [0x41D2_9890_1B81_750B, 0x4090_D42B_9F56_364E, 0x3F49_2E08_FC96_A6A8]),
+            (3.0, 10_000.0, [0x426D_19A8_083B_0CAB, 0x40C3_8800_0000_0039, 0x3F15_AE51_40A0_1360]),
+            (2.5, 20.0, [0x407F_00E8_DBDC_8277, 0x4034_0000_0000_0AEF, 0x3FB0_AD1B_81EB_6BAD]),
+        ];
+        for (z, mean, bits) in pins {
+            let a = Algebraic::from_mean(z, mean).unwrap();
+            let got = [a.lambda.to_bits(), a.mean().to_bits(), a.pmf(1).to_bits()];
+            assert_eq!(got, bits, "z = {z}, mean = {mean}: {got:#018X?}");
+        }
     }
 
     #[test]

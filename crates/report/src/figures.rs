@@ -15,7 +15,8 @@ use bevra_core::continuum::AlgebraicClosed;
 use bevra_core::retrying::{AlgebraicFamily, GeometricFamily, LoadFamily, RetryModel};
 use bevra_core::{equalizing_price_ratio, DiscreteModel, SampledValue, SamplingModel};
 use bevra_engine::{
-    parallel_map, record_caches, record_health, span, Architecture, SweepEngine, SweepHealth,
+    parallel_map, record_caches, record_health, span, Architecture, CacheStats, SweepEngine,
+    SweepHealth,
 };
 use bevra_load::{Algebraic, Geometric, Poisson, Tabulated, PAPER_MEAN_LOAD};
 use bevra_utility::{AdaptiveExp, Rigid, Utility};
@@ -348,75 +349,76 @@ fn retry_gamma_continuum(z: f64, alpha: f64, prices: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Evaluate a fallible per-capacity gap over `cs` in parallel, degrading
-/// failures to NaN with a recorded [`SweepHealth`] ledger under `label` —
+/// Evaluate `N` fallible per-capacity gap series over `cs` in parallel,
+/// one `eval` call per capacity for all of them, degrading failures to NaN
+/// with a recorded [`SweepHealth`] ledger per series under `labels[i]` —
 /// the structured replacement for the old silent `unwrap_or(NAN)`.
-fn gap_sweep_with_health(
-    label: &str,
+fn gap_sweeps_with_health<const N: usize>(
+    labels: &[String; N],
     cs: &[f64],
-    eval: impl Fn(f64) -> bevra_num::NumResult<f64> + Sync,
-) -> Vec<f64> {
-    let raw = parallel_map(cs, |&c| match eval(c) {
-        Ok(v) => (v, None),
-        Err(e) => (f64::NAN, Some(format!("{label} at C = {c}: {e}"))),
-    });
-    let mut health = SweepHealth::new();
-    let mut out = Vec::with_capacity(raw.len());
-    for (v, cause) in raw {
-        let bad = health.tally_non_finite(v);
-        match cause {
-            Some(c) => health.note_degraded(&c),
-            None if bad => health.note_degraded("non-finite gap"),
-            None => health.note_ok(),
+    eval: impl Fn(f64) -> bevra_num::NumResult<[f64; N]> + Sync,
+) -> [Vec<f64>; N] {
+    let raw = parallel_map(cs, |&c| eval(c).map_err(|e| format!("at C = {c}: {e}")));
+    std::array::from_fn(|i| {
+        let mut health = SweepHealth::new();
+        let mut out = Vec::with_capacity(raw.len());
+        for r in &raw {
+            let v = r.as_ref().map_or(f64::NAN, |vs| vs[i]);
+            let bad = health.tally_non_finite(v);
+            match r {
+                Err(cause) => health.note_degraded(&format!("{} {cause}", labels[i])),
+                Ok(_) if bad => health.note_degraded("non-finite gap"),
+                Ok(_) => health.note_ok(),
+            }
+            out.push(v);
         }
-        out.push(v);
-    }
-    record_health(label, health);
-    out
+        record_health(&labels[i], health);
+        out
+    })
+}
+
+/// One retry gap series per `α` for the family tagged `tag`, from one
+/// load-inflation solve per capacity (the inflation does not depend on
+/// `α`), with the family's table-cache traffic published as
+/// `ext-retrying/<tag>`.
+fn retry_gap_series<F: LoadFamily, const N: usize>(
+    tag: &str,
+    rm: &RetryModel<AdaptiveExp, F>,
+    cs: &[f64],
+    alphas: [f64; N],
+) -> Vec<Series> {
+    let mut sp = span(format!("retrying/{tag}"));
+    sp.add_points(cs.len() as u64);
+    let labels = alphas.map(|a| format!("ext-retrying/{tag}-a{a}"));
+    let gaps = gap_sweeps_with_health(&labels, cs, |c| rm.performance_gaps(c, alphas));
+    drop(sp);
+    let (hits, misses) = rm.family().cache_stats();
+    record_caches("ext-retrying", vec![(tag.into(), CacheStats { hits, misses })]);
+    alphas.iter().zip(gaps).map(|(a, d)| Series::new(format!("α = {a}"), cs.to_vec(), d)).collect()
 }
 
 /// **§5.2 retrying extension**: discrete performance gaps with and without
 /// the retry penalty (exponential and algebraic loads, adaptive
 /// applications) and the continuum `γ(p)` with retries.
-///
-/// # Panics
-///
-/// Panics if the retry fixed point diverges (not reachable on these grids).
 #[must_use]
 pub fn ext_retrying(q: Quality) -> Figure {
     let kbar = PAPER_MEAN_LOAD;
     let cs = capacity_grid(q, kbar);
     let alphas = [0.0, 0.1, 0.5];
-    let mut exp_series = Vec::new();
-    let mut alg_series = Vec::new();
-    for &alpha in &alphas {
-        let rm = RetryModel::new(
-            GeometricFamily::new(1e-10, q.table_cap()),
-            AdaptiveExp::paper(),
-            kbar,
-            alpha,
-        );
-        let mut sp = span(format!("retrying/exp-a{alpha}"));
-        sp.add_points(cs.len() as u64);
-        let d = gap_sweep_with_health(&format!("ext-retrying/exp-a{alpha}"), &cs, |c| {
-            rm.performance_gap(c)
-        });
-        drop(sp);
-        exp_series.push(Series::new(format!("α = {alpha}"), cs.clone(), d));
-
-        let fam = AlgebraicFamily::new(3.0, 1e-7, q.table_cap().min(1 << 18));
-        // Algebraic calibration cannot go below the λ = 0 minimum mean, and
-        // the retry inflation keeps means ≥ k̄, so construction succeeds.
-        let _ = fam.make(kbar);
-        let rma = RetryModel::new(fam, AdaptiveExp::paper(), kbar, alpha);
-        let mut sp = span(format!("retrying/alg-a{alpha}"));
-        sp.add_points(cs.len() as u64);
-        let da = gap_sweep_with_health(&format!("ext-retrying/alg-a{alpha}"), &cs, |c| {
-            rma.performance_gap(c)
-        });
-        drop(sp);
-        alg_series.push(Series::new(format!("α = {alpha}"), cs.clone(), da));
-    }
+    // The models' own α is unused: `performance_gaps` takes every α.
+    let rm = RetryModel::new(
+        GeometricFamily::new(1e-10, q.table_cap()),
+        AdaptiveExp::paper(),
+        kbar,
+        0.0,
+    );
+    let exp_series = retry_gap_series("exp", &rm, &cs, alphas);
+    let fam = AlgebraicFamily::new(3.0, 1e-7, q.table_cap().min(1 << 18));
+    // Algebraic calibration cannot go below the λ = 0 minimum mean, and
+    // the retry inflation keeps means ≥ k̄, so construction succeeds.
+    let _ = fam.make(kbar);
+    let rma = RetryModel::new(fam, AdaptiveExp::paper(), kbar, 0.0);
+    let alg_series = retry_gap_series("alg", &rma, &cs, alphas);
     let ps = price_grid(q);
     let gamma_series: Vec<Series> = [0.05, 0.1, 0.5]
         .iter()
