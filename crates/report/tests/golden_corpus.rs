@@ -2,7 +2,7 @@
 //! against committed goldens with per-column ULP budgets
 //! (`bevra_check::compare_csv`).
 //!
-//! The corpus pins two fully deterministic artifacts:
+//! The corpus pins three fully deterministic artifacts:
 //!
 //! * `fig1-panel1.csv` — the adaptive utility curve (401 points of
 //!   `π(b) = 1 − e^{−b²/(κ+b)}`), regenerated through the real
@@ -10,7 +10,10 @@
 //! * `sweep-poisson20.csv` — a small discrete sweep (Poisson load,
 //!   `k̄ = 20`, eight capacities, both rigid and adaptive utilities)
 //!   through the memoized `SweepEngine`, covering `B`, `R`, `δ` and the
-//!   root-solved `Δ`.
+//!   root-solved `Δ`;
+//! * `fig4-fast-panel{1..6}.csv` — all six panels of `fig4(Quality::Fast)`
+//!   (algebraic z = 3 load on a 2¹⁶-entry table), so a change to how the
+//!   heavy tail is summed cannot quietly move a published curve.
 //!
 //! Budgets: the `x`/`capacity` columns are grid arithmetic and must be
 //! bitwise; utility columns get a few ULPs for libm (`exp`, `ln`) drift
@@ -28,7 +31,7 @@ use bevra_core::DiscreteModel;
 use bevra_engine::{ExecMode, SweepEngine};
 use bevra_load::{Poisson, Tabulated};
 use bevra_report::csv::write_panel_csv;
-use bevra_report::figures::fig1;
+use bevra_report::figures::{fig1, fig4, Quality};
 use bevra_report::series::{Panel, Series};
 use bevra_utility::{AdaptiveExp, Rigid, Utility};
 use std::path::PathBuf;
@@ -119,4 +122,27 @@ fn small_sweep_matches_golden() {
             ("adaptive Delta", 4096),
         ],
     );
+}
+
+#[test]
+fn fig4_fast_matches_golden() {
+    let fig = fig4(Quality::Fast);
+    assert_eq!(fig.panels.len(), 6);
+    for (i, panel) in fig.panels.iter().enumerate() {
+        assert_matches_golden(
+            &format!("fig4-fast-panel{}.csv", i + 1),
+            &panel_csv(panel),
+            &[
+                // Grid arithmetic: bitwise.
+                ("capacity C", 0),
+                ("bandwidth price p", 0),
+                // Table sums with one exp per cell.
+                ("reservation R(C)", 16),
+                ("best-effort B(C)", 16),
+                // Root-solved on top of those sums (see `small_sweep`).
+                ("bandwidth gap", 4096),
+                ("gamma", 4096),
+            ],
+        );
+    }
 }
