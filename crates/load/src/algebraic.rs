@@ -1,5 +1,6 @@
 //! Algebraic (power-law) offered load (paper §3.1).
 
+use crate::tabulated::PowerLawTail;
 use crate::traits::LoadModel;
 use bevra_num::{brent, integrate_to_inf, NeumaierSum, NumError, NumResult};
 
@@ -162,6 +163,10 @@ impl LoadModel for Algebraic {
 
     fn name(&self) -> &'static str {
         "algebraic"
+    }
+
+    fn smooth_density(&self) -> Option<PowerLawTail> {
+        Some(PowerLawTail { coef: self.norm, lambda: self.lambda, z: self.z })
     }
 }
 

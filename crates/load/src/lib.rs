@@ -43,7 +43,7 @@ pub use order_stats::{clip_at, max_of_s};
 pub use perspective::flow_perspective;
 pub use poisson::Poisson;
 pub use sample::{BoundedPareto, ExpSampler, ParetoSampler, TabulatedSampler};
-pub use tabulated::Tabulated;
+pub use tabulated::{PowerLawTail, Tabulated, SMOOTH_HEAD};
 pub use traits::LoadModel;
 
 /// The paper's calibration: every published figure uses mean load k̄ = 100.

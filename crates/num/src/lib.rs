@@ -44,7 +44,7 @@ pub use fastexp::{
 pub use fixed_point::fixed_point;
 pub use int_search::{argmax_unimodal_u64, first_true_u64};
 pub use optimize::{bracket_maximum, golden_section_max, maximize, Maximum};
-pub use quad::{integrate, integrate_to_inf, tanh_sinh};
+pub use quad::{gauss_legendre, integrate, integrate_to_inf, tanh_sinh};
 pub use roots::{bisect, brent, expand_bracket_up, Bracket};
 pub use special::{erlang_b, lambert_w0, lambert_wm1, ln_gamma};
 pub use sum::{masked_neumaier_step, sum_series, NeumaierSum};

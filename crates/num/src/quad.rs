@@ -14,6 +14,11 @@
 //!   `x = a + t/(1−t)`, delegating to [`tanh_sinh`] so that slowly decaying
 //!   tails (which become endpoint singularities after the substitution) are
 //!   still handled accurately.
+//!
+//! [`gauss_legendre`] is the odd one out: a *fixed* composite rule with no
+//! error estimate, for hot callers that integrate one known smooth shape
+//! many times and need a fixed evaluation count and a fixed result bit
+//! pattern (the discrete model's algebraic tail).
 
 use crate::error::{NumError, NumResult};
 
@@ -246,9 +251,59 @@ pub fn integrate_to_inf(mut f: impl FnMut(f64) -> f64, a: f64, tol: f64) -> NumR
     )
 }
 
+/// Positive abscissae and weights of the 16-point Gauss–Legendre rule on
+/// `[−1, 1]` (the rule is symmetric; each pair serves `±x`).
+const GL16: [(f64, f64); 8] = [
+    (0.095_012_509_837_637_44, 0.189_450_610_455_068_5),
+    (0.281_603_550_779_258_9, 0.182_603_415_044_923_58),
+    (0.458_016_777_657_227_37, 0.169_156_519_395_002_54),
+    (0.617_876_244_402_643_8, 0.149_595_988_816_576_74),
+    (0.755_404_408_355_003, 0.124_628_971_255_533_88),
+    (0.865_631_202_387_831_8, 0.095_158_511_682_492_79),
+    (0.944_575_023_073_232_6, 0.062_253_523_938_647_894),
+    (0.989_400_934_991_649_9, 0.027_152_459_411_754_096),
+];
+
+/// Composite 16-point Gauss–Legendre quadrature of `f` on `[a, b]` over
+/// `panels` equal panels: exactly `16·panels` evaluations, summed in a
+/// fixed order, so the same inputs give the same bits on every call.
+///
+/// Exact for polynomials of degree ≤ 31 on each panel and geometrically
+/// convergent for analytic integrands; there is no error estimate, so use
+/// it only where the integrand's smoothness is known (otherwise prefer
+/// [`integrate`]).
+pub fn gauss_legendre(mut f: impl FnMut(f64) -> f64, a: f64, b: f64, panels: usize) -> f64 {
+    let width = (b - a) / panels as f64;
+    let half = 0.5 * width;
+    let mut total = 0.0;
+    for p in 0..panels {
+        let mid = a + (p as f64 + 0.5) * width;
+        let mut panel = 0.0;
+        for &(x, w) in &GL16 {
+            panel += w * (f(mid - half * x) + f(mid + half * x));
+        }
+        total += half * panel;
+    }
+    total
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gauss_legendre_integrates_polynomials_and_smooth_tails() {
+        // Degree 31 is exact on one panel; the weights sum to the width.
+        assert!((gauss_legendre(|_| 1.0, -1.0, 1.0, 1) - 2.0).abs() < 1e-15);
+        let v = gauss_legendre(|x| x.powi(30), 0.0, 1.0, 1);
+        assert!((v - 1.0 / 31.0).abs() < 1e-15, "got {v}");
+        // A power-law tail in u = ln x, the shape the discrete model's
+        // algebraic tail integrates: ∫ e^{-2u} du over [ln 10, ln 1000].
+        let (a, b) = (10f64.ln(), 1000f64.ln());
+        let v = gauss_legendre(|u| (-2.0 * u).exp(), a, b, 4);
+        let want = 0.5 * (1e-2 - 1e-6);
+        assert!((v - want).abs() < 1e-16, "got {v}");
+    }
 
     #[test]
     fn simpson_polynomial_is_nearly_exact() {
