@@ -24,7 +24,7 @@
 
 use crate::discrete::DiscreteModel;
 use bevra_load::{Algebraic, Geometric, LoadModel, Poisson, Tabulated};
-use bevra_num::{brent, expand_bracket_up, fixed_point, NumResult};
+use bevra_num::{brent, expand_bracket_up, NumError, NumResult};
 use bevra_utility::Utility;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -51,8 +51,9 @@ pub trait LoadFamily: Send + Sync {
 /// Quantize a mean for caching: 1 part in 10⁴. Tables are *built at the
 /// quantized mean*, so the cache is exact for the distribution it serves;
 /// a 0.01% mean perturbation is far below every quantity the models report.
-/// Without quantization the retry fixed point's wandering iterates would
-/// each build (and retain) a distinct megabyte-scale table.
+/// The cells `j` of this lattice (mean `j/10⁴`) are also what the retry
+/// fixed point is solved over: it is the least cell `c` with
+/// `quantize(L·(1 + D(θ_c))) == c`, so each probe builds one table.
 fn quantize(mean: f64) -> u64 {
     (mean * 1e4).round() as u64
 }
@@ -200,7 +201,10 @@ impl LoadFamily for AlgebraicFamily {
 /// Diagnostics of one retrying evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryOutcome {
-    /// Self-consistent effective mean load `L̂`.
+    /// Effective mean load `L̂ = L·(1 + D)`, bitwise, with `θ` and `D` taken
+    /// from the table at `quantize(L̂)`: the least fixed point of the load
+    /// map on the 10⁴-per-unit mean lattice (where a damped iteration from
+    /// `L` stops), and exactly self-consistent.
     pub effective_mean: f64,
     /// Per-attempt blocking probability `θ` at `L̂`.
     pub blocking: f64,
@@ -217,10 +221,27 @@ struct Inflation {
     effective_mean: f64,
     /// `θ` at `L̂`, clamped to 0.99.
     blocking: f64,
-    /// `D = θ/(1−θ)`.
+    /// `D`: `θ/(1−θ)`, or `θ` where a test linearizes it.
     retries: f64,
     /// Per-attempt reservation utility `R_{L̂}(C)`.
     attempt_reservation: f64,
+}
+
+/// One cell `j` of the mean lattice under the load map: the table at mean
+/// `j/10⁴`, what it yields, and the image `G(j) = L·(1 + D(θ_j))`.
+struct Cell<U: Utility> {
+    model: DiscreteModel<U>,
+    blocking: f64,
+    retries: f64,
+    image: f64,
+    /// `10⁴·G(j) − (j + ½)`: negative exactly when `quantize(G(j)) ≤ j`.
+    excess: f64,
+}
+
+/// `D = θ/(1−θ)`: the expected retries of a flow whose attempts are each
+/// blocked independently with probability `θ`.
+fn exact_retries(theta: f64) -> f64 {
+    theta / (1.0 - theta)
 }
 
 /// The §5.2 retrying model.
@@ -293,25 +314,91 @@ impl<U: Utility + Clone, F: LoadFamily> RetryModel<U, F> {
         &self.family
     }
 
-    /// The α-free half of an evaluation at capacity `C`: the
-    /// load-inflation fixed point `L̂ = L·(1 + D(L̂))` and what it yields.
-    fn inflate(&self, capacity: f64) -> NumResult<Inflation> {
-        let l = self.base_mean;
-        // D(L̂) from the blocking rate; clamp θ away from 1 so the map stays
-        // finite in deep overload (the physical reading: finite patience).
-        let d_of = |lhat: f64| {
-            let m = self.model_at(lhat.max(l));
-            let theta = m.blocking_fraction(capacity).min(0.99);
-            theta / (1.0 - theta)
+    /// Lattice cell `j` at capacity `C` with `D = retries(θ_j)`.
+    fn cell(&self, capacity: f64, j: u64, retries: impl Fn(f64) -> f64) -> NumResult<Cell<U>> {
+        let model = self.model_at(j as f64 / 1e4);
+        // Clamp θ away from 1 so the map stays finite in deep overload (the
+        // physical reading: finite patience); it also keeps G below 100·L.
+        let blocking = model.blocking_fraction(capacity).min(0.99);
+        let retries = retries(blocking);
+        let image = self.base_mean * (1.0 + retries);
+        if !image.is_finite() {
+            return Err(NumError::NonFinite { what: "retry load map", at: j as f64 / 1e4 });
+        }
+        let excess = image * 1e4 - (j as f64 + 0.5);
+        Ok(Cell { model, blocking, retries, image, excess })
+    }
+
+    /// The α-free half of an evaluation at capacity `C`: the load-inflation
+    /// fixed point `L̂ = L·(1 + D(L̂))` with `D = retries(θ)`, and what it
+    /// yields. It is solved over lattice cells: the least cell `c` in
+    /// `[quantize(L), quantize(100·L)]` with `quantize(G(c)) ≤ c`, where
+    /// `G(j) = L·(1 + retries(θ_j))`.
+    ///
+    /// `G` is constant on each cell and nondecreasing, so a damped
+    /// iteration from `L` climbs to exactly this cell; the solve brackets
+    /// it instead. Both ends are valid: `G ≥ L` puts the lower end at or
+    /// below its image, and the 0.99 clamp on `θ` keeps `G < 100·L`. The
+    /// bracket shrinks by Illinois steps rounded to the lattice and
+    /// clamped strictly inside it, with a bisection step whenever two
+    /// steps fail to halve it, until its ends are adjacent cells. The
+    /// upper one is returned only if it maps onto itself, with
+    /// `L̂ = G(c)` and `θ`, `D` and `R` from its table. (Were `G` to cross
+    /// the diagonal three times, the bracket could close on the third
+    /// crossing; the ext-retrying grids and the tests find the same cells
+    /// as the damped iteration.)
+    fn inflate(
+        &self,
+        capacity: f64,
+        retries: impl Fn(f64) -> f64 + Copy,
+    ) -> NumResult<Inflation> {
+        let mut a = quantize(self.base_mean);
+        let low = self.cell(capacity, a, retries)?;
+        let mut fa = low.excess;
+        let (mut b, mut high) = if fa < 0.0 {
+            (a, low)
+        } else {
+            let b = quantize(100.0 * self.base_mean);
+            (b, self.cell(capacity, b, retries)?)
         };
-        let lhat = fixed_point(|x| l * (1.0 + d_of(x)), l, 0.5, 1e-9, 500)?;
-        let model = self.model_at(lhat.max(l));
-        let theta = model.blocking_fraction(capacity).min(0.99);
+        let mut fb = high.excess;
+        // Which end the last step moved (Illinois halves the other end's
+        // value when the same end moves twice), and the bracket widths
+        // before the last two steps.
+        let mut moved_high = None;
+        let mut widths = [u64::MAX; 2];
+        while b - a > 1 {
+            let w = b - a;
+            let secant = b as f64 - fb * w as f64 / (fb - fa);
+            let m = if w > widths[0] / 2 || !secant.is_finite() {
+                a + w / 2
+            } else {
+                (secant.round() as u64).clamp(a + 1, b - 1)
+            };
+            widths = [widths[1], w];
+            let probe = self.cell(capacity, m, retries)?;
+            if probe.excess < 0.0 {
+                (b, fb, high) = (m, probe.excess, probe);
+                if moved_high == Some(true) {
+                    fa /= 2.0;
+                }
+                moved_high = Some(true);
+            } else {
+                (a, fa) = (m, probe.excess);
+                if moved_high == Some(false) {
+                    fb /= 2.0;
+                }
+                moved_high = Some(false);
+            }
+        }
+        if quantize(high.image) != b {
+            return Err(NumError::NoBracket { what: "a retry fixed point on the mean lattice" });
+        }
         Ok(Inflation {
-            effective_mean: lhat,
-            blocking: theta,
-            retries: theta / (1.0 - theta),
-            attempt_reservation: model.reservation(capacity),
+            effective_mean: high.image,
+            blocking: high.blocking,
+            retries: high.retries,
+            attempt_reservation: high.model.reservation(capacity),
         })
     }
 
@@ -322,14 +409,17 @@ impl<U: Utility + Clone, F: LoadFamily> RetryModel<U, F> {
     }
 
     /// Solve the load-inflation fixed point and evaluate the reservation
-    /// architecture with retries at capacity `C`.
+    /// architecture with retries at capacity `C`. The fixed point is the
+    /// least one on the 10⁴-per-unit mean lattice the family's tables are
+    /// built on, and it is exactly self-consistent: `L̂ = L·(1 + D)` with
+    /// `D` from the table at `L̂`'s own cell.
     ///
     /// # Errors
     ///
-    /// Propagates fixed-point failures (extreme overload where the retry
-    /// storm diverges).
+    /// A non-finite blocking rate, or a load map that is not monotone on
+    /// the lattice, so that the solve's last cell does not map onto itself.
     pub fn evaluate(&self, capacity: f64) -> NumResult<RetryOutcome> {
-        let inflation = self.inflate(capacity)?;
+        let inflation = self.inflate(capacity, exact_retries)?;
         Ok(RetryOutcome {
             effective_mean: inflation.effective_mean,
             blocking: inflation.blocking,
@@ -365,7 +455,7 @@ impl<U: Utility + Clone, F: LoadFamily> RetryModel<U, F> {
         alphas: [f64; N],
     ) -> NumResult<[f64; N]> {
         assert!(alphas.iter().all(|a| (0.0..=1.0).contains(a)), "retry penalty must be in [0, 1]");
-        let inflation = self.inflate(capacity)?;
+        let inflation = self.inflate(capacity, exact_retries)?;
         let best_effort = self.best_effort(capacity);
         Ok(alphas.map(|a| (self.penalized(&inflation, a) - best_effort).max(0.0)))
     }
@@ -393,7 +483,9 @@ impl<U: Utility + Clone, F: LoadFamily> RetryModel<U, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bevra_num::fixed_point;
     use bevra_utility::{AdaptiveExp, Rigid};
+    use std::hint::black_box;
 
     #[test]
     fn no_blocking_means_no_inflation() {
@@ -489,6 +581,96 @@ mod tests {
         }
         check(|| GeometricFamily::new(1e-10, 1 << 12));
         check(|| AlgebraicFamily::new(3.0, 1e-7, 1 << 12));
+    }
+
+    /// `L̂` from the damped iteration the lattice solve replaced, and the
+    /// number of map evaluations it took.
+    fn damped<F: LoadFamily>(rm: &RetryModel<AdaptiveExp, F>, c: f64) -> (f64, usize) {
+        let l = rm.base_mean;
+        let mut evals = 0;
+        let map = |x: f64| {
+            evals += 1;
+            l * (1.0 + exact_retries(rm.model_at(x.max(l)).blocking_fraction(c).min(0.99)))
+        };
+        (fixed_point(map, l, 0.5, 1e-9, 500).unwrap(), evals)
+    }
+
+    /// Capacities for the solve tests at L = 10 on 2¹²-entry tables:
+    /// C = 3 clamps θ at 0.99, C = 11 is near-critical and C = 40 blocks
+    /// lightly.
+    const SOLVE_CAPACITIES: [f64; 3] = [3.0, 11.0, 40.0];
+
+    #[test]
+    fn lattice_solve_lands_in_the_damped_iterations_cell() {
+        fn check<F: LoadFamily>(family: F) {
+            let rm = RetryModel::new(family, AdaptiveExp::paper(), 10.0, 0.0);
+            for c in SOLVE_CAPACITIES {
+                let (want, evals) = damped(&rm, c);
+                let got = rm.evaluate(c).unwrap().effective_mean;
+                let at = format!("{} C = {c}", rm.family().name());
+                assert!(c != 11.0 || evals >= 100, "{at}: {evals} damped steps");
+                assert_eq!(quantize(got), quantize(want), "{at}: {got} vs {want}");
+                assert!((got - want).abs() <= 1e-4, "{at}: {got} vs {want}");
+            }
+        }
+        check(GeometricFamily::new(1e-10, 1 << 12));
+        check(AlgebraicFamily::new(3.0, 1e-7, 1 << 12));
+    }
+
+    #[test]
+    fn solved_cell_is_exactly_self_consistent_and_first_of_its_run() {
+        fn check<F: LoadFamily>(family: F) {
+            let rm = RetryModel::new(family, AdaptiveExp::paper(), 10.0, 0.0);
+            for c in SOLVE_CAPACITIES {
+                let out = rm.evaluate(c).unwrap();
+                let at = format!("{} C = {c}", rm.family().name());
+                let consistent = 10.0 * (1.0 + out.retries);
+                assert_eq!(out.effective_mean.to_bits(), consistent.to_bits(), "{at}");
+                let cell = quantize(out.effective_mean);
+                let theta = rm.model_at(cell as f64 / 1e4).blocking_fraction(c).min(0.99);
+                assert_eq!(theta.to_bits(), out.blocking.to_bits(), "{at}");
+                // Near-critical, a run of consecutive cells map onto
+                // themselves; the cell below maps above itself, so c is the
+                // run's first, where a climb from L stops.
+                assert!(cell > quantize(10.0), "{at}");
+                let below = rm.cell(c, cell - 1, exact_retries).unwrap();
+                assert!(quantize(below.image) > cell - 1, "{at}");
+            }
+        }
+        check(GeometricFamily::new(1e-10, 1 << 12));
+        check(AlgebraicFamily::new(3.0, 1e-7, 1 << 12));
+    }
+
+    #[test]
+    fn full_quality_near_critical_point_converges() {
+        // The full ext-retrying grid's 28th capacity, C ≈ 104.915, as
+        // `capacity_grid` computes it: 500 damped iterations stopped short
+        // of the fixed point there, and each built a table. `black_box`
+        // keeps `powi` from being folded at compile time, which rounds
+        // differently.
+        let (lo, hi, n, i) = black_box((100.0_f64 / 20.0, 10.0 * 100.0, 48, 27));
+        let c = lo * (hi / lo).powf(1.0 / (n - 1) as f64).powi(i);
+        assert_eq!(c, 104.915_172_666_540_73);
+        let family = GeometricFamily::new(1e-10, 1 << 20);
+        let rm = RetryModel::new(family, AdaptiveExp::paper(), 100.0, 0.0);
+        assert!(rm.evaluate(c).is_ok());
+        let (_, built) = rm.family().cache_stats();
+        assert!(built <= 16, "{built} tables built");
+    }
+
+    #[test]
+    fn linearized_retry_count_explains_a_fifth_of_discrepancy_2() {
+        // The E-R row with the paper's linearized accounting D ≈ θ:
+        // L̂ = L(1 + θ) and R̃ = (L̂/L)·R − α·θ. The exact D = θ/(1−θ) gives
+        // δ̃(4k̄) = 0.0561 and the paper 0.027; linearizing gives 0.0498.
+        let family = AlgebraicFamily::new(3.0, 1e-7, 1 << 18);
+        let rm = RetryModel::new(family, AdaptiveExp::paper(), 100.0, 0.1);
+        let c = 400.0;
+        let linear = rm.inflate(c, |theta| theta).unwrap();
+        let consistent = 100.0 * (1.0 + linear.blocking);
+        assert_eq!(linear.effective_mean.to_bits(), consistent.to_bits());
+        let gap = rm.penalized(&linear, 0.1) - rm.best_effort(c);
+        assert!((gap / 0.0498 - 1.0).abs() <= 0.02, "linearized δ̃ = {gap}");
     }
 
     #[test]
