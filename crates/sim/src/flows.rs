@@ -44,10 +44,7 @@ pub struct FlowTable {
     /// the key [`PeakTracker::peak_since`] is queried with.
     admit_index: Vec<u64>,
     retries: Vec<u32>,
-    /// Position in the `active` list, for O(1) swap-removal.
-    active_pos: Vec<u32>,
     free: Vec<u32>,
-    active: Vec<u32>,
 }
 
 impl FlowTable {
@@ -57,26 +54,11 @@ impl FlowTable {
         Self::default()
     }
 
-    /// Table with capacity for `n` concurrently-active flows, avoiding
-    /// regrowth during the run.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            admit_time: Vec::with_capacity(n),
-            integral_at_admit: Vec::with_capacity(n),
-            util_at_admission: Vec::with_capacity(n),
-            admit_index: Vec::with_capacity(n),
-            retries: Vec::with_capacity(n),
-            active_pos: Vec::with_capacity(n),
-            free: Vec::with_capacity(n),
-            active: Vec::with_capacity(n),
-        }
-    }
-
-    /// Number of currently-active flows.
+    /// Number of currently-active flows: every slot ever allocated that is
+    /// not on the free list.
     #[must_use]
     pub fn active_len(&self) -> usize {
-        self.active.len()
+        self.admit_time.len() - self.free.len()
     }
 
     /// Admit one flow; returns its slot id (stable until departure).
@@ -88,14 +70,13 @@ impl FlowTable {
         admit_index: u64,
         retries: u32,
     ) -> u32 {
-        let slot = if let Some(slot) = self.free.pop() {
+        if let Some(slot) = self.free.pop() {
             let i = slot as usize;
             self.admit_time[i] = admit_time;
             self.integral_at_admit[i] = integral_at_admit;
             self.util_at_admission[i] = util_at_admission;
             self.admit_index[i] = admit_index;
             self.retries[i] = retries;
-            self.active_pos[i] = self.active.len() as u32;
             slot
         } else {
             let slot = self.admit_time.len() as u32;
@@ -104,11 +85,8 @@ impl FlowTable {
             self.util_at_admission.push(util_at_admission);
             self.admit_index.push(admit_index);
             self.retries.push(retries);
-            self.active_pos.push(self.active.len() as u32);
             slot
-        };
-        self.active.push(slot);
-        slot
+        }
     }
 
     /// Read the flow's admission-time fields:
@@ -126,15 +104,8 @@ impl FlowTable {
         )
     }
 
-    /// Release a departing flow's slot back to the free list (O(1)
-    /// swap-removal from the active list).
+    /// Release a departing flow's slot back to the free list.
     pub fn depart(&mut self, slot: u32) {
-        let pos = self.active_pos[slot as usize] as usize;
-        debug_assert_eq!(self.active[pos], slot, "active_pos out of sync");
-        self.active.swap_remove(pos);
-        if let Some(&moved) = self.active.get(pos) {
-            self.active_pos[moved as usize] = pos as u32;
-        }
         self.free.push(slot);
     }
 }
@@ -189,14 +160,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_recycles_slots_and_swaps_active() {
+    fn table_recycles_slots() {
         let mut t = FlowTable::new();
         let a = t.admit(1.0, 0.0, 0.5, 0, 0);
         let b = t.admit(2.0, 0.1, 0.6, 1, 0);
         let c = t.admit(3.0, 0.2, 0.7, 2, 1);
         assert_eq!((a, b, c), (0, 1, 2));
         assert_eq!(t.active_len(), 3);
-        t.depart(a); // c swaps into a's active position
+        t.depart(a);
         assert_eq!(t.active_len(), 2);
         let d = t.admit(4.0, 0.3, 0.8, 3, 2);
         assert_eq!(d, a, "freed slot is reused");

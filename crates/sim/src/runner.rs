@@ -383,9 +383,9 @@ impl Simulation {
         match kind {
             QueueKind::Heap => EventLoop::new(&self.cfg, BinaryHeapQueue::new()).run(),
             QueueKind::Wheel => {
-                // ~1 pending event per level-0 bucket is the calendar-queue
-                // sweet spot; total event rate is ≈ 2·λ (each flow arrives
-                // and departs). Only a performance choice — any granularity
+                // ~1 event per level-0 bucket is the calendar-queue sweet
+                // spot; total event rate is ≈ 2·λ (each flow arrives and
+                // departs). Only a performance choice — any granularity
                 // gives the identical dequeue order.
                 let g = (0.5 / self.cfg.arrivals.mean_rate()).clamp(1e-9, DEFAULT_GRANULARITY);
                 EventLoop::new(&self.cfg, TimerWheelQueue::with_granularity(g)).run()
@@ -403,6 +403,10 @@ struct EventLoop<'a, Q: EventQueue> {
     end: f64,
     flows: FlowTable,
     peaks: PeakTracker,
+    /// `pi_at[k]` = π(C/k) for every population reached so far, with
+    /// `pi_at[0] = 0`: the utility depends only on the integer population,
+    /// so each value is computed once per run instead of once per event.
+    pi_at: Vec<f64>,
     /// Simulation clock.
     t: f64,
     /// Current population.
@@ -427,6 +431,7 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
             end: cfg.warmup + cfg.horizon,
             flows: FlowTable::new(),
             peaks: PeakTracker::new(),
+            pi_at: vec![0.0],
             t: 0.0,
             n: 0,
             integral: 0.0,
@@ -442,12 +447,14 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
         self.seq += 1;
     }
 
-    fn pi(&self, pop: u64) -> f64 {
-        if pop == 0 {
-            0.0
-        } else {
-            self.cfg.utility.value(self.cfg.capacity / pop as f64)
+    fn pi(&mut self, pop: u64) -> f64 {
+        let k = pop as usize;
+        if k >= self.pi_at.len() {
+            let cfg = self.cfg;
+            let from = self.pi_at.len();
+            self.pi_at.extend((from..=k).map(|j| cfg.utility.value(cfg.capacity / j as f64)));
         }
+        self.pi_at[k]
     }
 
     #[allow(clippy::too_many_lines)]
@@ -575,11 +582,11 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
                         } else {
                             util_at_admission
                         };
-                        let max_pop = self.peaks.peak_since(admit_index);
+                        let worst = self.pi(self.peaks.peak_since(admit_index));
                         self.report.completed += 1;
                         self.report.utility_at_admission.add(util_at_admission - penalty);
                         self.report.utility_time_avg.add(time_avg - penalty);
-                        self.report.utility_worst.add(self.pi(max_pop) - penalty);
+                        self.report.utility_worst.add(worst - penalty);
                     }
                     self.flows.depart(slot);
                     self.n -= 1;
@@ -609,7 +616,7 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
             }
             self.n += 1;
             let pop = self.n;
-            let util = cfg.utility.value(cfg.capacity / pop as f64);
+            let util = self.pi(pop);
             let holding = holding_carryover.unwrap_or_else(|| cfg.holding.sample(&mut self.rng));
             // The newcomer raises everyone's worst-case population — the
             // tracker folds that in lazily instead of scanning the active

@@ -70,10 +70,12 @@ impl Level {
         self.len += 1;
     }
 
-    /// Take the whole bucket at `slot`, clearing its occupancy bit.
-    fn take(&mut self, slot: usize) -> Vec<Entry> {
+    /// Take the whole bucket at `slot`, clearing its occupancy bit and
+    /// leaving the empty `spare` in its place.
+    fn take(&mut self, slot: usize, spare: Vec<Entry>) -> Vec<Entry> {
+        debug_assert!(spare.is_empty());
         self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
-        let bucket = std::mem::take(&mut self.slots[slot]);
+        let bucket = std::mem::replace(&mut self.slots[slot], spare);
         self.len -= bucket.len();
         bucket
     }
@@ -225,7 +227,14 @@ impl TimerWheelQueue {
                 let Some(slot) = self.levels[level].next_occupied(cur_slot) else {
                     continue;
                 };
-                let bucket = self.levels[level].take(slot);
+                // A level-0 slot gets the drained `current`'s allocation
+                // back, so steady state allocates nothing per bucket. Coarser
+                // slots do not: each would keep a `Vec` sized for its whole
+                // cascade (~1,250 entries per level-2 slot in a fleet lane
+                // at k̄ = 1,250), and recycling every level raises the fleet
+                // benchmark's peak RSS from 4.6 to 17.3 MiB.
+                let spare = if level == 0 { std::mem::take(&mut self.current) } else { Vec::new() };
+                let bucket = self.levels[level].take(slot, spare);
                 // Advance the cursor to the bucket's base tick. For level 0
                 // that *is* the bucket; coarser buckets cascade: their
                 // entries re-place into finer levels relative to the new
@@ -312,6 +321,9 @@ mod tests {
     use super::*;
     use crate::events::EventKind;
     use crate::queue::{BinaryHeapQueue, EventQueue};
+    use bevra_load::ExpSampler;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn entry(t: f64, seq: u64) -> Entry {
         Entry { time: t, seq, kind: EventKind::Arrival }
@@ -423,6 +435,53 @@ mod tests {
             h.push(entry(t, seq));
         }
         assert_ne!(drain(&mut w), drain(&mut h), "nudged wheel must misorder");
+    }
+
+    /// Entries the wheel keeps allocated in every slot, `current` and
+    /// `overflow`, whether in use or not.
+    fn retained(q: &TimerWheelQueue) -> usize {
+        let slots: usize = q.levels.iter().flat_map(|l| &l.slots).map(Vec::capacity).sum();
+        slots + q.current.capacity() + q.overflow.capacity()
+    }
+
+    #[test]
+    fn retained_memory_stays_near_the_pending_set() {
+        // One fleet lane's event stream at the runner's granularity:
+        // arrivals at rate 1,250, each scheduling a departure after an
+        // exponential holding time of mean 1. The horizon of 2,000 spans
+        // ~76 level-2 slots, so a slot that keeps the allocation of every
+        // cascade it held shows up as retained memory far beyond the
+        // ~1,400 events pending at the peak.
+        let rate = 1_250.0;
+        let (gap, hold) = (ExpSampler::new(rate), ExpSampler::new(1.0));
+        let mut rng = StdRng::seed_from_u64(1_250);
+        let mut q = TimerWheelQueue::with_granularity(0.5 / rate);
+        q.push(entry(gap.sample(&mut rng), 0));
+        let (mut seq, mut pops) = (1, 0u64);
+        let (mut peak_pending, mut peak_retained) = (0, 0);
+        while let Some(e) = q.pop() {
+            if e.kind == EventKind::Arrival && e.time < 2_000.0 {
+                let (next, holding) = (gap.sample(&mut rng), hold.sample(&mut rng));
+                q.push(entry(e.time + next, seq));
+                q.push(Entry {
+                    time: e.time + holding,
+                    seq: seq + 1,
+                    kind: EventKind::Departure { slot: 0 },
+                });
+                seq += 2;
+            }
+            peak_pending = peak_pending.max(q.len());
+            pops += 1;
+            if pops % 1_024 == 0 {
+                peak_retained = peak_retained.max(retained(&q));
+            }
+        }
+        peak_retained = peak_retained.max(retained(&q));
+        assert!(peak_pending > 1_250, "the stream reaches the fleet's population: {peak_pending}");
+        assert!(
+            peak_retained <= 4 * peak_pending,
+            "the wheel retains {peak_retained} entries for at most {peak_pending} pending"
+        );
     }
 
     #[test]
