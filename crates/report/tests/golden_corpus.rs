@@ -13,7 +13,11 @@
 //!   root-solved `Δ`;
 //! * `fig4-fast-panel{1..6}.csv` — all six panels of `fig4(Quality::Fast)`
 //!   (algebraic z = 3 load on a 2¹⁶-entry table), so a change to how the
-//!   heavy tail is summed cannot quietly move a published curve.
+//!   heavy tail is summed cannot quietly move a published curve;
+//! * `fig2-panel{1..6}.csv`, `fig3-panel{1..6}.csv` and
+//!   `ext-sampling-panel{1..3}.csv` — every panel of `fig2`, `fig3` and
+//!   `ext_sampling` at full quality (Poisson and geometric loads), so a
+//!   change aimed at the algebraic tables cannot move them either.
 //!
 //! Budgets: the `x`/`capacity` columns are grid arithmetic and must be
 //! bitwise; utility columns get a few ULPs for libm (`exp`, `ln`) drift
@@ -31,8 +35,8 @@ use bevra_core::DiscreteModel;
 use bevra_engine::{ExecMode, SweepEngine};
 use bevra_load::{Poisson, Tabulated};
 use bevra_report::csv::write_panel_csv;
-use bevra_report::figures::{fig1, fig4, Quality};
-use bevra_report::series::{Panel, Series};
+use bevra_report::figures::{ext_sampling, fig1, fig2, fig3, fig4, Quality};
+use bevra_report::series::{Figure, Panel, Series};
 use bevra_utility::{AdaptiveExp, Rigid, Utility};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -124,25 +128,52 @@ fn small_sweep_matches_golden() {
     );
 }
 
+/// Column budgets of the six-panel figures (`fig2`, `fig3`, `fig4`).
+const SIX_PANEL_BUDGETS: &[(&str, u64)] = &[
+    // Grid arithmetic: bitwise.
+    ("capacity C", 0),
+    ("bandwidth price p", 0),
+    // Table sums with one exp per cell.
+    ("reservation R(C)", 16),
+    ("best-effort B(C)", 16),
+    // Root-solved on top of those sums (see `small_sweep`).
+    ("bandwidth gap", 4096),
+    ("gamma", 4096),
+];
+
+/// Diff every panel of `fig` against the goldens `<stem>-panel<i>.csv`,
+/// panel `i` under `budgets[i - 1]`.
+fn assert_figure_matches_golden(fig: &Figure, stem: &str, budgets: &[&[(&str, u64)]]) {
+    assert_eq!(fig.panels.len(), budgets.len(), "{stem}: panel count");
+    for (i, (panel, budgets)) in fig.panels.iter().zip(budgets).enumerate() {
+        assert_matches_golden(&format!("{stem}-panel{}.csv", i + 1), &panel_csv(panel), budgets);
+    }
+}
+
 #[test]
 fn fig4_fast_matches_golden() {
-    let fig = fig4(Quality::Fast);
-    assert_eq!(fig.panels.len(), 6);
-    for (i, panel) in fig.panels.iter().enumerate() {
-        assert_matches_golden(
-            &format!("fig4-fast-panel{}.csv", i + 1),
-            &panel_csv(panel),
-            &[
-                // Grid arithmetic: bitwise.
-                ("capacity C", 0),
-                ("bandwidth price p", 0),
-                // Table sums with one exp per cell.
-                ("reservation R(C)", 16),
-                ("best-effort B(C)", 16),
-                // Root-solved on top of those sums (see `small_sweep`).
-                ("bandwidth gap", 4096),
-                ("gamma", 4096),
-            ],
-        );
-    }
+    assert_figure_matches_golden(&fig4(Quality::Fast), "fig4-fast", &[SIX_PANEL_BUDGETS; 6]);
+}
+
+#[test]
+fn fig2_matches_golden() {
+    assert_figure_matches_golden(&fig2(Quality::Full), "fig2", &[SIX_PANEL_BUDGETS; 6]);
+}
+
+#[test]
+fn fig3_matches_golden() {
+    assert_figure_matches_golden(&fig3(Quality::Full), "fig3", &[SIX_PANEL_BUDGETS; 6]);
+}
+
+#[test]
+fn ext_sampling_matches_golden() {
+    // Every panel has the columns `S = 1`, `S = 2`, `S = 5`, `S = 10`.
+    let columns = |x: &'static str, budget: u64| -> [(&'static str, u64); 5] {
+        [(x, 0), ("S = 1", budget), ("S = 2", budget), ("S = 5", budget), ("S = 10", budget)]
+    };
+    // δ_S is a difference of table sums; Δ_S is root-solved on top of
+    // them; the asymptotic ratio is one closed-form `powf` per cell.
+    let (delta, gap, ratio) =
+        (columns("capacity C", 16), columns("capacity C", 4096), columns("tail exponent z", 4));
+    assert_figure_matches_golden(&ext_sampling(Quality::Full), "ext-sampling", &[&delta, &gap, &ratio]);
 }
