@@ -1,9 +1,10 @@
 //! Bench: the sweep engine — serial vs parallel vs cached (warm) sweeps
 //! over the Figure 2/3 grids, the parallel welfare-table build, and the
 //! value-kernel paths (scalar per-point vs grid-batched vs warm
-//! persistent cache) on the Figure 4 algebraic/adaptive setting. This is
-//! the acceptance bench for the engine's speedup claims; results land in
-//! `BENCH_sweep.json` (see EXPERIMENTS.md § "Benchmark artifact schema").
+//! persistent cache) on the Figure 4 algebraic/adaptive setting, and the
+//! build of Figure 4's load table. This is the acceptance bench for the
+//! engine's speedup claims; results land in `BENCH_sweep.json` (see
+//! EXPERIMENTS.md § "Benchmark artifact schema").
 
 use bevra_core::DiscreteModel;
 use bevra_core::kernel;
@@ -184,5 +185,17 @@ fn kernel_sweeps(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-criterion_group!(benches, engine_sweeps, kernel_sweeps);
+/// Figure 4's load table, calibration included: z = 3, k̄ = 100, 2^20
+/// entries. A table with a smooth tail evaluates its 4,097-entry head
+/// only, so the 3× gate catches a build that walks every entry again.
+fn load_builds(c: &mut Criterion) {
+    c.bench_function("load_build_algebraic_2p20", |b| {
+        b.iter(|| {
+            let alg = Algebraic::from_mean(3.0, black_box(PAPER_MEAN_LOAD)).expect("fig4 family");
+            black_box(Tabulated::from_model(&alg, 1e-9, 1 << 20))
+        });
+    });
+}
+
+criterion_group!(benches, engine_sweeps, kernel_sweeps, load_builds);
 criterion_main!(benches);

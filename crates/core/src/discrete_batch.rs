@@ -9,8 +9,9 @@
 //! and prefix sums) is traversed once, the inner loop works on contiguous
 //! `f64` arrays (auto-vectorization-friendly SoA layout), and a
 //! **per-capacity early-exit frontier** retires small capacities as soon as
-//! their remaining tail is provably negligible (`tail_mean_above` is O(1),
-//! so the exit test costs nothing extra).
+//! their remaining tail is provably negligible (`tail_mean_above` is read
+//! only on the steps that test the exit: O(1) in a table's head, one
+//! quadrature past it).
 //!
 //! Two evaluation modes are offered ([`PiEval`]):
 //!
@@ -27,7 +28,9 @@
 //!   last knot — and adds the rest of the table as one quadrature value,
 //!   computed by the same function at the same point of its Neumaier
 //!   sequence. On the paper's 2²⁰-entry z = 3 table that is a walk of
-//!   4,096 entries instead of all of them.
+//!   4,096 entries instead of all of them. Exact mode reads the table's
+//!   stored head and tail density only; it never builds
+//!   [`Tabulated::materialized`].
 //! * [`PiEval::Fast`] — opt-in. Exponential-family utilities evaluate `π`
 //!   through [`Utility::value_slice_fast`] (a branch-free polynomial
 //!   `1 − e^{−x}` that compiles to packed SIMD), the Neumaier update is a
@@ -37,14 +40,16 @@
 //!   Deterministic (same input bits ⇒ same output bits on every platform)
 //!   but only tolerance-close (≤ 1e-13 relative) to the scalar path; the
 //!   property suite budgets the difference. It walks the whole table (to
-//!   its looser exit); it never integrates a smooth tail.
+//!   its looser exit) through [`Tabulated::materialized`]; it never
+//!   integrates a smooth tail.
 //! * [`PiEval::Portable`] — opt-in. Every `π` evaluation (`k_max` argmax,
 //!   `B`, and `R`) goes through [`Utility::value_portable`], the scalar
 //!   branch-free polynomial with no libm dependence: results are
 //!   bit-identical across operating systems, libm versions, and
 //!   architectures, at the cost of the same ≤ 1e-13 relative distance from
 //!   the scalar path as the fast mode. This is what the engine's
-//!   `deterministic-portable` backend runs. It also walks the whole table:
+//!   `deterministic-portable` backend runs. It also walks the whole table,
+//!   `B`, `R` and the tail moments all from [`Tabulated::materialized`]:
 //!   the smooth-tail integral takes `ln`/`exp`, which would bring libm
 //!   back.
 //!
@@ -59,6 +64,7 @@
 //! `tests/batch_parity.rs`).
 
 use crate::discrete::{DiscreteModel, SmoothTail};
+use bevra_load::Tabulated;
 use bevra_num::{argmax_unimodal_u64, kspan_total, NeumaierSum, KSPAN_ACCS};
 use bevra_utility::{total_utility, Utility};
 
@@ -207,10 +213,11 @@ pub fn best_effort_grid<U: Utility>(
     mode: PiEval,
 ) -> Vec<f64> {
     assert_sorted(capacities);
+    let load = walked_load(model, mode);
     let raw = match mode {
-        PiEval::Exact => best_effort_grid_pointwise(model, capacities, U::value, true),
-        PiEval::Fast => best_effort_grid_fast(model, capacities),
-        PiEval::Portable => best_effort_grid_pointwise(model, capacities, U::value_portable, false),
+        PiEval::Exact => best_effort_grid_pointwise(model, load, capacities, U::value),
+        PiEval::Fast => best_effort_grid_fast(model, load, capacities),
+        PiEval::Portable => best_effort_grid_pointwise(model, load, capacities, U::value_portable),
     };
     capacities
         .iter()
@@ -226,17 +233,22 @@ pub fn best_effort_grid<U: Utility>(
         .collect()
 }
 
-/// Per-lane [`SmoothTail`] plans of a grid; all `None` unless `smooth`.
-///
-/// Only the exact mode integrates the smooth tail (`smooth = true`): the
-/// integrand takes `ln`/`exp`, which the portable mode must not call.
-fn tail_plans<U: Utility>(
-    model: &DiscreteModel<U>,
-    capacities: &[f64],
-    smooth: bool,
-) -> Vec<Option<SmoothTail>> {
-    let (load, u) = (model.load(), model.utility());
-    capacities.iter().map(|&c| if smooth { SmoothTail::plan(load, u, c) } else { None }).collect()
+/// The table a kernel in `mode` walks: the model's own for the exact
+/// mode, which integrates a smooth tail past the head; every entry, from
+/// [`Tabulated::materialized`], for the fast and portable modes, which
+/// walk the whole table (the tail integrand takes `ln`/`exp`, which the
+/// portable mode must not call).
+fn walked_load<U: Utility>(model: &DiscreteModel<U>, mode: PiEval) -> &Tabulated {
+    match mode {
+        PiEval::Exact => model.load(),
+        PiEval::Fast | PiEval::Portable => model.load().materialized(),
+    }
+}
+
+/// Per-lane [`SmoothTail`] plans of a grid over `load`: all `None` unless
+/// `load` has a smooth tail, which only a table the exact mode walks has.
+fn tail_plans(load: &Tabulated, u: &impl Utility, capacities: &[f64]) -> Vec<Option<SmoothTail>> {
+    capacities.iter().map(|&c| SmoothTail::plan(load, u, c)).collect()
 }
 
 /// Pointwise-π kernel: outer `k`, inner scalar-mirrored lane update.
@@ -244,21 +256,21 @@ fn tail_plans<U: Utility>(
 /// `pi_of` selects the evaluation ([`Utility::value`] for the exact mode,
 /// [`Utility::value_portable`] for the portable mode); everything else —
 /// accumulation order, early-exit test, tail-midpoint correction, and
-/// with `smooth` the hand-over to the [`SmoothTail`] integral at the
-/// lane's head — is an op-for-op mirror of the scalar path, so with
-/// `U::value` the result is bitwise the scalar one.
+/// on a `load` with a smooth tail the hand-over to the [`SmoothTail`]
+/// integral at the lane's head — is an op-for-op mirror of the scalar
+/// path, so with `U::value` on the model's own table the result is
+/// bitwise the scalar one.
 fn best_effort_grid_pointwise<U: Utility>(
     model: &DiscreteModel<U>,
+    load: &Tabulated,
     capacities: &[f64],
     pi_of: impl Fn(&U, f64) -> f64,
-    smooth: bool,
 ) -> Vec<f64> {
-    let load = model.load();
     let u = model.utility();
     let kbar = load.mean();
     let g = capacities.len();
     let len = load.len() as u64;
-    let tails = tail_plans(model, capacities, smooth);
+    let tails = tail_plans(load, u, capacities);
 
     let mut acc = vec![NeumaierSum::new(); g];
     let mut active: Vec<bool> = capacities.iter().map(|&c| c > 0.0).collect();
@@ -275,7 +287,9 @@ fn best_effort_grid_pointwise<U: Utility>(
         let p = load.pmf(k);
         let kf = k as f64;
         let check = k % 64 == 0;
-        let tail_mean = load.tail_mean_above(k);
+        // Read on the first exit test at this `k` (a quadrature past the
+        // head of a table with a tail), not on every step.
+        let mut tail_mean = None;
         for i in start..g {
             if !active[i] {
                 continue;
@@ -286,7 +300,7 @@ fn best_effort_grid_pointwise<U: Utility>(
                 acc[i].add(p * kf * pi);
             }
             if check || pi == 0.0 {
-                let bound = pi * tail_mean;
+                let bound = pi * *tail_mean.get_or_insert_with(|| load.tail_mean_above(k));
                 if bound <= 1e-15 * acc[i].total().abs().max(1e-300) {
                     acc[i].add(0.5 * bound);
                     active[i] = false;
@@ -324,9 +338,13 @@ fn best_effort_grid_pointwise<U: Utility>(
 pub const FAST_TRUNC_REL: f64 = 1e-13;
 
 /// Fast-mode kernel: vectorized `π` via [`Utility::value_slice_fast`] and a
-/// branch-free masked Neumaier update over SoA accumulators.
-fn best_effort_grid_fast<U: Utility>(model: &DiscreteModel<U>, capacities: &[f64]) -> Vec<f64> {
-    let load = model.load();
+/// branch-free masked Neumaier update over SoA accumulators, walking every
+/// entry of `load`.
+fn best_effort_grid_fast<U: Utility>(
+    model: &DiscreteModel<U>,
+    load: &Tabulated,
+    capacities: &[f64],
+) -> Vec<f64> {
     let u = model.utility();
     let kbar = load.mean();
     let g = capacities.len();
@@ -435,10 +453,11 @@ pub fn reservation_grid<U: Utility>(
 /// [`reservation_grid`] with an explicit `π` evaluation mode.
 ///
 /// [`PiEval::Exact`] and [`PiEval::Fast`] both evaluate the admitted head
-/// with the scalar [`Utility::value`] (the fast π is slice-based and
-/// never feeds `R`, so fast-mode reservations are bitwise the scalar
-/// ones); [`PiEval::Portable`] uses [`Utility::value_portable`]
-/// throughout.
+/// with the scalar [`Utility::value`] on the model's own table (the fast π
+/// is slice-based and never feeds `R`, so fast-mode reservations are
+/// bitwise the scalar ones); [`PiEval::Portable`] uses
+/// [`Utility::value_portable`] throughout, on the
+/// [`Tabulated::materialized`] view its `B` walks.
 ///
 /// # Panics
 ///
@@ -458,7 +477,10 @@ pub fn reservation_grid_pi<U: Utility>(
     };
     assert_eq!(capacities.len(), k_maxes.len(), "k_max table length mismatch");
     assert_eq!(capacities.len(), best_efforts.len(), "best-effort table length mismatch");
-    let load = model.load();
+    let load = match mode {
+        PiEval::Exact | PiEval::Fast => model.load(),
+        PiEval::Portable => model.load().materialized(),
+    };
     let u = model.utility();
     let kbar = load.mean();
     let g = capacities.len();
@@ -598,7 +620,7 @@ fn sweep_grid_fused_inner<U: Utility>(
 ) -> GridSweep {
     assert_sorted(capacities);
     let k_max = k_max_grid_pi(model, capacities, mode);
-    let load = model.load();
+    let load = walked_load(model, mode);
     let u = model.utility();
     let kbar = load.mean();
     let g = capacities.len();
@@ -627,11 +649,11 @@ fn sweep_grid_fused_inner<U: Utility>(
 
     let (best_raw, heads) = match mode {
         PiEval::Exact => {
-            let (b, r) = fused_grid_pointwise(model, capacities, &cap_k, U::value, true);
+            let (b, r) = fused_grid_pointwise(model, load, capacities, &cap_k, U::value);
             (b, Heads::Pointwise(r))
         }
         PiEval::Portable => {
-            let (b, r) = fused_grid_pointwise(model, capacities, &cap_k, U::value_portable, false);
+            let (b, r) = fused_grid_pointwise(model, load, capacities, &cap_k, U::value_portable);
             (b, Heads::Pointwise(r))
         }
         PiEval::Fast => {
@@ -640,7 +662,7 @@ fn sweep_grid_fused_inner<U: Utility>(
             let mut s = [0.0; KSPAN_ACCS];
             let mut c = [0.0; KSPAN_ACCS];
             if u.accumulate_pi_kspan_fast(1.0, 1.0, &[], &mut s, &mut c) {
-                let (b, r) = fused_grid_kspan(model, capacities, &cap_k, &nudge);
+                let (b, r) = fused_grid_kspan(model, load, capacities, &cap_k, &nudge);
                 (b, Heads::Snapshot(r))
             } else {
                 // No k-span kernel for this family: the unfused fast
@@ -712,24 +734,23 @@ fn sweep_grid_fused_inner<U: Utility>(
 
 /// Pointwise fused kernel (exact/portable modes): one `π(C/k)` evaluation
 /// per `(k, lane)` feeds both the best-effort accumulator (with the scalar
-/// path's early-exit frontier and, with `smooth`, its [`SmoothTail`]
-/// hand-over) and the reservation-head accumulator (for
+/// path's early-exit frontier and, on a `load` with a smooth tail, its
+/// [`SmoothTail`] hand-over) and the reservation-head accumulator (for
 /// `k ≤ k_max(C)`). `π` is pure, so sharing the evaluation leaves every
 /// accumulated bit identical to the unfused pair.
 fn fused_grid_pointwise<U: Utility>(
     model: &DiscreteModel<U>,
+    load: &Tabulated,
     capacities: &[f64],
     cap_k: &[u64],
     pi_of: impl Fn(&U, f64) -> f64,
-    smooth: bool,
 ) -> (Vec<f64>, Vec<NeumaierSum>) {
-    let load = model.load();
     let u = model.utility();
     let kbar = load.mean();
     let g = capacities.len();
     let len = load.len() as u64;
     let max_cap_k = cap_k.iter().copied().max().unwrap_or(0);
-    let tails = tail_plans(model, capacities, smooth);
+    let tails = tail_plans(load, u, capacities);
 
     let mut acc_b = vec![NeumaierSum::new(); g];
     let mut acc_r = vec![NeumaierSum::new(); g];
@@ -744,7 +765,10 @@ fn fused_grid_pointwise<U: Utility>(
         let p = load.pmf(k);
         let kf = k as f64;
         let check = k % 64 == 0;
-        let tail_mean = load.tail_mean_above(k);
+        // As in `best_effort_grid_pointwise`: read on the first exit test.
+        // The rigid lanes that walk their admitted heads past a long
+        // table's head would otherwise take one quadrature per step.
+        let mut tail_mean = None;
         for i in start..g {
             let b_live = active[i];
             let r_live = k <= cap_k[i];
@@ -760,7 +784,7 @@ fn fused_grid_pointwise<U: Utility>(
                     acc_b[i].add(p * kf * pi);
                 }
                 if check || pi == 0.0 {
-                    let bound = pi * tail_mean;
+                    let bound = pi * *tail_mean.get_or_insert_with(|| load.tail_mean_above(k));
                     if bound <= 1e-15 * acc_b[i].total().abs().max(1e-300) {
                         acc_b[i].add(0.5 * bound);
                         active[i] = false;
@@ -801,11 +825,11 @@ const KSPAN_BLOCK: u64 = 512;
 /// tail term by the caller.
 fn fused_grid_kspan<U: Utility>(
     model: &DiscreteModel<U>,
+    load: &Tabulated,
     capacities: &[f64],
     cap_k: &[u64],
     nudge: &impl Fn(u64) -> u64,
 ) -> (Vec<f64>, Vec<f64>) {
-    let load = model.load();
     let u = model.utility();
     let kbar = load.mean();
     let pmfs = load.pmf_values();

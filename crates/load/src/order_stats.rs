@@ -16,6 +16,8 @@ use crate::tabulated::Tabulated;
 #[must_use]
 pub fn max_of_s(base: &Tabulated, s: u32) -> Tabulated {
     assert!(s >= 1, "max_of_s requires at least one sample");
+    // Every cdf entry, read from the stored prefix sums.
+    let base = base.materialized();
     let n = base.len() as u64;
     let mut weights = Vec::with_capacity(base.len());
     let mut prev_pow = 0.0f64;

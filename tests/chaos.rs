@@ -198,14 +198,21 @@ fn pinned_shard_panic_is_accounted_and_isolated() {
     let dir = std::env::temp_dir().join("bevra-sim-shard-blackbox");
     let _ = std::fs::remove_dir_all(&dir);
     let id = format!("sim-shard-{}", std::process::id());
-    let faulted = {
+    let path = dir.join(format!("{id}-blackbox.jsonl"));
+    let (faulted, text) = {
         let _guard = install(
             FaultPlan::seeded(0x51AD)
                 .rule(FaultRule::at_key(FaultKind::Panic, "sim/lane", 2))
                 .rule(FaultRule::at_key(FaultKind::Panic, "sim/lane", 3)),
         );
         bevra::obs::recorder::arm_blackbox(&id, &dir);
-        fleet.run_on(3, QueueKind::Wheel)
+        let faulted = fleet.run_on(3, QueueKind::Wheel);
+        // Read the black box while the plan is installed: the armed target
+        // is process-global, so once the guard drops, a panic injected
+        // under another test's plan would overwrite this file.
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("no blackbox at {}: {e}", path.display()));
+        (faulted, text)
     };
 
     // Exact accounting: lanes 2 and 3 failed (one entry each, in lane
@@ -243,9 +250,6 @@ fn pinned_shard_panic_is_accounted_and_isolated() {
 
     // The black box shipped: parseable JSONL whose final synthetic event
     // names the tripped site.
-    let path = dir.join(format!("{id}-blackbox.jsonl"));
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("no blackbox at {}: {e}", path.display()));
     let lines: Vec<&str> = text.lines().collect();
     assert!(!lines.is_empty(), "empty blackbox");
     for line in &lines {
