@@ -7,27 +7,12 @@
 //! EXPERIMENTS.md § "Benchmark artifact schema").
 
 use bevra_core::DiscreteModel;
-use bevra_core::kernel;
-use bevra_core::{sweep_grid, sweep_grid_fused, PiEval};
-use bevra_obs::energy::EnergyProbe;
 use bevra_engine::{Architecture, CacheMode, ExecMode, PersistentCache, SweepEngine};
 use bevra_load::{Algebraic, Geometric, Poisson, Tabulated, PAPER_MEAN_LOAD};
 use bevra_utility::AdaptiveExp;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
-
-/// Average package joules per call of `f` over `iters` calls, from the
-/// optional RAPL probe; `None` (→ JSON null) when the powercap hierarchy
-/// is absent or unreadable, as in most CI containers.
-fn measure_joules<F: FnMut()>(iters: u32, mut f: F) -> Option<f64> {
-    let probe = EnergyProbe::open()?;
-    let reading = probe.begin()?;
-    for _ in 0..iters {
-        f();
-    }
-    reading.joules().map(|j| j / f64::from(iters))
-}
 
 fn grid(n: usize) -> Vec<f64> {
     let (lo, hi) = (PAPER_MEAN_LOAD / 20.0, 10.0 * PAPER_MEAN_LOAD);
@@ -84,9 +69,8 @@ fn engine_sweeps(c: &mut Criterion) {
 /// The value-kernel acceptance benches: `k_max`/`B`/`R` for a 48-point
 /// Figure 4 grid (algebraic z = 3 load, adaptive utility, 2^18-entry
 /// table), isolating the kernels from the off-grid gap root-finder. Four
-/// canonical rows: scalar per-point, grid-batched (fast π), parallel
-/// batched, and warm persistent cache; plus the bitwise-exact batched and
-/// deterministic-portable backends for reference.
+/// canonical rows: scalar per-point, grid-batched, parallel batched, and
+/// warm persistent cache.
 fn kernel_sweeps(c: &mut Criterion) {
     let alg = Algebraic::from_mean(3.0, PAPER_MEAN_LOAD).expect("paper fig4 family");
     let load = Arc::new(Tabulated::from_model(&alg, 1e-9, 1 << 18));
@@ -105,61 +89,19 @@ fn kernel_sweeps(c: &mut Criterion) {
             }
         });
     });
-    c.bench_function("kernel_sweep_batched", |b| {
-        b.points(n);
-        b.iter(|| {
-            let eng = SweepEngine::with_mode(model(), ExecMode::Serial)
-                .with_kernel(kernel::fast());
-            eng.prime(black_box(&cs));
-        });
-    });
     c.bench_function("kernel_sweep_batched_exact", |b| {
         b.points(n);
         b.iter(|| {
-            let eng =
-                SweepEngine::with_mode(model(), ExecMode::Serial).with_kernel(kernel::batch());
+            let eng = SweepEngine::with_mode(model(), ExecMode::Serial);
             eng.prime(black_box(&cs));
         });
-    });
-    c.bench_function("kernel_sweep_batched_portable", |b| {
-        b.points(n);
-        b.iter(|| {
-            let eng =
-                SweepEngine::with_mode(model(), ExecMode::Serial).with_kernel(kernel::portable());
-            eng.prime(black_box(&cs));
-        });
-    });
-    // Fused B+R pass (this PR's claim): one traversal serves both grids,
-    // at the detected SIMD tier. Gated by perf_smoke.py --min-speedup
-    // against the unfused composition pinned to AVX2 below, which stands
-    // in for the pre-fusion batched-fast path (whose dispatch topped out
-    // at AVX2). Energy is recorded when the RAPL probe is available and
-    // reported as joules_per_sweep (null otherwise, never gated).
-    c.bench_function("kernel_sweep_fused", |b| {
-        b.points(n);
-        let m = model();
-        b.iter(|| black_box(sweep_grid_fused(black_box(&m), black_box(&cs), PiEval::Fast)));
-        b.record_joules(measure_joules(8, || {
-            black_box(sweep_grid_fused(black_box(&m), black_box(&cs), PiEval::Fast));
-        }));
-    });
-    c.bench_function("kernel_sweep_unfused_avx2", |b| {
-        b.points(n);
-        let m = model();
-        bevra_num::simd::force_level(bevra_num::simd::Level::Avx2);
-        b.iter(|| black_box(sweep_grid(black_box(&m), black_box(&cs), PiEval::Fast)));
-        b.record_joules(measure_joules(8, || {
-            black_box(sweep_grid(black_box(&m), black_box(&cs), PiEval::Fast));
-        }));
-        bevra_num::simd::force_level(bevra_num::simd::detected());
     });
 
     let threads = bevra_engine::thread_count();
     c.bench_function("kernel_sweep_parallel", |b| {
         b.points(n);
         b.iter(|| {
-            let eng = SweepEngine::with_mode(model(), ExecMode::Parallel { threads })
-                .with_kernel(kernel::fast());
+            let eng = SweepEngine::with_mode(model(), ExecMode::Parallel { threads });
             eng.prime(black_box(&cs));
         });
     });
@@ -169,16 +111,12 @@ fn kernel_sweeps(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("bevra-bench-pcache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let pcache = || PersistentCache::new(&dir, CacheMode::ReadWrite);
-    SweepEngine::with_mode(model(), ExecMode::Serial)
-        .with_kernel(kernel::fast())
-        .with_persistent_cache(pcache())
-        .prime(&cs);
+    SweepEngine::with_mode(model(), ExecMode::Serial).with_persistent_cache(pcache()).prime(&cs);
     c.bench_function("kernel_sweep_warm_cache", |b| {
         b.points(n);
         b.iter(|| {
-            let eng = SweepEngine::with_mode(model(), ExecMode::Serial)
-                .with_kernel(kernel::fast())
-                .with_persistent_cache(pcache());
+            let eng =
+                SweepEngine::with_mode(model(), ExecMode::Serial).with_persistent_cache(pcache());
             eng.prime(black_box(&cs));
         });
     });

@@ -26,11 +26,8 @@
 //!    uncached sweep bit for bit, and absorbed faults only ever cost
 //!    time, never numbers.
 //!
-//! Invariants 1, 2 and 6 run once per **registered kernel backend**
-//! (`bevra_engine::registry::backends()`): each backend's checked sweep
-//! must account exactly, and its cached sweeps
-//! must reproduce *that backend's* uncached sweep bit for bit. A backend
-//! added to the registry later gets this coverage automatically.
+//! Invariants 1, 2 and 6 run on the default engine, whose health ledger
+//! must also name the kernel backend that evaluated it.
 //!
 //! The driver is [`run_case`]; the `check-chaos` binary loops it over a
 //! fixed-seed prefix plus a time-boxed randomized tail, and the
@@ -123,7 +120,7 @@ pub fn random_plan(rng: &mut StdRng) -> FaultPlan {
 /// binary's end-of-run summary).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosStats {
-    /// Grid points evaluated across both sweeps.
+    /// Grid points evaluated by the uncached checked sweep.
     pub points: u64,
     /// Points that failed (isolated panics).
     pub failed: u64,
@@ -313,59 +310,41 @@ pub fn run_case(case_seed: u64) -> Result<ChaosStats, String> {
     );
 
     // Invariants 1 + 2: the checked sweep completes under injected
-    // panics and corruption, with exact accounting.
+    // panics and corruption, with exact accounting, and its health ledger
+    // names the backend that evaluated it.
     let engine = SweepEngine::new(DiscreteModel::new(load.clone(), Arc::clone(&utility)));
     let checked = engine.sweep_checked(&cs);
     check_accounting("sweep", cs.len(), &checked).map_err(&fail)?;
+    let kernel = engine.kernel().capability().name;
+    if checked.health.kernel.as_deref() != Some(kernel) {
+        return Err(fail(format!(
+            "sweep[{kernel}]: health ledger stamped {:?}",
+            checked.health.kernel
+        )));
+    }
     stats.points += checked.health.total();
     stats.failed += checked.health.failed;
     stats.degraded += checked.health.degraded;
 
-    // Invariants 1 + 2 + 6, per registered backend. Every backend's
-    // checked sweep must complete with exact accounting, and the
-    // persistent value cache must be transparent under the active plan:
-    // injection decisions are pure functions of (plan seed, site, key),
-    // so a cold cached sweep (compute + store, possibly fault-blocked)
-    // and a warm cached sweep (load, possibly degraded to recompute)
-    // must both reproduce that same backend's uncached sweep bit for
-    // bit.
-    for kernel in bevra_engine::registry::backends() {
-        let cap = kernel.capability();
-        let uncached = SweepEngine::new(DiscreteModel::new(load.clone(), Arc::clone(&utility)))
-            .with_kernel(kernel);
-        let base = uncached.sweep_checked(&cs);
-        check_accounting(&format!("sweep[{}]", cap.name), cs.len(), &base).map_err(&fail)?;
-        if base.health.kernel.as_deref() != Some(cap.name) {
-            return Err(fail(format!(
-                "sweep[{}]: health ledger stamped {:?}",
-                cap.name, base.health.kernel
-            )));
+    // Invariant 6: the persistent value cache is transparent under the
+    // active plan. Injection decisions are pure functions of (plan seed,
+    // site, key), so a cold cached sweep (compute + store, possibly
+    // fault-blocked) and a warm cached sweep (load, possibly degraded to
+    // recompute) must both reproduce the uncached sweep bit for bit.
+    let cache_dir = std::env::temp_dir().join(format!("bevra-chaos-cache-{case_seed}"));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    for pass in ["cold", "warm"] {
+        let cached = SweepEngine::new(DiscreteModel::new(load.clone(), Arc::clone(&utility)))
+            .with_persistent_cache(PersistentCache::new(&cache_dir, CacheMode::ReadWrite));
+        let swept = cached.sweep_checked(&cs);
+        if outcome_bits(&swept) != outcome_bits(&checked) {
+            return Err(fail(format!("{pass} cached sweep diverged from uncached bitwise")));
         }
-        stats.points += base.health.total();
-        stats.failed += base.health.failed;
-        stats.degraded += base.health.degraded;
-        let cache_dir = std::env::temp_dir()
-            .join(format!("bevra-chaos-cache-{case_seed}-{}", cap.name));
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        for pass in ["cold", "warm"] {
-            let cached =
-                SweepEngine::new(DiscreteModel::new(load.clone(), Arc::clone(&utility)))
-                    .with_kernel(kernel)
-                    .with_persistent_cache(PersistentCache::new(&cache_dir, CacheMode::ReadWrite));
-            let swept = cached.sweep_checked(&cs);
-            if outcome_bits(&swept) != outcome_bits(&base) {
-                return Err(fail(format!(
-                    "{pass} cached sweep[{}] diverged from uncached bitwise",
-                    cap.name
-                )));
-            }
-            stats.cache_sweeps += 1;
-            stats.cache_io_errors += cached
-                .persistent_cache()
-                .map_or(0, bevra_engine::PersistentCache::io_errors);
-        }
-        let _ = std::fs::remove_dir_all(&cache_dir);
+        stats.cache_sweeps += 1;
+        stats.cache_io_errors +=
+            cached.persistent_cache().map_or(0, bevra_engine::PersistentCache::io_errors);
     }
+    let _ = std::fs::remove_dir_all(&cache_dir);
 
     // Invariant 5: an identical engine under the identical plan (the
     // guard is still installed — trip decisions are pure functions of the

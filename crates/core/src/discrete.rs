@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 /// The stretch `(head, last]` of a load table that `B(C)` integrates
 /// instead of summing: one shared plan for [`DiscreteModel::best_effort`]
-/// and the exact grid kernels (`crate::discrete_batch`), so both add the
+/// and the grid sweep (`crate::discrete_batch`), so both add the
 /// same value at the same point of each Neumaier sequence.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SmoothTail {
@@ -156,9 +156,8 @@ impl<U: Utility> DiscreteModel<U> {
     /// `max(SMOOTH_HEAD, ⌈C/b⌉ + 1)` over the utility's knots `b`, and the
     /// rest up to the table end is added as one quadrature value — 68 `π`
     /// calls instead of up to a million. Every other table is
-    /// walked to its end. The grid kernels' exact mode does the same; the
-    /// `fast` and `deterministic-portable` backends walk every entry of the
-    /// table's [`Tabulated::materialized`] view.
+    /// walked to its end. The grid sweep
+    /// ([`crate::discrete_batch::sweep_grid`]) does the same.
     pub fn best_effort(&self, capacity: f64) -> f64 {
         if capacity <= 0.0 {
             return 0.0;

@@ -57,11 +57,6 @@ pub struct BenchResult {
     /// Grid points covered per iteration (1 unless the bench declared
     /// otherwise via [`Bencher::points`]).
     pub points: u64,
-    /// Measured package energy per iteration in joules, when the bench
-    /// recorded one via [`Bencher::record_joules`] (typically from the
-    /// optional RAPL probe in `bevra-obs`). `None` serializes as JSON
-    /// `null`; consumers treat it as informational and never gate on it.
-    pub joules_per_sweep: Option<f64>,
 }
 
 impl BenchResult {
@@ -88,8 +83,7 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        let mut b =
-            Bencher { samples: Vec::new(), window: measure_window(), points: 1, joules: None };
+        let mut b = Bencher { samples: Vec::new(), window: measure_window(), points: 1 };
         f(&mut b);
         b.report(name);
         self
@@ -103,7 +97,6 @@ pub struct Bencher {
     samples: Vec<Duration>,
     window: Duration,
     points: u64,
-    joules: Option<f64>,
 }
 
 impl Bencher {
@@ -156,15 +149,6 @@ impl Bencher {
         self.points = n.max(1) as u64;
     }
 
-    /// Record measured energy per iteration (joules) for the JSON
-    /// artifact, typically from `bevra_obs::energy::EnergyProbe` around a
-    /// counted re-run of the benchmark body. Non-finite or non-positive
-    /// values are dropped; the default (`None`) serializes as `null` and
-    /// no downstream gate keys on the field.
-    pub fn record_joules(&mut self, joules: Option<f64>) {
-        self.joules = joules.filter(|j| j.is_finite() && *j > 0.0);
-    }
-
     fn report(&self, name: &str) {
         if self.samples.is_empty() {
             println!("{name:<44} (no samples — bencher.iter never called)");
@@ -189,7 +173,6 @@ impl Bencher {
             min_ns: min.as_nanos() as f64,
             samples: sorted.len() as u64,
             points: self.points,
-            joules_per_sweep: self.joules,
         };
         RESULTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(result);
     }
@@ -212,16 +195,11 @@ fn results_path() -> Option<PathBuf> {
 fn json_result_line(r: &BenchResult) -> String {
     // Names come from bench sources and contain no characters needing
     // JSON escapes; keep one result per line so merges stay line-based.
-    let joules = match r.joules_per_sweep {
-        Some(j) => format!("{j:.6}"),
-        None => "null".to_string(),
-    };
     format!(
         "    {{\"name\":\"{}\",\"median_ns\":{:.1},\"mean_ns\":{:.1},\"min_ns\":{:.1},\
-         \"samples\":{},\"points\":{},\"ns_per_point\":{:.2},\"joules_per_sweep\":{}}}",
+         \"samples\":{},\"points\":{},\"ns_per_point\":{:.2}}}",
         r.name, r.median_ns, r.mean_ns, r.min_ns, r.samples, r.points,
         r.ns_per_point(),
-        joules,
     )
 }
 
@@ -328,18 +306,11 @@ mod tests {
             min_ns: 1200.0,
             samples: 30,
             points: 48,
-            joules_per_sweep: None,
         };
         let line = json_result_line(&r);
         assert_eq!(result_line_name(&line), Some("kernel_sweep_batched"));
         assert!(line.contains("\"points\":48"));
         assert!(line.contains("\"ns_per_point\":25.72"));
-        assert!(line.contains("\"joules_per_sweep\":null"), "no probe → null: {line}");
-        let with_energy = BenchResult { joules_per_sweep: Some(0.0425), ..r };
-        assert!(
-            json_result_line(&with_energy).contains("\"joules_per_sweep\":0.042500"),
-            "measured energy serialized"
-        );
         assert_eq!(result_line_name("{\"schema\": \"bevra-bench-v1\""), None);
     }
 
@@ -353,7 +324,6 @@ mod tests {
             min_ns: 1.0,
             samples: 1,
             points: 1,
-            joules_per_sweep: None,
         };
         let kept = BenchResult { name: "merge_kept".into(), ..stale.clone() };
         std::fs::write(

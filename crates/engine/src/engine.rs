@@ -205,8 +205,8 @@ impl<U: Utility> SweepEngine<U> {
     /// Engine with an explicit execution mode. The kernel backend comes
     /// from `BEVRA_KERNEL` via the registry and the persistent cache from
     /// `BEVRA_CACHE` (see [`crate::registry::from_env`] and
-    /// [`PersistentCache::from_env`]); both can be overridden with the
-    /// builder methods.
+    /// [`PersistentCache::from_env`]); the cache can be overridden with
+    /// [`Self::with_persistent_cache`].
     #[must_use]
     pub fn with_mode(model: DiscreteModel<U>, mode: ExecMode) -> Self {
         Self {
@@ -218,15 +218,6 @@ impl<U: Utility> SweepEngine<U> {
             b: ShardedCache::new(),
             r: ShardedCache::new(),
         }
-    }
-
-    /// Replace the kernel backend (builder style). Use the accessors in
-    /// `bevra_core::kernel` (e.g. `kernel::fast()`) or a registry lookup
-    /// (`crate::registry::lookup`).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: &'static dyn Kernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// Attach an explicit persistent cache (builder style), replacing
@@ -263,14 +254,11 @@ impl<U: Utility> SweepEngine<U> {
     ///
     /// Non-finite and nonpositive capacities are left to the per-point path;
     /// the rest are sorted, deduplicated, filtered to what is not already
-    /// memoized, then either loaded from the persistent cache (keyed by
-    /// the backend's capability record, so cached rows never cross parity
-    /// classes) or computed by the backend's grid entry points — in
-    /// parallel contiguous chunks under [`ExecMode::Parallel`] — and
-    /// inserted. Bitwise-class backends mirror the per-point path exactly;
-    /// tolerance-class backends are deterministic within their documented
-    /// budget. Either way, results are identical under any thread count
-    /// or chunking.
+    /// memoized, then either loaded from the persistent cache or computed
+    /// by the backend's grid sweep — in parallel contiguous chunks under
+    /// [`ExecMode::Parallel`] — and inserted. The backend mirrors the
+    /// per-point path exactly, so results are identical under any thread
+    /// count or chunking.
     ///
     /// A panic inside the batched compute is caught and counted
     /// (`engine/prime/panic`): the sweep then falls back to the per-point
@@ -293,7 +281,7 @@ impl<U: Utility> SweepEngine<U> {
 
         metrics::counter(&format!("engine/kernel/{}/primes", cap.name)).inc();
         if let Some(pc) = &self.persist {
-            let key = grid_key(&self.model, &cap, &cs);
+            let key = grid_key(&self.model, &cs);
             if let Some(rows) = pc.load(key, &cs) {
                 self.insert_rows(&cs, &rows);
                 return;
@@ -322,12 +310,9 @@ impl<U: Utility> SweepEngine<U> {
             let chunk_len = cs.len().div_ceil(threads).max(1);
             let chunks: Vec<&[f64]> = cs.chunks(chunk_len).collect();
             let parts = parallel_map_with(&chunks, threads, |chunk| {
-                // Backends with a carried argmax restart the bracket per
-                // chunk; the search returns the smallest maximizer
-                // regardless of the carry, so chunking never changes bits.
-                // `sweep_grid` lets fused backends serve B and R from one
-                // table traversal; for the rest it composes the same three
-                // primitives this loop used to call, in the same order.
+                // The carried argmax bracket restarts per chunk; the search
+                // returns the smallest maximizer regardless of the carry,
+                // so chunking never changes bits.
                 let sweep = kernel.sweep_grid(&dyn_model, chunk);
                 sweep
                     .k_max
@@ -486,7 +471,7 @@ impl<U: Utility> SweepEngine<U> {
         let mut retries = 0u64;
         for (batch_idx, batch) in indexed.chunks(BATCH_POINTS).enumerate() {
             let cs: Vec<f64> = batch.iter().map(|&(_, c)| c).collect();
-            let cache = self.persist.as_ref().map(|pc| (pc, sweep_key(&self.model, &cap, &cs)));
+            let cache = self.persist.as_ref().map(|pc| (pc, sweep_key(&self.model, &cs)));
             if let Some(points) = cache.and_then(|(pc, key)| pc.load_sweep(key, &cs)) {
                 results.extend(points.into_iter().map(|pt| Ok((pt, None))));
             } else {
@@ -774,15 +759,8 @@ mod tests {
         let cs = grid();
         let load = Tabulated::from_model(&Poisson::new(50.0), 1e-12, 1 << 16);
         let model = DiscreteModel::new(load, AdaptiveExp::paper());
-        let batched = clean_sweep(
-            &poisson_engine(ExecMode::Serial).with_kernel(bevra_core::kernel::batch()),
-            &cs,
-        );
-        let batched_par = clean_sweep(
-            &poisson_engine(ExecMode::Parallel { threads: 5 })
-                .with_kernel(bevra_core::kernel::batch()),
-            &cs,
-        );
+        let batched = clean_sweep(&poisson_engine(ExecMode::Serial), &cs);
+        let batched_par = clean_sweep(&poisson_engine(ExecMode::Parallel { threads: 5 }), &cs);
         for ((&c, b), p) in cs.iter().zip(&batched).zip(&batched_par) {
             let (be, rv) = (model.best_effort(c), model.reservation(c));
             let gap = bevra_core::bandwidth_gap(&model, c).unwrap_or(f64::NAN);
@@ -792,29 +770,6 @@ mod tests {
             assert_eq!(be.to_bits(), p.best_effort.to_bits());
             assert_eq!(rv.to_bits(), p.reservation.to_bits());
             assert_eq!(gap.to_bits(), p.bandwidth_gap.to_bits());
-        }
-    }
-
-    #[test]
-    fn fast_kernel_is_close_but_fast_tables_never_cross_keys() {
-        let cs = grid();
-        let exact = clean_sweep(
-            &poisson_engine(ExecMode::Serial).with_kernel(bevra_core::kernel::batch()),
-            &cs,
-        );
-        let fast = clean_sweep(
-            &poisson_engine(ExecMode::Serial).with_kernel(bevra_core::kernel::fast()),
-            &cs,
-        );
-        for (e, f) in exact.iter().zip(&fast) {
-            let tol = 1e-12 * e.best_effort.abs().max(1e-300);
-            assert!(
-                (e.best_effort - f.best_effort).abs() <= tol,
-                "C={}: exact {:e} fast {:e}",
-                e.capacity,
-                e.best_effort,
-                f.best_effort
-            );
         }
     }
 

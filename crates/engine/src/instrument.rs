@@ -59,12 +59,9 @@ pub struct SweepHealth {
     /// (`None` for ledgers not produced by an engine sweep, e.g. hand
     /// built or gamma-only ledgers).
     pub kernel: Option<String>,
-    /// Resolved SIMD dispatch tier of the backend's hot loop
-    /// ([`bevra_core::kernel::SimdLevel::as_str`]): `"none"`, `"autovec"`,
-    /// `"avx2"`, `"avx512"`, or `"neon"`. `None` when no kernel stamp
-    /// applies. Informational — dispatch never changes result bits — but
-    /// recorded so cross-machine ledger comparisons can tell a genuine
-    /// digest regression from a tier difference.
+    /// SIMD tier of the backend's hot loop
+    /// ([`bevra_core::kernel::SimdLevel::as_str`], `"autovec"`). `None`
+    /// when no kernel stamp applies.
     pub simd: Option<String>,
 }
 

@@ -84,10 +84,10 @@ pub struct LedgerRecord {
     /// Capability name of the kernel backend that evaluated the run
     /// (empty when no engine sweep was involved).
     pub kernel: String,
-    /// Resolved SIMD dispatch tier of that backend (`"none"`, `"autovec"`,
-    /// `"avx2"`, `"avx512"`, `"neon"`; empty when no kernel stamp
-    /// applies). Appended to the v1 schema mid-stream: readers treat an
-    /// absent field as `"unknown"`.
+    /// SIMD tier of that backend's hot loop (`"autovec"`; ledgers written
+    /// by older builds also carry `"none"`, `"avx2"`, `"avx512"` or
+    /// `"neon"`; empty when no kernel stamp applies). Appended to the v1
+    /// schema mid-stream: readers treat an absent field as `"unknown"`.
     pub simd: String,
     /// Worker threads the run was configured with.
     pub threads: u64,

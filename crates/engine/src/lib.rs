@@ -35,20 +35,16 @@
 //! * [`ledger`] — the run ledger: one CRC-tailed JSON line per figure run
 //!   with per-stage times, per-cache counters, and merged health.
 //!
-//! # Kernel backends
+//! # Kernel backend
 //!
-//! Grid priming goes through a first-class [`bevra_core::Kernel`]
-//! backend, selected through the [`registry`]. Each backend
-//! self-reports a [`bevra_core::KernelCapability`] record — name, parity
-//! class (`Bitwise` vs `Tolerance`), SIMD level, fault-site coverage,
-//! cache-key tag — that flows into the persistent-cache key
-//! ([`grid_key`]), the [`SweepHealth`] ledger, and the run ledger. Three
-//! backends are built in: `batch` (loop-interchanged grids, bitwise, the
-//! default), `fast` (vectorized ULP-budgeted exp),
-//! and `deterministic-portable` (integer-scaled exp path with identical
-//! bits on every libm). `BEVRA_KERNEL=<name>` selects one; unknown names
-//! fall back to `batch` with a warning. The parity and chaos suites
-//! enumerate all three.
+//! Grid priming goes through a [`bevra_core::Kernel`] backend, resolved
+//! through the [`registry`]. The backend self-reports a
+//! [`bevra_core::KernelCapability`] record — name, SIMD tier, grid
+//! priming — that the [`SweepHealth`] ledger and the run ledger stamp.
+//! There is one backend, `batch` (loop-interchanged grids, bitwise
+//! identical to the per-point path). `BEVRA_KERNEL=batch` selects it;
+//! any other name, the retired `fast` and `deterministic-portable`
+//! included, falls back to `batch` with a warning.
 //!
 //! # Determinism
 //!
@@ -57,10 +53,8 @@
 //! pool writes results by input index, and the caches memoize pure
 //! functions (racing threads compute identical bits). The workspace's
 //! `engine_parity` property test asserts this across all three load
-//! families. Bitwise-class backends mirror the per-point path op for op
-//! — priming changes wall-clock, never bits; tolerance-class backends are
-//! themselves deterministic (same bits for the same input on the same
-//! backend), only their distance to the per-point path is a tolerance.
+//! families. The backend mirrors the per-point path op for op, so
+//! priming changes wall-clock, never bits.
 //!
 //! # Degradation
 //!
@@ -95,7 +89,7 @@ pub mod persist;
 pub mod pool;
 pub mod registry;
 
-pub use bevra_core::{Kernel, KernelCapability, ParityClass, SimdLevel};
+pub use bevra_core::{Kernel, KernelCapability, SimdLevel};
 pub use cache::{CacheStats, ShardedCache};
 pub use engine::{
     Architecture, CheckedSweep, ExecMode, PointOutcome, SweepEngine, SweepPoint,

@@ -5,11 +5,9 @@
 //! persists both to disk, keyed by a **content hash** of everything the
 //! values depend on — the load table's digest, the utility (name plus
 //! probed values and knots), the mean load, any admission-cap override,
-//! the result-affecting fields of the active backend's
-//! [`KernelCapability`], and the exact grid bit patterns — so a warm
-//! second run skips every table recomputation and every finished sweep
-//! batch, while any change to the model (or a switch to a backend in a
-//! different parity class) re-keys and recomputes from scratch.
+//! and the exact grid bit patterns — so a warm second run skips every
+//! table recomputation and every finished sweep batch, while any change
+//! to the model re-keys and recomputes from scratch.
 //!
 //! Two kinds of entry share the directory, keyed apart by their format
 //! tag ([`grid_key`] for value tables, `sweep_key` for sweep rows):
@@ -49,7 +47,6 @@
 
 use crate::cache::CacheStats;
 use crate::engine::SweepPoint;
-use bevra_core::kernel::{KernelCapability, ParityClass};
 use bevra_faults::FaultKind;
 use bevra_obs::metrics;
 use bevra_utility::Utility;
@@ -117,27 +114,15 @@ impl Fnv {
     }
 }
 
-/// Content-hash key of the value-table rows for one (model, kernel
-/// capability, grid) combination.
+/// Content-hash key of the value-table rows for one (model, grid)
+/// combination.
 ///
 /// Hashes the load digest, mean load, utility fingerprint (name, probed
-/// values, knots), admission-cap override, the result-affecting slice of
-/// the backend's [`KernelCapability`], and every grid capacity's bit
+/// values, knots), admission-cap override, and every grid capacity's bit
 /// pattern.
-///
-/// Of the capability record only the fields that can change result *bits*
-/// enter the key: the `cache_tag`, the parity class (including a
-/// tolerance's bit pattern), and the `portable` flag. SIMD level and
-/// fault-site coverage are deliberately excluded — they describe *how* a
-/// backend computes, not *what* it computes, so two backends differing
-/// only there may legitimately share entries.
 #[must_use]
-pub fn grid_key<U: Utility>(
-    model: &bevra_core::DiscreteModel<U>,
-    capability: &KernelCapability,
-    capacities: &[f64],
-) -> u64 {
-    content_key(FORMAT, model, capability, capacities)
+pub fn grid_key<U: Utility>(model: &bevra_core::DiscreteModel<U>, capacities: &[f64]) -> u64 {
+    content_key(FORMAT, model, capacities)
 }
 
 /// Content-hash key of the sweep rows for one batch of grid capacities:
@@ -146,16 +131,14 @@ pub fn grid_key<U: Utility>(
 #[must_use]
 pub(crate) fn sweep_key<U: Utility>(
     model: &bevra_core::DiscreteModel<U>,
-    capability: &KernelCapability,
     capacities: &[f64],
 ) -> u64 {
-    content_key(SWEEP_FORMAT, model, capability, capacities)
+    content_key(SWEEP_FORMAT, model, capacities)
 }
 
 fn content_key<U: Utility>(
     format: &str,
     model: &bevra_core::DiscreteModel<U>,
-    capability: &KernelCapability,
     capacities: &[f64],
 ) -> u64 {
     let mut h = Fnv::new();
@@ -177,15 +160,6 @@ fn content_key<U: Utility>(
         }
         None => h.eat_u64(0),
     }
-    h.eat(&[capability.cache_tag]);
-    match capability.parity {
-        ParityClass::Bitwise => h.eat_u64(0),
-        ParityClass::Tolerance(t) => {
-            h.eat_u64(1);
-            h.eat_f64(t);
-        }
-    }
-    h.eat(&[u8::from(capability.portable)]);
     h.eat_u64(capacities.len() as u64);
     for &c in capacities {
         h.eat_f64(c);
@@ -665,33 +639,14 @@ mod tests {
         let m2 = DiscreteModel::new(load.clone(), Rigid::new(2.0));
         let m3 = DiscreteModel::new(load.clone(), AdaptiveExp::paper());
         let caps = [1.0, 2.0, 3.0];
-        let batch = bevra_core::kernel::batch().capability();
-        let fast = bevra_core::kernel::fast().capability();
-        let k1 = grid_key(&m1, &batch, &caps);
-        assert_eq!(k1, grid_key(&m1, &batch, &caps), "key is deterministic");
-        assert_ne!(k1, grid_key(&m2, &batch, &caps), "utility params re-key");
-        assert_ne!(k1, grid_key(&m3, &batch, &caps), "utility family re-keys");
-        assert_ne!(k1, grid_key(&m1, &fast, &caps), "parity class re-keys");
-        assert_ne!(k1, grid_key(&m1, &batch, &caps[..2]), "grid re-keys");
-        assert_ne!(k1, sweep_key(&m1, &batch, &caps), "sweep rows are keyed apart");
+        let k1 = grid_key(&m1, &caps);
+        assert_eq!(k1, grid_key(&m1, &caps), "key is deterministic");
+        assert_ne!(k1, grid_key(&m2, &caps), "utility params re-key");
+        assert_ne!(k1, grid_key(&m3, &caps), "utility family re-keys");
+        assert_ne!(k1, grid_key(&m1, &caps[..2]), "grid re-keys");
+        assert_ne!(k1, sweep_key(&m1, &caps), "sweep rows are keyed apart");
         let capped = DiscreteModel::new(load, Rigid::unit()).with_admission_cap(5);
-        assert_ne!(k1, grid_key(&capped, &batch, &caps), "admission cap re-keys");
-    }
-
-    #[test]
-    fn key_separates_parity_classes() {
-        let load = Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 10);
-        let m = DiscreteModel::new(load, Rigid::unit());
-        let caps = [1.0, 2.0, 3.0];
-        let batch = bevra_core::kernel::batch().capability();
-        // The portable backend is a distinct class: never shared.
-        let portable = bevra_core::kernel::portable().capability();
-        assert_ne!(grid_key(&m, &batch, &caps), grid_key(&m, &portable, &caps));
-        assert_ne!(grid_key(&m, &fast_cap(), &caps), grid_key(&m, &portable, &caps));
-    }
-
-    fn fast_cap() -> KernelCapability {
-        bevra_core::kernel::fast().capability()
+        assert_ne!(k1, grid_key(&capped, &caps), "admission cap re-keys");
     }
 
     #[test]

@@ -38,22 +38,6 @@ pub fn env_count(name: &str, max: usize, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// The malformed-environment contract of `BEVRA_SIMD`: a value that fails
-/// to parse is reported **once** per `(component, variable)` pair on
-/// stderr and then ignored — a typo'd knob degrades to the default, it
-/// never aborts a run and never spams a sweep's worth of warnings.
-pub fn warn_malformed_env(component: &str, var: &str, detail: &str) {
-    use std::collections::HashSet;
-    use std::sync::Mutex;
-    static WARNED: Mutex<Option<HashSet<String>>> = Mutex::new(None);
-    let key = format!("{component}\u{1f}{var}");
-    let mut guard = WARNED.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let seen = guard.get_or_insert_with(HashSet::new);
-    if seen.insert(key) {
-        eprintln!("{component}: ignoring malformed {var}: {detail}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,15 +59,5 @@ mod tests {
     #[test]
     fn env_count_falls_back_on_missing_variable() {
         assert_eq!(env_count("BEVRA_TEST_UNSET_VARIABLE_XYZ", 16, 7), 7);
-    }
-
-    #[test]
-    fn warn_malformed_env_never_panics_and_dedupes() {
-        // Observable behavior is one stderr line per (component, var); here
-        // we only assert it is callable repeatedly without side effects on
-        // parsing state.
-        for _ in 0..3 {
-            warn_malformed_env("bevra-test", "BEVRA_TEST_VAR", "garbage");
-        }
     }
 }

@@ -24,30 +24,23 @@
 
 pub mod env;
 pub mod error;
-pub mod fastexp;
 pub mod fixed_point;
 pub mod int_search;
 pub mod optimize;
 pub mod quad;
 pub mod roots;
-pub mod simd;
 pub mod special;
 pub mod sum;
 
 pub use env::{env_count, parse_bounded_count};
 pub use error::{NumError, NumResult};
-pub use fastexp::{
-    kspan_total, one_minus_exp_neg, one_minus_exp_neg_adaptive_grid,
-    one_minus_exp_neg_adaptive_kspan, one_minus_exp_neg_adaptive_slice,
-    one_minus_exp_neg_scaled_slice, one_minus_exp_neg_slice, KSPAN_ACCS,
-};
 pub use fixed_point::fixed_point;
 pub use int_search::{argmax_unimodal_u64, first_true_u64};
 pub use optimize::{bracket_maximum, golden_section_max, maximize, Maximum};
 pub use quad::{gauss_legendre, integrate, integrate_to_inf, tanh_sinh};
 pub use roots::{bisect, brent, expand_bracket_up, Bracket};
 pub use special::{erlang_b, lambert_w0, lambert_wm1, ln_gamma};
-pub use sum::{masked_neumaier_step, sum_series, NeumaierSum};
+pub use sum::{sum_series, NeumaierSum};
 
 /// Default absolute/relative tolerance used across the workspace when a
 /// caller does not specify one. Chosen so that figure-level quantities are

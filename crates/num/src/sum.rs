@@ -55,84 +55,6 @@ impl FromIterator<f64> for NeumaierSum {
     }
 }
 
-#[inline(always)]
-fn masked_neumaier_step_body(
-    scale: f64,
-    terms: &[f64],
-    mask: &[f64],
-    sums: &mut [f64],
-    comps: &mut [f64],
-) {
-    for i in 0..terms.len() {
-        // Multiplying by the mask (1.0 live / 0.0 retired) adds an exact
-        // +0.0 to retired lanes, which leaves a nonnegative Neumaier
-        // accumulator unchanged — no branch needed.
-        let v = scale * terms[i] * mask[i];
-        let s = sums[i];
-        let t = s + v;
-        let corr = if s.abs() >= v.abs() { (s - t) + v } else { (v - t) + s };
-        comps[i] += corr;
-        sums[i] = t;
-    }
-}
-
-macro_rules! isa_step_wrapper {
-    ($modname:ident, $arch:literal, $feat:literal) => {
-        #[cfg(target_arch = $arch)]
-        mod $modname {
-            //! Wider-lane instantiation of the masked step (same pattern
-            //! as the `fastexp` wrappers: identical per-element IEEE
-            //! arithmetic — no FMA contraction — on wider lanes, so
-            //! dispatch is purely a throughput decision and results are
-            //! bitwise identical).
-            #[target_feature(enable = $feat)]
-            pub unsafe fn masked_step(
-                scale: f64,
-                terms: &[f64],
-                mask: &[f64],
-                sums: &mut [f64],
-                comps: &mut [f64],
-            ) {
-                super::masked_neumaier_step_body(scale, terms, mask, sums, comps);
-            }
-        }
-    };
-}
-
-isa_step_wrapper!(avx2, "x86_64", "avx2");
-isa_step_wrapper!(avx512, "x86_64", "avx512f");
-isa_step_wrapper!(neon, "aarch64", "neon");
-
-/// One lane-parallel, mask-gated step of Neumaier accumulation:
-/// for every `i`, add `scale·terms[i]·mask[i]` to the SoA accumulator
-/// `(sums[i], comps[i])` exactly as [`NeumaierSum::add`] would (same
-/// operations, same rounding), with the branch expressed as a select so
-/// the loop compiles to packed min/max/compare instructions. `mask[i]`
-/// must be `1.0` (live) or `0.0` (retired); retired lanes receive an
-/// exact `+0.0`, a no-op on the nonnegative accumulators the welfare
-/// kernels maintain. Bitwise deterministic on every ISA.
-///
-/// # Panics
-///
-/// Panics if the four slices do not all have `terms`'s length.
-pub fn masked_neumaier_step(
-    scale: f64,
-    terms: &[f64],
-    mask: &[f64],
-    sums: &mut [f64],
-    comps: &mut [f64],
-) {
-    let n = terms.len();
-    assert!(
-        mask.len() == n && sums.len() == n && comps.len() == n,
-        "accumulator slices must match the term slice"
-    );
-    crate::fastexp::dispatch_simd!(
-        masked_step(scale, terms, mask, sums, comps),
-        masked_neumaier_step_body(scale, terms, mask, sums, comps)
-    );
-}
-
 /// Sum `Σ_{k=start}^{∞} term(k)` for a nonnegative term sequence that is
 /// eventually decreasing (e.g. unimodal, like Poisson or geometric masses).
 ///
@@ -199,40 +121,6 @@ mod tests {
     fn neumaier_from_iterator() {
         let acc: NeumaierSum = (0..1000).map(|i| i as f64 * 0.001).collect();
         assert!((acc.total() - 499.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn masked_step_matches_scalar_neumaier_bitwise() {
-        let n = 257; // off the vector width on purpose
-        let terms: Vec<f64> = (0..n).map(|i| (i as f64 * 0.731).sin().abs() * 1e-3).collect();
-        let mask: Vec<f64> = (0..n).map(|i| if i % 5 == 0 { 0.0 } else { 1.0 }).collect();
-        let mut sums = vec![0.0; n];
-        let mut comps = vec![0.0; n];
-        let mut refs: Vec<NeumaierSum> = vec![NeumaierSum::new(); n];
-        for step in 0..40 {
-            let scale = 0.9 + step as f64 * 0.01;
-            masked_neumaier_step(scale, &terms, &mask, &mut sums, &mut comps);
-            for i in 0..n {
-                if mask[i] != 0.0 {
-                    refs[i].add(scale * terms[i]);
-                }
-            }
-        }
-        for i in 0..n {
-            assert_eq!(
-                (sums[i] + comps[i]).to_bits(),
-                refs[i].total().to_bits(),
-                "lane {i} diverged from scalar NeumaierSum"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "accumulator slices must match")]
-    fn masked_step_length_mismatch_panics() {
-        let mut sums = [0.0; 2];
-        let mut comps = [0.0; 2];
-        masked_neumaier_step(1.0, &[1.0, 2.0, 3.0], &[1.0, 1.0, 1.0], &mut sums, &mut comps);
     }
 
     #[test]

@@ -19,9 +19,6 @@
 //!   `chrome://tracing`-compatible trace JSON (open it in
 //!   [Perfetto](https://ui.perfetto.dev)) and a plain-text summary table
 //!   printed by the figure binaries;
-//! * [`energy`] — an optional zero-dep RAPL energy probe over
-//!   `/sys/class/powercap` (Linux-only; absent or unreadable → `None`,
-//!   downstream schemas report null and never gate on it);
 //! * [`recorder`] — the always-on flight recorder: bounded per-thread
 //!   seqlock rings of structured events (span boundaries, counter deltas,
 //!   fault trips, health records, ordered by a logical sequence counter)
@@ -72,7 +69,6 @@
 
 #![deny(missing_docs)]
 
-pub mod energy;
 pub mod export;
 pub mod metrics;
 pub mod recorder;

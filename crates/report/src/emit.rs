@@ -174,19 +174,12 @@ pub fn emit_figure(fig: &Figure, dir: &Path) -> std::io::Result<()> {
 
 /// Resolve and announce the kernel backend every engine in this process
 /// will pick up (`BEVRA_KERNEL` via the engine registry): one line naming
-/// the backend and its capability record, so a figure run's stdout
-/// records which parity class produced the artifacts. The figure binaries
-/// call this at the top of `main`; the per-sweep stamp also lands in the
-/// run's ledger line as its `kernel` and `simd` fields.
+/// the backend and its SIMD tier. The figure binaries call this at the
+/// top of `main`; the per-sweep stamp also lands in the run's ledger line
+/// as its `kernel` and `simd` fields.
 pub fn announce_kernel() {
     let cap = bevra_engine::registry::from_env().capability();
-    println!(
-        "kernel: {} ({:?} parity, simd {:?}{})",
-        cap.name,
-        cap.parity,
-        cap.simd,
-        if cap.portable { ", portable" } else { "" },
-    );
+    println!("kernel: {} (simd {})", cap.name, cap.simd.as_str());
 }
 
 /// Resolve the output directory (`results/` relative to the workspace root

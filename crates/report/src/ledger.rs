@@ -149,27 +149,6 @@ pub enum Regression {
         /// Digest of the later run.
         got: u64,
     },
-    /// Same id + fingerprint + kernel, different digest, but the runs
-    /// also report **different SIMD tiers**. The dispatched kernels are
-    /// bitwise across tiers by contract, so this *should* never happen —
-    /// but a cross-machine ledger (or a `BEVRA_SIMD` override) is the one
-    /// place an honest tier difference and a genuine determinism break
-    /// are indistinguishable. Surfaced as an informational divergence
-    /// instead of a gating regression.
-    TierDivergence {
-        /// Run id of the offending pair.
-        id: String,
-        /// Kernel capability stamp shared by the pair.
-        kernel: String,
-        /// SIMD tier of the earlier run.
-        prev_simd: String,
-        /// SIMD tier of the later run.
-        got_simd: String,
-        /// Digest of the earlier run.
-        prev: u64,
-        /// Digest of the later run.
-        got: u64,
-    },
     /// One stage's latest ns-per-point blew past its history for this
     /// id + fingerprint + kernel.
     Perf {
@@ -186,15 +165,6 @@ pub enum Regression {
     },
 }
 
-impl Regression {
-    /// Whether this finding should fail the gate (`obs-report` exit 1).
-    /// Tier divergences are reported but non-fatal.
-    #[must_use]
-    pub fn is_fatal(&self) -> bool {
-        !matches!(self, Regression::TierDivergence { .. })
-    }
-}
-
 impl std::fmt::Display for Regression {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -202,13 +172,6 @@ impl std::fmt::Display for Regression {
                 f,
                 "digest regression: {id} ({kernel}): {prev:016x} -> {got:016x} \
                  for the same config fingerprint"
-            ),
-            Regression::TierDivergence { id, kernel, prev_simd, got_simd, prev, got } => write!(
-                f,
-                "digest divergence across SIMD tiers: {id} ({kernel}): \
-                 {prev:016x} [{prev_simd}] vs {got:016x} [{got_simd}] — \
-                 expected bitwise parity; compare tiers on one machine to \
-                 decide whether this is a determinism break"
             ),
             Regression::Perf { id, kernel, stage, baseline_ns, latest_ns } => write!(
                 f,
@@ -231,35 +194,19 @@ impl std::fmt::Display for Regression {
 #[must_use]
 pub fn find_regressions(records: &[LedgerRecord], threshold: f64) -> Vec<Regression> {
     let mut out = Vec::new();
-    // Digest: map (id, fingerprint, kernel) -> first (digest, simd) seen.
-    // A mismatch within one tier is a determinism regression; across
-    // tiers it is flagged as an informational divergence instead.
-    type FirstSeen<'a> = ((&'a str, u64, &'a str), (u64, &'a str));
-    let mut first: Vec<FirstSeen<'_>> = Vec::new();
+    // Digest: map (id, fingerprint, kernel) -> first digest seen.
+    let mut first: Vec<((&str, u64, &str), u64)> = Vec::new();
     for r in records {
         let key = (r.id.as_str(), r.fingerprint, r.kernel.as_str());
         match first.iter().find(|(k, _)| *k == key) {
-            Some(&(_, (digest, simd))) if digest != r.digest => {
-                if simd == r.simd {
-                    out.push(Regression::Digest {
-                        id: r.id.clone(),
-                        kernel: r.kernel.clone(),
-                        prev: digest,
-                        got: r.digest,
-                    });
-                } else {
-                    out.push(Regression::TierDivergence {
-                        id: r.id.clone(),
-                        kernel: r.kernel.clone(),
-                        prev_simd: simd.to_string(),
-                        got_simd: r.simd.clone(),
-                        prev: digest,
-                        got: r.digest,
-                    });
-                }
-            }
+            Some(&(_, digest)) if digest != r.digest => out.push(Regression::Digest {
+                id: r.id.clone(),
+                kernel: r.kernel.clone(),
+                prev: digest,
+                got: r.digest,
+            }),
             Some(_) => {}
-            None => first.push((key, (r.digest, r.simd.as_str()))),
+            None => first.push((key, r.digest)),
         }
     }
     // Perf: per (id, fingerprint, kernel, stage), the latest run's
@@ -453,30 +400,6 @@ mod tests {
         assert_eq!((r.retries, r.breaker_trips, r.restarts), (0, 0, 0));
         assert_eq!(r.simd, "unknown");
         assert_eq!(r.stages, vec![stage("total", 0.25, 100)]);
-    }
-
-    #[test]
-    fn cross_tier_digest_mismatch_is_divergence_not_regression() {
-        let mut a = rec("fig2", 0xAA, 0x11, 0.2);
-        a.simd = "avx512".into();
-        let mut b = rec("fig2", 0xAA, 0x33, 0.2);
-        b.simd = "unknown".into(); // e.g. appended by an older binary
-        let regs = find_regressions(&[a.clone(), b], DEFAULT_THRESHOLD);
-        assert_eq!(regs.len(), 1);
-        match &regs[0] {
-            Regression::TierDivergence { prev_simd, got_simd, prev, got, .. } => {
-                assert_eq!((prev_simd.as_str(), got_simd.as_str()), ("avx512", "unknown"));
-                assert_eq!((*prev, *got), (0x11, 0x33));
-                assert!(!regs[0].is_fatal(), "divergence must not gate");
-            }
-            other => panic!("expected tier divergence, got {other:?}"),
-        }
-        // Same tier, same mismatch: a genuine (fatal) digest regression.
-        let mut c = rec("fig2", 0xAA, 0x33, 0.2);
-        c.simd = "avx512".into();
-        let regs = find_regressions(&[a, c], DEFAULT_THRESHOLD);
-        assert!(matches!(&regs[0], Regression::Digest { .. }));
-        assert!(regs[0].is_fatal());
     }
 
     #[test]

@@ -75,51 +75,6 @@ impl Utility for AdaptiveExp {
         let g = (b * b + 2.0 * self.kappa * b) / (d * d);
         g * (-self.exponent(b)).exp()
     }
-
-    fn value_portable(&self, b: f64) -> f64 {
-        // Same branch structure as `value`, but the transcendental goes
-        // through the branch-free polynomial instead of libm `exp_m1`:
-        // within 8 ULPs of `value`, bit-identical on every platform.
-        if b <= 0.0 {
-            0.0
-        } else {
-            bevra_num::one_minus_exp_neg(self.exponent(b))
-        }
-    }
-
-    fn value_slice_fast(&self, bs: &[f64], out: &mut [f64]) {
-        // Fused dispatched kernel: clamp b to [0, ∞) so the exponent is
-        // well defined (κ > 0 keeps the denominator positive), exponent
-        // and 1 − e^{−x} on one vector path. b = 0 gives x = 0 ⇒ π = 0
-        // exactly, matching `value`.
-        bevra_num::one_minus_exp_neg_adaptive_slice(bs, self.kappa, out);
-    }
-
-    fn value_capacity_slice_fast(&self, cs: &[f64], kf: f64, _scratch: &mut [f64], out: &mut [f64]) {
-        assert!(kf > 0.0, "admission level must be positive");
-        // Grid form x = C²/(κk² + Ck): the per-lane division by k is
-        // absorbed into the exponent's own division, halving the packed
-        // divides in the batched welfare kernels (where this is the hot
-        // call). Tolerance-budgeted against the split form — see
-        // `bevra_num::one_minus_exp_neg_adaptive_grid`.
-        bevra_num::one_minus_exp_neg_adaptive_grid(cs, kf, self.kappa, out);
-    }
-
-    fn accumulate_pi_kspan_fast(
-        &self,
-        c: f64,
-        k0: f64,
-        pmfs: &[f64],
-        sums: &mut [f64; bevra_num::KSPAN_ACCS],
-        comps: &mut [f64; bevra_num::KSPAN_ACCS],
-    ) -> bool {
-        // One vectorized walk over a span of admission levels for a single
-        // capacity — the inner loop of the fused B+R grid pass. Contract
-        // (determinism, cross-tier bitwise, 1e-13 budget) documented on
-        // `bevra_num::one_minus_exp_neg_adaptive_kspan`.
-        bevra_num::one_minus_exp_neg_adaptive_kspan(c, self.kappa, k0, pmfs, sums, comps);
-        true
-    }
 }
 
 #[cfg(test)]

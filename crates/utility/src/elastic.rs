@@ -56,35 +56,6 @@ impl Utility for ExponentialElastic {
             self.rate * (-self.rate * b).exp()
         }
     }
-
-    fn value_portable(&self, b: f64) -> f64 {
-        // Polynomial 1 − e^{−rate·b} (no libm): ≤ 8 ULPs from `value`,
-        // bit-identical on every platform.
-        if b <= 0.0 {
-            0.0
-        } else {
-            bevra_num::one_minus_exp_neg(self.rate * b)
-        }
-    }
-
-    fn value_slice_fast(&self, bs: &[f64], out: &mut [f64]) {
-        // Fused dispatched kernel: branch-free clamp + 1 − e^{−rate·b} on
-        // one vector path; b = 0 gives x = 0 ⇒ π = 0 exactly, matching
-        // `value`.
-        bevra_num::one_minus_exp_neg_scaled_slice(bs, self.rate, out);
-    }
-
-    fn value_capacity_slice_fast(&self, cs: &[f64], kf: f64, _scratch: &mut [f64], out: &mut [f64]) {
-        assert!(kf > 0.0, "admission level must be positive");
-        // The division by k is absorbed into the rate:
-        // rate·(C/k) = (rate/k)·C up to one rounding each way, so the
-        // whole grid evaluates on one vector path with no scratch
-        // round-trip. A few ULPs from the divide-then-slice composition —
-        // inside the fast kernels' 1e-13 budget (property-tested in
-        // `tests/batch_parity.rs`). C ≤ 0 clamps to exactly 0 inside the
-        // kernel, matching `value`.
-        bevra_num::one_minus_exp_neg_scaled_slice(cs, self.rate / kf, out);
-    }
 }
 
 /// `π(b) = b / (s + b)`: a hyperbolic saturating utility, strictly concave,
@@ -134,30 +105,6 @@ impl Utility for Saturating {
         } else {
             let d = self.scale + b;
             self.scale / (d * d)
-        }
-    }
-
-    fn value_slice(&self, bs: &[f64], out: &mut [f64]) {
-        assert_eq!(bs.len(), out.len(), "bandwidth/output slices must match");
-        let s = self.scale;
-        // Branchless select + one divide per lane: auto-vectorizes and is
-        // bitwise identical to `value` per element.
-        for (o, &b) in out.iter_mut().zip(bs) {
-            *o = if b > 0.0 { b / (s + b) } else { 0.0 };
-        }
-    }
-
-    fn value_capacity_slice_fast(&self, cs: &[f64], kf: f64, _scratch: &mut [f64], out: &mut [f64]) {
-        assert!(kf > 0.0, "admission level must be positive");
-        assert_eq!(cs.len(), out.len(), "capacity/output slices must match");
-        let sk = self.scale * kf;
-        // (C/k) / (s + C/k) = C / (s·k + C): one divide per lane instead of
-        // two and no scratch round-trip. The algebra is exact in ℝ but the
-        // roundings differ, so this is tolerance-class (≤ a few ULPs, well
-        // inside the fast kernels' 1e-13 budget). C ≤ 0 selects exactly 0,
-        // matching `value`.
-        for (o, &c) in out.iter_mut().zip(cs) {
-            *o = if c > 0.0 { c / (sk + c) } else { 0.0 };
         }
     }
 }
@@ -210,55 +157,5 @@ mod tests {
     fn saturating_half_point() {
         let u = Saturating::new(3.0);
         assert!((u.value(3.0) - 0.5).abs() < 1e-15);
-    }
-
-    #[test]
-    fn saturating_value_slice_bitwise() {
-        let u = Saturating::new(2.5);
-        let bs: Vec<f64> = (-3..40).map(|i| f64::from(i) * 0.37).collect();
-        let mut out = vec![0.0; bs.len()];
-        u.value_slice(&bs, &mut out);
-        for (&b, &o) in bs.iter().zip(&out) {
-            assert_eq!(o.to_bits(), u.value(b).to_bits(), "b={b}");
-        }
-    }
-
-    #[test]
-    fn capacity_slice_fast_within_budget() {
-        // The grid overrides re-associate the division by k; check the
-        // declared ≤ 1e-13 relative budget against divide-then-value for
-        // both elastic families over representative grids and levels.
-        let exp = ExponentialElastic::new(0.8);
-        let sat = Saturating::new(1.7);
-        let cs: Vec<f64> = (0..200).map(|i| 0.05 + f64::from(i) * 5.11).collect();
-        let mut scratch = vec![0.0; cs.len()];
-        let mut out = vec![0.0; cs.len()];
-        for kf in [1.0, 3.0, 47.0, 1000.0] {
-            exp.value_capacity_slice_fast(&cs, kf, &mut scratch, &mut out);
-            for (&c, &o) in cs.iter().zip(&out) {
-                let want = exp.value(c / kf);
-                assert!((o - want).abs() <= 1e-13 * want.max(1e-300), "exp c={c} k={kf}");
-            }
-            sat.value_capacity_slice_fast(&cs, kf, &mut scratch, &mut out);
-            for (&c, &o) in cs.iter().zip(&out) {
-                let want = sat.value(c / kf);
-                assert!((o - want).abs() <= 1e-13 * want.max(1e-300), "sat c={c} k={kf}");
-            }
-        }
-    }
-
-    #[test]
-    fn capacity_slice_fast_zero_and_negative_capacity() {
-        let exp = ExponentialElastic::default();
-        let sat = Saturating::default();
-        let cs = [-2.0, 0.0, 1.0];
-        let mut scratch = [0.0; 3];
-        let mut out = [9.0; 3];
-        exp.value_capacity_slice_fast(&cs, 2.0, &mut scratch, &mut out);
-        assert_eq!(out[0], 0.0);
-        assert_eq!(out[1], 0.0);
-        sat.value_capacity_slice_fast(&cs, 2.0, &mut scratch, &mut out);
-        assert_eq!(out[0], 0.0);
-        assert_eq!(out[1], 0.0);
     }
 }

@@ -71,30 +71,6 @@ impl Utility for Rigid {
     fn knots(&self) -> Vec<f64> {
         vec![self.threshold]
     }
-
-    fn value_slice(&self, bs: &[f64], out: &mut [f64]) {
-        assert_eq!(bs.len(), out.len(), "bandwidth/output slices must match");
-        let t = self.threshold;
-        // A compare-and-select loop (no call, no branch): auto-vectorizes
-        // and is bitwise identical to `value` per element.
-        for (o, &b) in out.iter_mut().zip(bs) {
-            *o = if b >= t { 1.0 } else { 0.0 };
-        }
-    }
-
-    fn value_capacity_slice_fast(&self, cs: &[f64], kf: f64, _scratch: &mut [f64], out: &mut [f64]) {
-        assert!(kf > 0.0, "admission level must be positive");
-        assert_eq!(cs.len(), out.len(), "capacity/output slices must match");
-        let t = self.threshold;
-        // One compare-select pass, no scratch round-trip. The division is
-        // kept (rather than comparing `cs[i] >= t·kf`) so the comparison
-        // operand is the *same rounded quotient* the scalar composition
-        // sees — this override is bitwise identical to the default
-        // divide-then-value_slice path, not merely tolerance-close.
-        for (o, &c) in out.iter_mut().zip(cs) {
-            *o = if c / kf >= t { 1.0 } else { 0.0 };
-        }
-    }
 }
 
 #[cfg(test)]

@@ -28,119 +28,6 @@ pub trait Utility: Send + Sync {
     fn knots(&self) -> Vec<f64> {
         Vec::new()
     }
-
-    /// Cross-platform deterministic `π(b)`: same input bits ⇒ same output
-    /// bits on **every** platform and libm.
-    ///
-    /// The default forwards to [`Utility::value`], which is already
-    /// portable for families built from pure `+ − × ÷` arithmetic (IEEE 754
-    /// basic operations are correctly rounded everywhere). Families that
-    /// call libm transcendentals (`exp_m1`, `powf`, …) override this with a
-    /// branch-free polynomial kernel (see `bevra_num::one_minus_exp_neg`)
-    /// whose result is within a few ULPs of `value` but bit-identical
-    /// across toolchains — this is what the engine's `deterministic-portable`
-    /// backend evaluates, retiring libm-ULP drift from pinned artifacts.
-    ///
-    /// Overrides must preserve the `value` contract (0 at 0, nondecreasing,
-    /// → 1) and stay within the engine's documented `Tolerance(1e-13)`
-    /// relative parity class of `value`.
-    fn value_portable(&self, b: f64) -> f64 {
-        self.value(b)
-    }
-
-    /// Evaluate `π` over a bandwidth slice: `out[i] = value(bs[i])`.
-    ///
-    /// The default loops over [`Utility::value`]; overrides must stay
-    /// **bitwise identical** to that loop (the batched welfare kernels rely
-    /// on this to mirror the scalar evaluation path exactly). Families whose
-    /// `value` is branch-light (e.g. step functions) may override this with
-    /// an auto-vectorizable loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bs` and `out` have different lengths.
-    fn value_slice(&self, bs: &[f64], out: &mut [f64]) {
-        assert_eq!(bs.len(), out.len(), "bandwidth/output slices must match");
-        for (o, &b) in out.iter_mut().zip(bs) {
-            *o = self.value(b);
-        }
-    }
-
-    /// Fast approximate slice evaluation: `out[i] ≈ value(bs[i])` within a
-    /// few ULPs.
-    ///
-    /// The default forwards to [`Utility::value_slice`] (exact). Families
-    /// dominated by transcendental calls override this with a vectorizable
-    /// polynomial kernel (see `bevra_num::one_minus_exp_neg`); such
-    /// overrides are *deterministic* (same input bits ⇒ same output bits,
-    /// on every platform) but need not match `value` bitwise. Callers that
-    /// require bitwise parity with the scalar path must use
-    /// [`Utility::value_slice`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bs` and `out` have different lengths.
-    fn value_slice_fast(&self, bs: &[f64], out: &mut [f64]) {
-        self.value_slice(bs, out);
-    }
-
-    /// Fast evaluation of `π(C/k)` over a **capacity** slice at admission
-    /// level `kf = k`: `out[i] ≈ value(cs[i] / kf)`.
-    ///
-    /// This is the hot call of the grid-batched welfare kernels (see
-    /// `bevra_core::discrete_batch`), which walk a whole load table with
-    /// the capacity grid fixed. The default divides into `scratch` and
-    /// forwards to [`Utility::value_slice_fast`]; families whose exponent
-    /// can absorb the division algebraically override it to save a packed
-    /// divide per lane (e.g. the adaptive family's
-    /// `x = C²/(κk² + Ck)` form). Overrides carry the same contract as
-    /// [`Utility::value_slice_fast`] — deterministic, tolerance-budgeted,
-    /// not necessarily bitwise equal to the scalar composition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cs`, `scratch`, and `out` lengths differ, or if `kf` is
-    /// not strictly positive.
-    fn value_capacity_slice_fast(
-        &self,
-        cs: &[f64],
-        kf: f64,
-        scratch: &mut [f64],
-        out: &mut [f64],
-    ) {
-        assert!(kf > 0.0, "admission level must be positive");
-        assert_eq!(cs.len(), scratch.len(), "capacity/scratch slices must match");
-        for (b, &c) in scratch.iter_mut().zip(cs) {
-            *b = c / kf;
-        }
-        self.value_slice_fast(scratch, out);
-    }
-
-    /// Fused fast-path hook for the fused B+R grid pass
-    /// (`bevra_core::discrete_batch`): accumulate
-    /// `pmfs[i] · k · π(c/k)` for `k = k0, k0+1, …` into
-    /// `bevra_num::KSPAN_ACCS` stride-interleaved Neumaier accumulator
-    /// pairs, walking a whole span of admission levels for **one**
-    /// capacity `c > 0` in a single vectorized call.
-    ///
-    /// Returns `false` (the default) when the family has no k-span
-    /// kernel — the fused pass then falls back to the slice-kernel
-    /// composition. Overrides must return `true` after accumulating and
-    /// carry the k-span contract (see
-    /// `bevra_num::one_minus_exp_neg_adaptive_kspan`): deterministic,
-    /// bitwise identical across SIMD tiers, within the fast kernels'
-    /// 1e-13 relative budget of the scalar composition, resumable by
-    /// calling again with the next `k0`.
-    fn accumulate_pi_kspan_fast(
-        &self,
-        _c: f64,
-        _k0: f64,
-        _pmfs: &[f64],
-        _sums: &mut [f64; bevra_num::KSPAN_ACCS],
-        _comps: &mut [f64; bevra_num::KSPAN_ACCS],
-    ) -> bool {
-        false
-    }
 }
 
 /// Blanket impl so `&U`, `Box<U>`, `Arc<U>` can be used wherever a utility
@@ -158,28 +45,6 @@ impl<U: Utility + ?Sized> Utility for &U {
     fn knots(&self) -> Vec<f64> {
         (**self).knots()
     }
-    fn value_portable(&self, b: f64) -> f64 {
-        (**self).value_portable(b)
-    }
-    fn value_slice(&self, bs: &[f64], out: &mut [f64]) {
-        (**self).value_slice(bs, out);
-    }
-    fn value_slice_fast(&self, bs: &[f64], out: &mut [f64]) {
-        (**self).value_slice_fast(bs, out);
-    }
-    fn value_capacity_slice_fast(&self, cs: &[f64], kf: f64, scratch: &mut [f64], out: &mut [f64]) {
-        (**self).value_capacity_slice_fast(cs, kf, scratch, out);
-    }
-    fn accumulate_pi_kspan_fast(
-        &self,
-        c: f64,
-        k0: f64,
-        pmfs: &[f64],
-        sums: &mut [f64; bevra_num::KSPAN_ACCS],
-        comps: &mut [f64; bevra_num::KSPAN_ACCS],
-    ) -> bool {
-        (**self).accumulate_pi_kspan_fast(c, k0, pmfs, sums, comps)
-    }
 }
 
 impl<U: Utility + ?Sized> Utility for std::sync::Arc<U> {
@@ -194,28 +59,6 @@ impl<U: Utility + ?Sized> Utility for std::sync::Arc<U> {
     }
     fn knots(&self) -> Vec<f64> {
         (**self).knots()
-    }
-    fn value_portable(&self, b: f64) -> f64 {
-        (**self).value_portable(b)
-    }
-    fn value_slice(&self, bs: &[f64], out: &mut [f64]) {
-        (**self).value_slice(bs, out);
-    }
-    fn value_slice_fast(&self, bs: &[f64], out: &mut [f64]) {
-        (**self).value_slice_fast(bs, out);
-    }
-    fn value_capacity_slice_fast(&self, cs: &[f64], kf: f64, scratch: &mut [f64], out: &mut [f64]) {
-        (**self).value_capacity_slice_fast(cs, kf, scratch, out);
-    }
-    fn accumulate_pi_kspan_fast(
-        &self,
-        c: f64,
-        k0: f64,
-        pmfs: &[f64],
-        sums: &mut [f64; bevra_num::KSPAN_ACCS],
-        comps: &mut [f64; bevra_num::KSPAN_ACCS],
-    ) -> bool {
-        (**self).accumulate_pi_kspan_fast(c, k0, pmfs, sums, comps)
     }
 }
 

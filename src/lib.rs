@@ -76,8 +76,7 @@ pub use bevra_obs as obs;
 pub mod prelude {
     pub use bevra_core::{
         bandwidth_gap, equalizing_price_ratio, optimal_welfare, performance_gap, DiscreteModel,
-        Kernel, KernelCapability, ParityClass, RetryModel, SampledValue, SamplingModel,
-        SimdLevel,
+        Kernel, KernelCapability, RetryModel, SampledValue, SamplingModel, SimdLevel,
     };
     pub use bevra_engine::{Architecture, ExecMode, SweepEngine, SweepPoint};
     pub use bevra_load::{

@@ -62,7 +62,6 @@ fn pinned_cache_fault_scenario_degrades_to_recompute() {
             DiscreteModel::new(load.clone(), AdaptiveExp::paper()),
             ExecMode::Serial,
         )
-        .with_kernel(bevra::analysis::kernel::batch())
     };
     // Reference under an empty plan, so a plan another test installs
     // concurrently cannot leak into it.
