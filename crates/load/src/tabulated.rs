@@ -424,7 +424,7 @@ impl Tabulated {
     ///
     /// For readers that walk the whole table: [`Tabulated::pmf_values`],
     /// [`Tabulated::iter`] (hence [`Tabulated::expect`] and
-    /// [`Tabulated::variance`]) and the grid kernels that walk every entry.
+    /// [`Tabulated::variance`]) and the order statistics.
     #[must_use]
     pub fn materialized(&self) -> &Tabulated {
         let Some(t) = self.tail else {
@@ -446,10 +446,6 @@ impl Tabulated {
 
     /// Every pmf entry as a contiguous slice (`pmf_values()[k] = pmf(k)`),
     /// from [`Tabulated::materialized`].
-    ///
-    /// Exposed for grid-batched kernels that traverse the table once for a
-    /// whole capacity grid and need the compiler to see a plain `&[f64]`
-    /// rather than a bounds-checked accessor in the hot loop.
     #[must_use]
     pub fn pmf_values(&self) -> &[f64] {
         &self.materialized().pmf
