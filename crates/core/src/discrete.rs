@@ -5,40 +5,69 @@ use bevra_num::NeumaierSum;
 use bevra_utility::{k_max_discrete, Utility};
 use std::sync::Arc;
 
-/// The stretch `(head, last]` of a load table that `B(C)` integrates
-/// instead of summing: one shared plan for [`DiscreteModel::best_effort`]
-/// and the grid sweep (`crate::discrete_batch`), so both add the
-/// same value at the same point of each Neumaier sequence.
-#[derive(Debug, Clone, Copy)]
+/// The stretch `(SMOOTH_HEAD, to]` of a long load table that `B(C)` and
+/// `R(C)` add as one value instead of walking entry by entry: one shared
+/// plan for [`DiscreteModel`] and the grid sweep
+/// (`crate::discrete_batch`), so both add the same value at the same
+/// point of each Neumaier sequence.
+#[derive(Debug, Clone)]
 pub(crate) struct SmoothTail {
     density: PowerLawTail,
-    /// Last index summed term by term.
-    pub(crate) head: u64,
-    /// Last table index.
-    last: u64,
+    /// Last table index, where a `B` stretch ends.
+    pub(crate) last: u64,
+    /// The utility's [`Utility::knots`].
+    knots: Vec<f64>,
 }
 
 impl SmoothTail {
-    /// The plan for capacity `C`, or `None` when the walk covers the
-    /// whole table: no [`Tabulated::smooth_tail`], or a head that reaches
-    /// the table end. The head is at least [`SMOOTH_HEAD`] and lies past
-    /// `C/b` for every [`Utility::knots`] `b`, so `π(C/x)` is smooth over
-    /// the integrated stretch.
-    pub(crate) fn plan(load: &Tabulated, utility: &impl Utility, capacity: f64) -> Option<Self> {
+    /// The plan for a table and a utility, or `None` when the table has no
+    /// [`Tabulated::smooth_tail`] (it is then walked to its end).
+    pub(crate) fn plan(load: &Tabulated, utility: &impl Utility) -> Option<Self> {
         let density = load.smooth_tail()?;
-        let head = utility
-            .knots()
-            .into_iter()
-            .fold(SMOOTH_HEAD, |h, b| h.max(((capacity / b).ceil() as u64).saturating_add(1)));
-        let last = load.len() as u64 - 1;
-        (head < last).then_some(Self { density, head, last })
+        Some(Self { density, last: load.len() as u64 - 1, knots: utility.knots() })
     }
 
-    /// `Σ_{head<k≤last} P(k)·k·π(C/k)` by [`PowerLawTail::sum`] of
-    /// `f(x) = ρ(x)·x·π(C/x)`, whose end-correction slope over one table
-    /// step stays past every knot.
-    pub(crate) fn sum(&self, pi: impl Fn(f64) -> f64, capacity: f64) -> f64 {
-        self.density.sum(self.head, self.last, |x, rho| rho * x * pi(capacity / x))
+    /// Last index a walk towards `to` sums term by term: `to` itself on a
+    /// table without a plan, else at most [`SMOOTH_HEAD`].
+    pub(crate) fn walk_end(plan: Option<&Self>, to: u64) -> u64 {
+        plan.map_or(to, |_| to.min(SMOOTH_HEAD))
+    }
+
+    /// `Σ_{SMOOTH_HEAD<k≤to} P(k)·k·π(C/k)`, with `f(x) = ρ(x)·x·π(C/x)`.
+    ///
+    /// The cells `⌊x⌋−1 ..= ⌈x⌉+1` around each knot position `x = C/b`
+    /// are summed term by term, so no quadrature node or end-correction
+    /// stencil (`f(x ± ½)`) straddles a step or a slope break of `π`. The
+    /// knot-free spans between them go through
+    /// [`PowerLawTail::add_span`]: one quadrature value past 32 entries,
+    /// term by term below. The pieces are added in ascending `k`; without
+    /// a knot in the stretch the total is one [`PowerLawTail::sum`].
+    pub(crate) fn sum(&self, pi: impl Fn(f64) -> f64, capacity: f64, to: u64) -> f64 {
+        let f = |x: f64, rho: f64| rho * x * pi(capacity / x);
+        let mut cells: Vec<(u64, u64)> = self
+            .knots
+            .iter()
+            .map(|&b| capacity / b)
+            .filter(|x| x.is_finite())
+            .filter_map(|x| {
+                let lo = (x.floor() - 1.0).max((SMOOTH_HEAD + 1) as f64);
+                let hi = (x.ceil() + 1.0).min(to as f64);
+                (lo <= hi).then_some((lo as u64, hi as u64))
+            })
+            .collect();
+        cells.sort_unstable();
+        let mut acc = NeumaierSum::new();
+        let mut done = SMOOTH_HEAD;
+        for (lo, hi) in cells {
+            self.density.add_span(&mut acc, done, lo - 1, f);
+            for k in lo.max(done + 1)..=hi {
+                let x = k as f64;
+                acc.add(f(x, self.density.density(x)));
+            }
+            done = done.max(hi);
+        }
+        self.density.add_span(&mut acc, done, to, f);
+        acc.total()
     }
 }
 
@@ -152,12 +181,12 @@ impl<U: Utility> DiscreteModel<U> {
     ///
     /// Where the walk stops otherwise: a table with a
     /// [`Tabulated::smooth_tail`] (algebraic loads with entries past index
-    /// [`SMOOTH_HEAD`]) is summed only up to
-    /// `max(SMOOTH_HEAD, ⌈C/b⌉ + 1)` over the utility's knots `b`, and the
-    /// rest up to the table end is added as one quadrature value — 68 `π`
-    /// calls instead of up to a million. Every other table is
-    /// walked to its end. The grid sweep
-    /// ([`crate::discrete_batch::sweep_grid`]) does the same.
+    /// [`SMOOTH_HEAD`]) is summed only up to `SMOOTH_HEAD`, and the rest up
+    /// to the table end is added as one stretch sum — 68 `π` calls per
+    /// knot-free span, plus a few cells around each utility knot, instead
+    /// of up to a million. Every other table is walked to its end.
+    /// The grid sweep ([`crate::discrete_batch::sweep_grid`]) does the
+    /// same.
     pub fn best_effort(&self, capacity: f64) -> f64 {
         if capacity <= 0.0 {
             return 0.0;
@@ -175,9 +204,8 @@ impl<U: Utility> DiscreteModel<U> {
     fn best_effort_uninstrumented(&self, capacity: f64) -> f64 {
         let kbar = self.load.mean();
         let mut acc = NeumaierSum::new();
-        let tail = SmoothTail::plan(&self.load, &self.utility, capacity);
-        let end = tail.map_or(self.load.len() as u64, |t| t.head + 1);
-        for k in 1..end {
+        let tail = SmoothTail::plan(&self.load, &self.utility);
+        for k in 1..=SmoothTail::walk_end(tail.as_ref(), self.load.len() as u64 - 1) {
             let p = self.load.pmf(k);
             let pi = self.utility.value(capacity / k as f64);
             if p > 0.0 {
@@ -198,7 +226,7 @@ impl<U: Utility> DiscreteModel<U> {
             }
         }
         if let Some(t) = tail {
-            acc.add(t.sum(|b| self.utility.value(b), capacity));
+            acc.add(t.sum(|b| self.utility.value(b), capacity, t.last));
         }
         acc.total() / kbar
     }
@@ -209,7 +237,10 @@ impl<U: Utility> DiscreteModel<U> {
     ///
     /// Under overload each of the `k_max` admitted flows receives
     /// `C/k_max`, so the overload term collapses to a closed form via the
-    /// cached tail mass — O(k_max) total.
+    /// cached tail mass. The admitted head is walked like
+    /// [`Self::best_effort`]: on a table with a smooth tail up to
+    /// [`SMOOTH_HEAD`] only, with the rest of it up to `k_max` added as one
+    /// stretch sum — O(min(k_max, `SMOOTH_HEAD`)) total.
     pub fn reservation(&self, capacity: f64) -> f64 {
         self.reservation_with_kmax(capacity, self.k_max(capacity))
     }
@@ -246,11 +277,15 @@ impl<U: Utility> DiscreteModel<U> {
         let kbar = self.load.mean();
         let mut acc = NeumaierSum::new();
         let cap_k = kmax.min(self.load.len() as u64 - 1);
-        for k in 1..=cap_k {
+        let tail = SmoothTail::plan(&self.load, &self.utility);
+        for k in 1..=SmoothTail::walk_end(tail.as_ref(), cap_k) {
             let p = self.load.pmf(k);
             if p > 0.0 {
                 acc.add(p * k as f64 * self.utility.value(capacity / k as f64));
             }
+        }
+        if let Some(t) = tail.filter(|_| cap_k > SMOOTH_HEAD) {
+            acc.add(t.sum(|b| self.utility.value(b), capacity, cap_k));
         }
         let overload_mass = self.load.tail_mass_above(cap_k);
         if overload_mass > 0.0 {
@@ -394,19 +429,31 @@ mod tests {
         assert!((m.total_best_effort(c) - m.mean_load() * m.best_effort(c)).abs() < 1e-12);
     }
 
-    /// A utility wrapper counting `value` calls, for pinning the early-exit
-    /// cadence of the summation loop.
-    struct Counting {
-        inner: Rigid,
+    /// A utility wrapper counting `value` calls, for pinning how many
+    /// entries the summation loops visit.
+    struct Counting<U> {
+        inner: U,
         calls: std::sync::atomic::AtomicUsize,
     }
-    impl Utility for Counting {
+    impl<U: Utility> Counting<U> {
+        fn new(inner: U) -> Self {
+            Self { inner, calls: std::sync::atomic::AtomicUsize::new(0) }
+        }
+        /// Calls since the last `take`.
+        fn take(&self) -> usize {
+            self.calls.swap(0, std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+    impl<U: Utility> Utility for Counting<U> {
         fn value(&self, b: f64) -> f64 {
             self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.inner.value(b)
         }
         fn name(&self) -> &'static str {
-            "counting-rigid"
+            self.inner.name()
+        }
+        fn knots(&self) -> Vec<f64> {
+            self.inner.knots()
         }
     }
 
@@ -420,11 +467,9 @@ mod tests {
         let weights: Vec<f64> = (0..40).map(|k| 1.0 / f64::from(k + 1)).collect();
         let load = Arc::new(Tabulated::from_weights(weights.clone()));
 
-        let counting =
-            Counting { inner: Rigid::unit(), calls: std::sync::atomic::AtomicUsize::new(0) };
-        let m = DiscreteModel::new(Arc::clone(&load), counting);
+        let m = DiscreteModel::new(Arc::clone(&load), Counting::new(Rigid::unit()));
         let got = m.best_effort(10.0);
-        let calls = m.utility().calls.load(std::sync::atomic::Ordering::Relaxed);
+        let calls = m.utility().take();
         assert!(calls <= 12, "early exit did not fire: {calls} value() calls for 40 entries");
 
         // And the exit is bitwise neutral: identical to the full-order
@@ -441,24 +486,41 @@ mod tests {
         assert_eq!(got.to_bits(), want.to_bits(), "exit changed the sum: {got:e} vs {want:e}");
     }
 
-    /// `B(C)` as the full-table Neumaier walk, no early exit, no tail.
-    fn walk_every_entry(load: &Tabulated, u: &dyn Utility, capacity: f64) -> f64 {
-        let mut acc = NeumaierSum::new();
+    /// `B(C)` and `R(C)` as one full-table Neumaier walk: no early exit and
+    /// no stretch sums. The overload mass is the table's
+    /// [`Tabulated::tail_mass_above`], as in [`DiscreteModel::reservation`]:
+    /// below the head it is `1 − cdf(k)`, whose cancellation alone puts
+    /// `R` up to ~5e-14 off a summed mass on the heaviest tails here.
+    fn walk_every_entry(m: &DiscreteModel<&dyn Utility>, capacity: f64) -> (f64, f64) {
+        let (load, u) = (m.load(), m.utility());
+        let kmax = m.k_max(capacity);
+        let cap_k = kmax.map_or(u64::MAX, |km| km.min(load.len() as u64 - 1));
+        let (mut b, mut r) = (NeumaierSum::new(), NeumaierSum::new());
         for (k, p) in load.iter().skip(1) {
             if p > 0.0 {
-                acc.add(p * k as f64 * u.value(capacity / k as f64));
+                let term = p * k as f64 * u.value(capacity / k as f64);
+                b.add(term);
+                if k <= cap_k {
+                    r.add(term);
+                }
             }
         }
-        acc.total() / load.mean()
+        let Some(km) = kmax else {
+            return (b.total() / load.mean(), b.total() / load.mean());
+        };
+        r.add(km as f64 * u.value(capacity / km as f64) * load.tail_mass_above(cap_k));
+        (b.total() / load.mean(), r.total() / load.mean())
     }
 
     #[test]
     fn smooth_tail_matches_the_full_walk() {
-        // Past the 4096-entry head the algebraic tail is a quadrature
-        // value, not a sum; it must agree with summing every entry to
-        // 2e-15 relative over tails from z = 2.3 to 4, two means, two
-        // table lengths, smooth and kinked utilities, and capacities from
-        // k̄/20 to 100·k̄.
+        // Past the 4096-entry head the algebraic tail is a stretch sum
+        // (quadrature between knot cells), not a walk; `B` and `R` must
+        // agree with summing every entry to 2e-15 relative over tails from
+        // z = 2.3 to 4, two means, two table lengths, smooth and kinked
+        // utilities, capacities from k̄/20 to 300·k̄ (so admitted `R` heads
+        // pass the table head), and capacities whose knots `C/b` fall
+        // within 2 entries of the head and of the table end.
         let utilities: [&dyn Utility; 4] = [
             &AdaptiveExp::paper(),
             &ExponentialElastic::default(),
@@ -473,16 +535,28 @@ mod tests {
                     let load = Arc::new(Tabulated::from_model(&model, 1e-12, len));
                     assert_eq!(load.len(), len);
                     assert!(load.smooth_tail().is_some());
+                    let anchors = [SMOOTH_HEAD as f64, (len - 1) as f64];
                     for &u in &utilities {
                         let m = DiscreteModel::new(Arc::clone(&load), u);
-                        for i in 0..40 {
-                            let c = kbar / 20.0 * 2000f64.powf(f64::from(i) / 39.0);
-                            let want = walk_every_entry(&load, u, c);
-                            let got = m.best_effort(c);
-                            let rel = (got - want).abs() / want.abs();
-                            if rel > worst.0 {
-                                worst =
-                                    (rel, format!("z={z} k̄={kbar} len={len} {} C={c}", u.name()));
+                        let mut cs: Vec<f64> = (0..40)
+                            .map(|i| kbar / 20.0 * 6000f64.powf(f64::from(i) / 39.0))
+                            .collect();
+                        let offsets = [-2.0, -1.25, -0.5, 0.0, 0.5, 1.25, 2.0];
+                        for b in u.knots() {
+                            for x in anchors {
+                                cs.extend(offsets.map(|d| b * (x + d)));
+                            }
+                        }
+                        for c in cs {
+                            let (want_b, want_r) = walk_every_entry(&m, c);
+                            for (col, got, want) in
+                                [("B", m.best_effort(c), want_b), ("R", m.reservation(c), want_r)]
+                            {
+                                let rel = (got - want).abs() / want.abs();
+                                if rel > worst.0 {
+                                    let at = format!("z={z} k̄={kbar} len={len} {} C={c}", u.name());
+                                    worst = (rel, format!("{col} {at}"));
+                                }
                             }
                         }
                     }
@@ -490,6 +564,33 @@ mod tests {
             }
         }
         assert!(worst.0 <= 2e-15, "worst relative error {:e} at {}", worst.0, worst.1);
+    }
+
+    #[test]
+    fn long_heads_call_pi_about_head_times() {
+        // On fig4's 2^20-entry table, B and R at C = 30,000 walk the 4,096
+        // head entries and add the rest as stretch sums: quadrature nodes
+        // and a few cells per knot, not one π call per entry up to C.
+        let model = Algebraic::from_mean(3.0, 100.0).expect("calibration");
+        let load = Arc::new(Tabulated::from_model(&model, 1e-9, 1 << 20));
+        assert!(load.smooth_tail().is_some());
+        let c = 30_000.0;
+        let budget = SMOOTH_HEAD as usize + 300;
+        let check = |u: &Counting<&dyn Utility>, b_calls: usize, r_calls: usize| {
+            assert!(b_calls <= budget, "{}: B called π {b_calls} times", u.name());
+            assert!(r_calls <= budget, "{}: R called π {r_calls} times", u.name());
+        };
+        let utilities: [&dyn Utility; 3] = [&Rigid::unit(), &Ramp::new(0.5), &AdaptiveExp::paper()];
+        for u in utilities {
+            let m = DiscreteModel::new(Arc::clone(&load), Counting::new(u));
+            let kmax = m.k_max(c);
+            assert!(kmax.is_some_and(|k| k > SMOOTH_HEAD), "{}: k_max {kmax:?}", u.name());
+            m.utility().take();
+            m.best_effort(c);
+            let b_calls = m.utility().take();
+            m.reservation_with_kmax(c, kmax);
+            check(m.utility(), b_calls, m.utility().take());
+        }
     }
 
     #[test]

@@ -24,15 +24,16 @@
 //! by point — the workspace's differential ladder and golden corpus rely
 //! on this.
 //!
-//! Like the per-point path, a `B` lane on a table with a smooth tail
-//! (algebraic loads with entries past index [`bevra_load::SMOOTH_HEAD`])
-//! stops walking at its head — `SMOOTH_HEAD`, or past the utility's last
-//! knot — and adds the rest of the table as one quadrature value, computed
-//! by the same function at the same point of its Neumaier sequence. On the
+//! Like the per-point path, every lane on a table with a smooth tail
+//! (algebraic loads with entries past index [`SMOOTH_HEAD`]) stops walking
+//! at `SMOOTH_HEAD`. There it adds the rest of its `B` series, and the
+//! rest of its admitted `R` head, as one stretch sum each, computed by the
+//! same function at the same point of each Neumaier sequence. On the
 //! paper's 2²⁰-entry z = 3 table that is a walk of 4,096 entries instead
-//! of all of them. The sweep reads the table's stored head and tail
-//! density only; it never builds
-//! [`bevra_load::Tabulated::materialized`].
+//! of up to `C` for an `R` head, or all of them for `B`. Since every lane
+//! stops at the same index, the lanes of a grid cost about the same. The
+//! sweep reads the table's stored head and tail density only; it never
+//! builds [`bevra_load::Tabulated::materialized`].
 //!
 //! The admission sweep exploits monotonicity: `k_max(C)` is nondecreasing
 //! in `C` (more capacity never lowers the optimal admission count), so for
@@ -45,6 +46,7 @@
 //! `tests/batch_parity.rs`).
 
 use crate::discrete::{DiscreteModel, SmoothTail};
+use bevra_load::SMOOTH_HEAD;
 use bevra_num::{argmax_unimodal_u64, NeumaierSum};
 use bevra_utility::{total_utility, Utility};
 
@@ -207,9 +209,11 @@ pub fn sweep_grid<U: Utility>(model: &DiscreteModel<U>, capacities: &[f64]) -> G
 
 /// The one table walk of [`sweep_grid`]: one `π(C/k)` evaluation per
 /// `(k, lane)` feeds the best-effort accumulator (with the per-point
-/// path's early-exit frontier and, on a table with a smooth tail, its
-/// [`SmoothTail`] hand-over) and the reservation-head accumulator (for
-/// `k ≤ cap_k[lane]`). Returns the normalized `B` values and the
+/// path's early-exit frontier) and the reservation-head accumulator (for
+/// `k ≤ cap_k[lane]`). On a table with a smooth tail the walk stops at
+/// [`SMOOTH_HEAD`], where each lane adds its [`SmoothTail`] stretches: the
+/// rest of its `B` series, and the rest of its admitted `R` head when
+/// `cap_k[lane]` lies past it. Returns the normalized `B` values and the
 /// unfinished `R` heads.
 fn fused_walk<U: Utility>(
     model: &DiscreteModel<U>,
@@ -220,10 +224,11 @@ fn fused_walk<U: Utility>(
     let u = model.utility();
     let kbar = load.mean();
     let g = capacities.len();
-    let len = load.len() as u64;
-    let max_cap_k = cap_k.iter().copied().max().unwrap_or(0);
-    let tails: Vec<Option<SmoothTail>> =
-        capacities.iter().map(|&c| SmoothTail::plan(load, u, c)).collect();
+    let tail = SmoothTail::plan(load, u);
+    let end = SmoothTail::walk_end(tail.as_ref(), load.len() as u64 - 1);
+    // The admitted heads summed term by term.
+    let walk_k: Vec<u64> = cap_k.iter().map(|&m| SmoothTail::walk_end(tail.as_ref(), m)).collect();
+    let max_walk_k = walk_k.iter().copied().max().unwrap_or(0);
 
     let mut acc_b = vec![NeumaierSum::new(); g];
     let mut acc_r = vec![NeumaierSum::new(); g];
@@ -234,27 +239,29 @@ fn fused_walk<U: Utility>(
     // handled by the per-lane flags.
     let mut start = 0usize;
 
-    for k in 1..len {
-        if alive == 0 && k > max_cap_k {
+    for k in 1..=end {
+        if alive == 0 && k > max_walk_k {
             break;
         }
         let p = load.pmf(k);
         let kf = k as f64;
         let check = k % 64 == 0;
-        // Read on the first exit test at this `k` (a quadrature past the
-        // head of a table with a tail), not on every step: the rigid lanes
-        // that walk their admitted heads past a long table's head would
-        // otherwise take one quadrature per step.
+        // The stretches, added at the head's last entry.
+        let stretch = tail.as_ref().filter(|_| k == SMOOTH_HEAD);
+        // Read on the first exit test at this `k`, not on every lane.
         let mut tail_mean = None;
         for i in start..g {
             let b_live = active[i];
-            let r_live = k <= cap_k[i];
+            let r_live = k <= walk_k[i];
             if !b_live && !r_live {
                 continue;
             }
             let pi = u.value(capacities[i] / kf);
             if r_live && p > 0.0 {
                 acc_r[i].add(p * kf * pi);
+            }
+            if let Some(t) = stretch.filter(|_| cap_k[i] > SMOOTH_HEAD) {
+                acc_r[i].add(t.sum(|b| u.value(b), capacities[i], cap_k[i]));
             }
             if b_live {
                 // Mirror of `best_effort_uninstrumented`'s loop body.
@@ -270,14 +277,14 @@ fn fused_walk<U: Utility>(
                         continue;
                     }
                 }
-                if let Some(t) = tails[i].filter(|t| t.head == k) {
-                    acc_b[i].add(t.sum(|b| u.value(b), capacities[i]));
+                if let Some(t) = stretch {
+                    acc_b[i].add(t.sum(|b| u.value(b), capacities[i], t.last));
                     active[i] = false;
                     alive -= 1;
                 }
             }
         }
-        while start < g && !active[start] && k >= cap_k[start] {
+        while start < g && !active[start] && k >= walk_k[start] {
             start += 1;
         }
     }

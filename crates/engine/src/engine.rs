@@ -255,10 +255,10 @@ impl<U: Utility> SweepEngine<U> {
     /// Non-finite and nonpositive capacities are left to the per-point path;
     /// the rest are sorted, deduplicated, filtered to what is not already
     /// memoized, then either loaded from the persistent cache or computed
-    /// by the backend's grid sweep — in parallel contiguous chunks under
-    /// [`ExecMode::Parallel`] — and inserted. The backend mirrors the
+    /// by the backend's grid sweep — dealt round-robin over the workers
+    /// under [`ExecMode::Parallel`] — and inserted. The backend mirrors the
     /// per-point path exactly, so results are identical under any thread
-    /// count or chunking.
+    /// count or split.
     ///
     /// A panic inside the batched compute is caught and counted
     /// (`engine/prime/panic`): the sweep then falls back to the per-point
@@ -300,20 +300,26 @@ impl<U: Utility> SweepEngine<U> {
     /// Batched evaluation of `(k_max, B, R)` rows for a sorted deduped
     /// grid through the active backend; `None` if the kernel panicked
     /// (fall back to scalar).
+    ///
+    /// Lane `i` goes to worker `i mod T`: each worker's sub-grid stays
+    /// sorted, and the costlier lanes at the top of the grid spread over
+    /// every worker instead of landing on the last one.
     fn compute_rows(&self, cs: &[f64]) -> Option<Vec<GridRow>> {
         let kernel = self.kernel;
-        let threads = self.mode.threads();
+        let workers = self.mode.threads().min(cs.len()).max(1);
         let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // One type-erased view shared by all workers: an Arc clone of
             // the load plus a borrow of the utility — no table copies.
             let dyn_model = self.model.as_dyn();
-            let chunk_len = cs.len().div_ceil(threads).max(1);
-            let chunks: Vec<&[f64]> = cs.chunks(chunk_len).collect();
-            let parts = parallel_map_with(&chunks, threads, |chunk| {
-                // The carried argmax bracket restarts per chunk; the search
-                // returns the smallest maximizer regardless of the carry,
-                // so chunking never changes bits.
-                let sweep = kernel.sweep_grid(&dyn_model, chunk);
+            let deals: Vec<Vec<f64>> = (0..workers)
+                .map(|w| cs.iter().copied().skip(w).step_by(workers).collect())
+                .collect();
+            let parts = parallel_map_with(&deals, workers, |deal| {
+                // The carried argmax bracket restarts per worker; the
+                // search returns the smallest maximizer regardless of the
+                // carry, and lanes are independent, so the split never
+                // changes bits.
+                let sweep = kernel.sweep_grid(&dyn_model, deal);
                 sweep
                     .k_max
                     .into_iter()
@@ -322,7 +328,7 @@ impl<U: Utility> SweepEngine<U> {
                     .map(|((k, b), r)| (k, b, r))
                     .collect::<Vec<GridRow>>()
             });
-            parts.into_iter().flatten().collect::<Vec<GridRow>>()
+            (0..cs.len()).map(|i| parts[i % workers][i / workers]).collect::<Vec<GridRow>>()
         }));
         match computed {
             Ok(rows) => Some(rows),

@@ -7,13 +7,13 @@ use std::sync::OnceLock;
 
 /// Last table index a table with a smooth tail stores as arrays; past it
 /// every query reads [`Tabulated::smooth_tail`], and the discrete model
-/// integrates that density instead of summing entries (it always sums at
-/// least up to this index, and past every utility knot). A table gets a
-/// tail only if it has entries beyond this index, so shorter tables — and
-/// every table whose model has no [`LoadModel::smooth_density`] — store
-/// and walk every entry. With this head, `B(C)` stays
-/// within 2e-15 relative of summing every entry for z from 2.3 to 4; with
-/// a 1024-entry head it does not.
+/// integrates that density instead of summing entries (it sums up to this
+/// index, and past it only the few entries around each utility knot). A
+/// table gets a tail only if it has entries beyond this index, so shorter
+/// tables — and every table whose model has no
+/// [`LoadModel::smooth_density`] — store and walk every entry. With this
+/// head, `B(C)` and `R(C)` stay within 2e-15 relative of summing every
+/// entry for z from 2.3 to 4; with a 1024-entry head `B` does not.
 pub const SMOOTH_HEAD: u64 = 4096;
 
 /// Gauss–Legendre panels (16 nodes each) of [`PowerLawTail::sum`], in
@@ -52,8 +52,8 @@ impl PowerLawTail {
     ///
     /// Accurate to about 1e-15 relative when `f` is smooth on the scale of
     /// one entry and `head ≥` [`SMOOTH_HEAD`]; this is the one routine
-    /// behind the table's tail moments and the discrete model's `B(C)`
-    /// tail.
+    /// behind the table's tail moments and the discrete model's `B(C)` and
+    /// `R(C)` stretches past the head.
     pub fn sum(&self, head: u64, last: u64, w: impl Fn(f64, f64) -> f64) -> f64 {
         let f = |x: f64| w(x, self.density(x));
         let (a, b) = (head as f64 + 0.5, last as f64 + 0.5);
@@ -70,21 +70,28 @@ impl PowerLawTail {
         integral - (slope(b) - slope(a)) / 24.0
     }
 
-    /// `Σ_{k<j≤last} ρ(j)`, or `Σ j·ρ(j)` with `first_moment`: term by
-    /// term over at most [`TERMWISE_SPAN`] entries, else [`Self::sum`].
-    fn moment_above(&self, k: u64, last: u64, first_moment: bool) -> f64 {
+    /// Add `Σ_{k<j≤last} w(j, ρ(j))` to `acc`: term by term over at most
+    /// 32 entries, else as one [`Self::sum`] value. Nothing when
+    /// `k ≥ last`.
+    pub fn add_span(&self, acc: &mut NeumaierSum, k: u64, last: u64, w: impl Fn(f64, f64) -> f64) {
         if k >= last {
-            return 0.0;
+            return;
         }
-        let w = |x: f64, rho: f64| if first_moment { x * rho } else { rho };
         if last - k > TERMWISE_SPAN {
-            return self.sum(k, last, w);
+            acc.add(self.sum(k, last, w));
+            return;
         }
-        let mut acc = NeumaierSum::new();
         for j in k + 1..=last {
             let x = j as f64;
             acc.add(w(x, self.density(x)));
         }
+    }
+
+    /// `Σ_{k<j≤last} ρ(j)`, or `Σ j·ρ(j)` with `first_moment`, by
+    /// [`Self::add_span`].
+    fn moment_above(&self, k: u64, last: u64, first_moment: bool) -> f64 {
+        let mut acc = NeumaierSum::new();
+        self.add_span(&mut acc, k, last, |x, rho| if first_moment { x * rho } else { rho });
         acc.total()
     }
 }
