@@ -1,15 +1,15 @@
 //! Bench: the sweep engine — serial vs parallel vs cached (warm) sweeps
-//! over the Figure 2/3 grids, the parallel welfare-table build, and the
+//! over the Figure 2/3 grids, the parallel welfare-table build, the
 //! value-kernel paths (scalar per-point vs grid-batched vs warm
-//! persistent cache) on the Figure 4 algebraic/adaptive setting, and the
-//! build of Figure 4's load table. This is the acceptance bench for the
-//! engine's speedup claims; results land in `BENCH_sweep.json` (see
-//! EXPERIMENTS.md § "Benchmark artifact schema").
+//! persistent cache) on the Figure 4 algebraic/adaptive setting, Figure
+//! 4's welfare prime, and the build of Figure 4's load table. This is the
+//! acceptance bench for the engine's speedup claims; results land in
+//! `BENCH_sweep.json` (see EXPERIMENTS.md § "Benchmark artifact schema").
 
-use bevra_core::DiscreteModel;
+use bevra_core::{DiscreteModel, SampledValue};
 use bevra_engine::{Architecture, CacheMode, ExecMode, PersistentCache, SweepEngine};
 use bevra_load::{Algebraic, Geometric, Poisson, Tabulated, PAPER_MEAN_LOAD};
-use bevra_utility::AdaptiveExp;
+use bevra_utility::{AdaptiveExp, Rigid, Utility};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -123,6 +123,37 @@ fn kernel_sweeps(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Figure 4's welfare prime: the 800-lane `SampledValue::grid(k̄, 300·k̄,
+/// 800)` on its 2^20-entry table, each utility on a fresh parallel
+/// engine. The kernel rows above stop at 10·k̄, where no lane passes the
+/// table head; here the top lanes reach C = 30,000. The first row primes
+/// rigid then adaptive, whose 800 × 4,096-entry `B` heads set its floor;
+/// the rigid row alone moves about 4× when its lanes walk to `C` term by
+/// term again, so the 3× gate catches that.
+fn welfare_primes(c: &mut Criterion) {
+    let alg = Algebraic::from_mean(3.0, PAPER_MEAN_LOAD).expect("paper fig4 family");
+    let load = Arc::new(Tabulated::from_model(&alg, 1e-9, 1 << 20));
+    let kbar = load.mean();
+    let cs = SampledValue::grid(kbar, 300.0 * kbar, 800);
+    let lanes = cs.iter().filter(|&&c| c > 0.0).count();
+    let mode = ExecMode::Parallel { threads: bevra_engine::thread_count() };
+    let prime = |u: &dyn Utility| {
+        let model = DiscreteModel::new(Arc::clone(&load), u);
+        SweepEngine::with_mode(model, mode).prime(black_box(&cs));
+    };
+    c.bench_function("engine_prime_welfare_fig4", |b| {
+        b.points(2 * lanes);
+        b.iter(|| {
+            prime(&Rigid::unit());
+            prime(&AdaptiveExp::paper());
+        });
+    });
+    c.bench_function("engine_prime_welfare_fig4_rigid", |b| {
+        b.points(lanes);
+        b.iter(|| prime(&Rigid::unit()));
+    });
+}
+
 /// Figure 4's load table, calibration included: z = 3, k̄ = 100, 2^20
 /// entries. A table with a smooth tail evaluates its 4,097-entry head
 /// only, so the 3× gate catches a build that walks every entry again.
@@ -135,5 +166,5 @@ fn load_builds(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, engine_sweeps, kernel_sweeps, load_builds);
+criterion_group!(benches, engine_sweeps, kernel_sweeps, welfare_primes, load_builds);
 criterion_main!(benches);

@@ -28,14 +28,17 @@ import argparse
 import json
 import sys
 
-# The four canonical kernel rows; their absence means the bench harness is
-# broken (or the bench was renamed without updating the baseline), which
-# must fail the gate rather than silently shrink its coverage.
+# The four canonical kernel rows and the two fig4 welfare-prime rows; their
+# absence means the bench harness is broken (or the bench was renamed
+# without updating the baseline), which must fail the gate rather than
+# silently shrink its coverage.
 REQUIRED = (
     "kernel_sweep_serial",
     "kernel_sweep_batched_exact",
     "kernel_sweep_parallel",
     "kernel_sweep_warm_cache",
+    "engine_prime_welfare_fig4",
+    "engine_prime_welfare_fig4_rigid",
 )
 
 
