@@ -17,7 +17,12 @@
 //! * `fig2-panel{1..6}.csv`, `fig3-panel{1..6}.csv` and
 //!   `ext-sampling-panel{1..3}.csv` — every panel of `fig2`, `fig3` and
 //!   `ext_sampling` at full quality (Poisson and geometric loads), so a
-//!   change aimed at the algebraic tables cannot move them either.
+//!   change aimed at the algebraic tables cannot move them either;
+//! * `ext-retrying-panel{1..3}.csv` — every panel of
+//!   `ext_retrying(Quality::Full)`: the retry fixed point on geometric and
+//!   algebraic tables and the continuum `γ(p)` with retries, so a faster
+//!   retry solve cannot move a full-quality curve that CI's `--fast`
+//!   byte compare does not see.
 //!
 //! Budgets: the `x`/`capacity` columns are grid arithmetic and must be
 //! bitwise; utility columns get a few ULPs for libm (`exp`, `ln`) drift
@@ -35,7 +40,7 @@ use bevra_core::DiscreteModel;
 use bevra_engine::{ExecMode, SweepEngine};
 use bevra_load::{Poisson, Tabulated};
 use bevra_report::csv::write_panel_csv;
-use bevra_report::figures::{ext_sampling, fig1, fig2, fig3, fig4, Quality};
+use bevra_report::figures::{ext_retrying, ext_sampling, fig1, fig2, fig3, fig4, Quality};
 use bevra_report::series::{Figure, Panel, Series};
 use bevra_utility::{AdaptiveExp, Rigid, Utility};
 use std::path::PathBuf;
@@ -176,4 +181,14 @@ fn ext_sampling_matches_golden() {
     let (delta, gap, ratio) =
         (columns("capacity C", 16), columns("capacity C", 4096), columns("tail exponent z", 4));
     assert_figure_matches_golden(&ext_sampling(Quality::Full), "ext-sampling", &[&delta, &gap, &ratio]);
+}
+
+#[test]
+fn ext_retrying_full_matches_golden() {
+    // δ̃ (panels 1–2) is a difference of table sums, like `R(C)` and
+    // `B(C)`; γ (panel 3) is root-solved.
+    let delta = [("capacity C", 0), ("α = 0", 16), ("α = 0.1", 16), ("α = 0.5", 16)];
+    let gamma =
+        [("bandwidth price p", 0), ("α = 0.05", 4096), ("α = 0.1", 4096), ("α = 0.5", 4096)];
+    assert_figure_matches_golden(&ext_retrying(Quality::Full), "ext-retrying", &[&delta, &delta, &gamma]);
 }
