@@ -34,18 +34,39 @@ pub struct Algebraic {
 /// that is below 1e−14 relative, far under calibration needs.
 const EXPLICIT_HORIZON: u64 = 10_000;
 
-/// Most `k^z` values a [`raw_sums`] table keeps (8 MiB); terms past it
-/// compute `k^z` in place, so a huge horizon costs time, never memory.
+/// Most `k^z` values a [`PowerTable`] keeps (8 MiB); terms past it compute
+/// `k^z` in place, so a huge horizon costs time, never memory.
 const POWERS_CAP: u64 = 1 << 20;
 
+/// `k^z` for `k = 1, 2, …` at one tail exponent `z`, grown on demand to the
+/// longest summation horizon it has served (at most 2²⁰ values; terms past
+/// that compute `k^z` in place). Calibrations that share one table compute
+/// each `k^z` once; the table carries its `z`, so it cannot serve another
+/// exponent.
+#[derive(Debug)]
+pub struct PowerTable {
+    z: f64,
+    powers: Vec<f64>,
+}
+
+impl PowerTable {
+    /// An empty table for tail exponent `z`.
+    #[must_use]
+    pub fn new(z: f64) -> Self {
+        Self { z, powers: Vec::new() }
+    }
+}
+
 /// Raw sums `(S₀(λ), S₁(λ))`, `S_m(λ) = Σ_{k≥1} k^m / (λ + k^z)`, in one
-/// pass. `powers` holds `k^z` for `k = 1, 2, …` and is extended here to
-/// this `λ`'s horizon, so a calibration that passes one table to every `λ`
-/// it tries computes each `k^z` once. Each term and each Neumaier
-/// accumulator sees the same operations in the same order as two separate
-/// per-`m` passes would.
-fn raw_sums(z: f64, lambda: f64, powers: &mut Vec<f64>) -> NumResult<(f64, f64)> {
+/// pass, with `k^z` read from `table`, extended here to this `λ`'s horizon.
+/// A longer table is read only up to the horizon, so the sums do not depend
+/// on what the table served before. Each term and each Neumaier accumulator
+/// sees the same operations in the same order as two separate per-`m`
+/// passes would.
+fn raw_sums(lambda: f64, table: &mut PowerTable) -> NumResult<(f64, f64)> {
+    let z = table.z;
     let horizon = EXPLICIT_HORIZON.max((8.0 * lambda.powf(1.0 / z)).ceil() as u64);
+    let powers = &mut table.powers;
     let have = powers.len() as u64;
     powers.extend((have + 1..=horizon.min(POWERS_CAP)).map(|k| (k as f64).powf(z)));
     let rest = (powers.len() as u64 + 1..=horizon).map(|k| (k as f64).powf(z));
@@ -71,19 +92,19 @@ impl Algebraic {
     /// [`NumError::InvalidInput`] unless `z > 2` and `λ ≥ 0`; numeric errors
     /// from the tail integrals are propagated.
     pub fn with_params(z: f64, lambda: f64) -> NumResult<Self> {
-        Self::with_powers(z, lambda, &mut Vec::new())
+        Self::with_powers(lambda, &mut PowerTable::new(z))
     }
 
-    /// [`Algebraic::with_params`] over a shared `k^z` table (see
-    /// [`raw_sums`]).
-    fn with_powers(z: f64, lambda: f64, powers: &mut Vec<f64>) -> NumResult<Self> {
+    /// [`Algebraic::with_params`] at the table's `z`, over its `k^z` values.
+    fn with_powers(lambda: f64, table: &mut PowerTable) -> NumResult<Self> {
+        let z = table.z;
         if !(z > 2.0) {
             return Err(NumError::InvalidInput { what: "algebraic load requires z > 2" });
         }
         if !(lambda >= 0.0) {
             return Err(NumError::InvalidInput { what: "lambda must be nonnegative" });
         }
-        let (s0, s1) = raw_sums(z, lambda, powers)?;
+        let (s0, s1) = raw_sums(lambda, table)?;
         Ok(Self { z, lambda, norm: 1.0 / s0, mean: s1 / s0 })
     }
 
@@ -100,10 +121,19 @@ impl Algebraic {
     /// [`NumError::InvalidInput`] if `mean` is below the `λ = 0` minimum;
     /// propagates solver failures otherwise.
     pub fn from_mean(z: f64, mean: f64) -> NumResult<Self> {
-        // One k^z table serves every λ below: only the division by λ + k^z
-        // changes between evaluations.
-        let mut powers = Vec::new();
-        let at_zero = Self::with_powers(z, 0.0, &mut powers)?;
+        Self::from_mean_with(&mut PowerTable::new(z), mean)
+    }
+
+    /// [`Algebraic::from_mean`] at the table's `z`, reading and extending
+    /// its `k^z` values: bitwise the same model, whatever the table served
+    /// before. A caller that calibrates many means at one `z` (a load
+    /// family) keeps one table, so each `k^z` is computed once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Algebraic::from_mean`].
+    pub fn from_mean_with(table: &mut PowerTable, mean: f64) -> NumResult<Self> {
+        let at_zero = Self::with_powers(0.0, table)?;
         if mean < at_zero.mean {
             return Err(NumError::InvalidInput {
                 what: "target mean below the lambda = 0 minimum of the algebraic family",
@@ -112,14 +142,27 @@ impl Algebraic {
         if (mean - at_zero.mean).abs() < 1e-12 * mean {
             return Ok(at_zero);
         }
-        // Mean scales like λ^{1/z} for large λ; bracket by doubling.
+        let z = table.z;
+        // Every λ evaluated so far, keyed by its bits: Brent starts at
+        // λ = 0 and at the last bracketing probe, and returns a point it
+        // evaluated, so each λ is summed once.
+        let mut evaluated = vec![(0.0_f64.to_bits(), at_zero)];
+        let mut at = |lambda: f64| -> NumResult<Self> {
+            if let Some(&(_, a)) = evaluated.iter().find(|(bits, _)| *bits == lambda.to_bits()) {
+                return Ok(a);
+            }
+            let a = Self::with_powers(lambda, table)?;
+            evaluated.push((lambda.to_bits(), a));
+            Ok(a)
+        };
         let mut mean_err = |lambda: f64| -> f64 {
             // Errors inside the closure surface as NaN and abort the solver.
-            match Self::with_powers(z, lambda, &mut powers) {
+            match at(lambda) {
                 Ok(a) => a.mean - mean,
                 Err(_) => f64::NAN,
             }
         };
+        // Mean scales like λ^{1/z} for large λ; bracket by doubling.
         let mut hi = mean.powf(z).max(1.0);
         for _ in 0..60 {
             if mean_err(hi) > 0.0 {
@@ -128,7 +171,7 @@ impl Algebraic {
             hi *= 4.0;
         }
         let lambda = brent(&mut mean_err, 0.0, hi, 1e-9 * hi.max(1.0))?;
-        Self::with_powers(z, lambda, &mut powers)
+        at(lambda)
     }
 }
 
@@ -224,10 +267,22 @@ mod tests {
             (3.0, 10_000.0, [0x426D_19A8_083B_0CAB, 0x40C3_8800_0000_0039, 0x3F15_AE51_40A0_1360]),
             (2.5, 20.0, [0x407F_00E8_DBDC_8277, 0x4034_0000_0000_0AEF, 0x3FB0_AD1B_81EB_6BAD]),
         ];
-        for (z, mean, bits) in pins {
-            let a = Algebraic::from_mean(z, mean).unwrap();
+        let check = |a: Algebraic, (z, mean, bits): (f64, f64, [u64; 3])| {
             let got = [a.lambda.to_bits(), a.mean().to_bits(), a.pmf(1).to_bits()];
             assert_eq!(got, bits, "z = {z}, mean = {mean}: {got:#018X?}");
+        };
+        for pin @ (z, mean, _) in pins {
+            check(Algebraic::from_mean(z, mean).unwrap(), pin);
+        }
+        // The z = 3 pins again through one shared k^z table, largest mean
+        // first: its horizon is the longest, so the table is extended once
+        // and the smaller means read a prefix of it.
+        let mut table = PowerTable::new(3.0);
+        let mut extended = None;
+        for pin @ (_, mean, _) in pins.into_iter().filter(|&(z, ..)| z == 3.0).rev() {
+            check(Algebraic::from_mean_with(&mut table, mean).unwrap(), pin);
+            let len = *extended.get_or_insert(table.powers.len());
+            assert_eq!(table.powers.len(), len, "mean = {mean} extended the table");
         }
     }
 

@@ -36,7 +36,7 @@ pub mod sample;
 pub mod tabulated;
 pub mod traits;
 
-pub use algebraic::Algebraic;
+pub use algebraic::{Algebraic, PowerTable};
 pub use continuum::{ContinuumLoad, ExponentialDensity, ParetoDensity};
 pub use geometric::Geometric;
 pub use order_stats::{clip_at, max_of_s};
