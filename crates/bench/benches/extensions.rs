@@ -22,14 +22,26 @@ fn extensions(c: &mut Criterion) {
     c.bench_function("ext_sampling_reservation_eval", |b| {
         b.iter(|| black_box(sm.reservation(black_box(150.0))));
     });
-    let rm = RetryModel::new(
-        GeometricFamily::new(1e-10, 1 << 16),
-        AdaptiveExp::paper(),
-        100.0,
-        0.1,
-    );
+    // Each iteration solves on a fresh family, so it builds every table it
+    // probes: a cold solve, not cache hits.
+    let model = || {
+        RetryModel::new(GeometricFamily::new(1e-10, 1 << 16), AdaptiveExp::paper(), 100.0, 0.1)
+    };
     c.bench_function("ext_retry_fixed_point", |b| {
-        b.iter(|| black_box(rm.evaluate(black_box(150.0)).unwrap()));
+        b.iter(|| black_box(model().evaluate(black_box(150.0)).unwrap()));
+    });
+    // The seven smallest capacities of the `--fast` ext-retrying grid,
+    // 5 … 89.97 (`capacity_grid`'s arithmetic), where θ clamps at 0.99
+    // near the top cell 100·k̄.
+    let ratio = (1000.0_f64 / 5.0).powf(1.0 / 11.0);
+    let overload: Vec<f64> = (0..7).map(|i| 5.0 * ratio.powi(i)).collect();
+    c.bench_function("ext_retry_overload_sweep", |b| {
+        b.iter(|| {
+            let rm = model();
+            for &cap in &overload {
+                black_box(rm.evaluate(black_box(cap)).unwrap());
+            }
+        });
     });
 }
 
