@@ -7,9 +7,9 @@
 //! keeps flow state in struct-of-arrays form ([`FlowTable`]) with the
 //! per-admission `max_pop` scan replaced by a monotone suffix-max stack
 //! ([`PeakTracker`]) — see `crates/sim/src/flows.rs` for the equivalence
-//! argument. Runs use the hierarchical timer wheel (amortized O(1) per
-//! event); [`QueueKind::Heap`] selects the original binary heap as the
-//! differential reference. Both produce **bitwise-identical**
+//! argument. Runs use the calendar ring (amortized O(1) per event, each
+//! event placed once); [`QueueKind::Heap`] selects the original binary
+//! heap as the differential reference. Both produce **bitwise-identical**
 //! [`SimReport::digest`]s — the differential suite
 //! (`tests/timer_wheel.rs`, `tests/sim_scale.rs`) pins that, along with
 //! the golden digests the pre-refactor loop produced.
@@ -22,7 +22,7 @@ use crate::holding::HoldingDist;
 use crate::link::Discipline;
 use crate::queue::{BinaryHeapQueue, EventQueue};
 use crate::stats::Welford;
-use crate::wheel::{TimerWheelQueue, DEFAULT_GRANULARITY};
+use crate::wheel::{ring_slots, TimerWheelQueue, DEFAULT_GRANULARITY};
 use bevra_load::Tabulated;
 use bevra_obs::{enabled, metrics, ObsLevel};
 use bevra_utility::Utility;
@@ -32,11 +32,11 @@ use std::sync::Arc;
 
 /// Which [`EventQueue`] implementation the run uses. The choice never
 /// affects results (the determinism suite asserts digest equality), only
-/// speed: the wheel is amortized O(1) per event, the heap O(log n).
+/// speed: the ring is amortized O(1) per event, the heap O(log n).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
-    /// Hierarchical timer wheel ([`TimerWheelQueue`]) — what every
-    /// production run uses.
+    /// One-level calendar ring ([`TimerWheelQueue`]) sized from the run's
+    /// arrival rate and mean holding — what every production run uses.
     Wheel,
     /// Binary heap ([`BinaryHeapQueue`]) — the original implementation,
     /// kept as the reference for differential tests.
@@ -383,12 +383,15 @@ impl Simulation {
         match kind {
             QueueKind::Heap => EventLoop::new(&self.cfg, BinaryHeapQueue::new()).run(),
             QueueKind::Wheel => {
-                // ~1 event per level-0 bucket is the calendar-queue sweet
-                // spot; total event rate is ≈ 2·λ (each flow arrives and
-                // departs). Only a performance choice — any granularity
-                // gives the identical dequeue order.
+                // ~1 event per bucket is the calendar-queue sweet spot;
+                // total event rate is ≈ 2·λ (each flow arrives and
+                // departs). The ring spans four to eight mean holdings, so
+                // nearly every departure is placed once. Only a
+                // performance choice — any granularity or ring size gives
+                // the identical dequeue order.
                 let g = (0.5 / self.cfg.arrivals.mean_rate()).clamp(1e-9, DEFAULT_GRANULARITY);
-                EventLoop::new(&self.cfg, TimerWheelQueue::with_granularity(g)).run()
+                let slots = ring_slots(g, self.cfg.holding.mean());
+                EventLoop::new(&self.cfg, TimerWheelQueue::with_ring(g, slots)).run()
             }
         }
     }

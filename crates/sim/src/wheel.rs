@@ -1,121 +1,114 @@
-//! Hierarchical timer-wheel event queue — the production pending-event set.
+//! Calendar-ring event queue — the production pending-event set.
 //!
 //! A binary heap pays `O(log n)` pointer-chasing comparisons per push *and*
 //! per pop; at a million pending departures every operation walks ~20 cache
-//! lines. The wheel instead hashes each event by its time into one of
-//! `256` level-0 buckets of width `granularity`; coarser levels cover
-//! `256×`, `256²×`, … that span, and events beyond the top level wait in an
-//! unsorted overflow list. Push is O(1). Pop sorts the *current* bucket
-//! lazily (a handful of entries under a well-chosen granularity) and then
-//! drains it back-to-front, so the amortized per-event cost is a few
-//! cache-resident moves — the classic calendar-queue result.
+//! lines. The ring instead hashes each event by its time into one of a
+//! power-of-two number of `granularity`-wide buckets spanning a window
+//! after the cursor; events past it wait in a small binary heap and move
+//! into the ring once the cursor comes within the span. Push is O(1) and
+//! places each event once. Pop sorts the *current* bucket lazily (a handful
+//! of entries under a well-chosen granularity) and drains it back-to-front,
+//! so the amortized per-event cost is a few cache-resident moves — the
+//! classic calendar-queue result.
+//!
+//! Every bucket is an index-linked list threaded through one slab of nodes
+//! with a free list, so steady state allocates nothing per bucket. The ring
+//! itself is one `u32` list head per slot plus an occupancy bitmap, so the
+//! cursor skips empty slots 64 at a time.
 //!
 //! # Exact order preservation
 //!
-//! The dequeue order is **bitwise-identical** to [`BinaryHeapQueue`]'s:
+//! The dequeue order is **bitwise-identical** to
+//! [`BinaryHeapQueue`](crate::queue::BinaryHeapQueue)'s:
 //! strictly ascending `(time, seq)` over the pending set, with
 //! [`f64::total_cmp`] time semantics. Bucketing is monotone in time
-//! (`t₁ ≤ t₂ ⇒ tick(t₁) ≤ tick(t₂)`), buckets are visited in ascending
-//! tick order, and every bucket is sorted by `(time, seq)` before
-//! draining — so the wheel is a drop-in replacement whose only observable
-//! difference is speed. `tests/timer_wheel.rs` property-checks this
-//! equivalence over randomized streams (same-timestamp ties, far-future
-//! rollover into the overflow list, interleaved push/pop) with shrinking,
-//! and mutation-tests the harness by nudging the slot hash off by one.
-//!
-//! [`BinaryHeapQueue`]: crate::queue::BinaryHeapQueue
+//! (`t₁ ≤ t₂ ⇒ tick(t₁) ≤ tick(t₂)`), the ring holds only the ticks of one
+//! span after the cursor (so each slot holds a single tick), buckets are
+//! visited in ascending tick order, and every bucket is sorted by
+//! `(time, seq)` before draining — so the ring is a drop-in replacement
+//! whose only observable difference is speed. `tests/timer_wheel.rs`
+//! property-checks this equivalence over randomized streams (same-timestamp
+//! ties, events past the ring's span, interleaved push/pop) with shrinking,
+//! walks the ring's edge case by case, and mutation-tests the harness by
+//! nudging the slot hash off by one.
 //!
 //! # Time domain
 //!
-//! Times may be any non-NaN `f64`; negative and `+∞` stamps are routed to
-//! the current bucket / overflow respectively and still pop in total
-//! order. `NaN` is ordered last (as `total_cmp` does) but callers are
-//! expected never to schedule one — the simulator checks finiteness at
-//! every push site.
+//! Times may be any `f64`; negative and `+∞` stamps are routed to the
+//! current bucket / the far heap and still pop in total order, as do `NaN`s
+//! (a positive one last, a negative one first, as `total_cmp` orders them).
+//! The simulator checks finiteness at every push site, so it pushes none.
 
-use crate::events::Entry;
+use crate::events::{Entry, EventKind};
 use crate::queue::EventQueue;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// log₂ of the slots per level.
-const SLOT_BITS: u32 = 8;
-/// Buckets per wheel level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Slot index mask within a level.
-const MASK: u64 = (SLOTS as u64) - 1;
-/// Wheel levels; the combined span is `granularity · 256³` before events
-/// fall into the overflow list.
-const LEVELS: usize = 3;
-
-/// Default level-0 bucket width, in simulated time units. Callers that
-/// know their event density should size the bucket near the mean event
-/// spacing instead (see [`TimerWheelQueue::with_granularity`]).
+/// Default bucket width, in simulated time units. Callers that know their
+/// event density should size the bucket near the mean event spacing
+/// instead (see [`TimerWheelQueue::with_granularity`]).
 pub const DEFAULT_GRANULARITY: f64 = 1.0 / 64.0;
 
-/// One wheel level: `SLOTS` buckets plus a 256-bit occupancy bitmap so
-/// advancing the cursor skips empty buckets in four `u64` scans.
-struct Level {
-    slots: Vec<Vec<Entry>>,
-    occupied: [u64; SLOTS / 64],
-    len: usize,
+/// Fewest slots the runner gives a ring; the ring of [`TimerWheelQueue::with_granularity`].
+pub const MIN_SLOTS: usize = 1 << 10;
+
+/// Most slots a ring has: 512 KiB of list heads.
+pub const MAX_SLOTS: usize = 1 << 17;
+
+/// End of a bucket's list and of the free list. Slab index 0 is a sentinel
+/// that holds no event, so a fresh ring is zeroed memory.
+const NIL: u32 = 0;
+
+/// Ring size for events pending `mean_holding` time units on average, in
+/// `granularity`-wide buckets: the slots spanning eight mean holdings
+/// (`16·λ·h` at the runner's `granularity = 0.5/λ`) rounded down to a power
+/// of two within [`MIN_SLOTS`]`..=`[`MAX_SLOTS`]. Four to eight holdings
+/// place nearly every departure once; above the floor, the list heads take
+/// at most 1.6 times the bytes of the expected pending set.
+#[must_use]
+pub(crate) fn ring_slots(granularity: f64, mean_holding: f64) -> usize {
+    // `as` saturates: NaN and negatives to 0, overflow to usize::MAX.
+    let span = (8.0 * mean_holding / granularity) as usize;
+    1 << span.clamp(MIN_SLOTS, MAX_SLOTS).ilog2()
 }
 
-impl Level {
-    fn new() -> Self {
-        Self { slots: (0..SLOTS).map(|_| Vec::new()).collect(), occupied: [0; SLOTS / 64], len: 0 }
-    }
-
-    fn insert(&mut self, slot: usize, e: Entry) {
-        self.slots[slot].push(e);
-        self.occupied[slot >> 6] |= 1u64 << (slot & 63);
-        self.len += 1;
-    }
-
-    /// Take the whole bucket at `slot`, clearing its occupancy bit and
-    /// leaving the empty `spare` in its place.
-    fn take(&mut self, slot: usize, spare: Vec<Entry>) -> Vec<Entry> {
-        debug_assert!(spare.is_empty());
-        self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
-        let bucket = std::mem::replace(&mut self.slots[slot], spare);
-        self.len -= bucket.len();
-        bucket
-    }
-
-    /// First occupied slot index `>= from`, if any.
-    fn next_occupied(&self, from: usize) -> Option<usize> {
-        let mut word = from >> 6;
-        let mut bits = self.occupied[word] & (!0u64 << (from & 63));
-        loop {
-            if bits != 0 {
-                return Some((word << 6) + bits.trailing_zeros() as usize);
-            }
-            word += 1;
-            if word >= SLOTS / 64 {
-                return None;
-            }
-            bits = self.occupied[word];
-        }
-    }
+/// A slab node: a pending event and the next node of its list.
+#[derive(Clone, Copy)]
+struct Node {
+    entry: Entry,
+    next: u32,
 }
 
-/// Hierarchical timer-wheel implementation of [`EventQueue`].
+/// Calendar-ring implementation of [`EventQueue`].
 ///
 /// See the [module docs](self) for the design; construct with
-/// [`TimerWheelQueue::new`] (default granularity) or
-/// [`TimerWheelQueue::with_granularity`].
+/// [`TimerWheelQueue::new`] (default granularity),
+/// [`TimerWheelQueue::with_granularity`] or [`TimerWheelQueue::with_ring`].
 pub struct TimerWheelQueue {
-    /// Level-0 bucket width and its reciprocal (`tick = time · inv_g`).
+    /// Reciprocal of the bucket width (`tick = time · inv_g`).
     inv_g: f64,
     /// Tick of the bucket currently being drained.
     cur: u64,
-    /// The current bucket; sorted descending by `(time, seq)` when
-    /// `sorted` holds, so pop-min is a pop from the back.
+    /// The current bucket: every event whose tick is at most `cur`, sorted
+    /// descending by `(time, seq)` when `sorted` holds, so pop-min is a pop
+    /// from the back.
     current: Vec<Entry>,
     sorted: bool,
-    levels: Vec<Level>,
-    /// Events beyond the top level's span, unsorted.
-    overflow: Vec<Entry>,
+    /// Slots − 1. The ring holds the ticks `cur + 1 ..= cur + mask`, each
+    /// in slot `tick & mask`.
+    mask: u64,
+    /// First slab node of each slot's bucket, or `NIL`.
+    heads: Vec<u32>,
+    /// One bit per slot, set while its bucket is non-empty.
+    occupied: Vec<u64>,
+    /// The sentinel, then the nodes of every bucket; `free` heads the list
+    /// of unused ones.
+    nodes: Vec<Node>,
+    free: u32,
+    /// Events whose tick is past the ring, at least `cur + mask + 1`.
+    far: BinaryHeap<Reverse<Entry>>,
     len: usize,
-    /// Test-only mutation hook: XOR-perturbs the level-0 slot hash.
+    /// Test-only mutation hook: XOR-perturbs the slot hash.
     slot_nudge: u64,
 }
 
@@ -126,166 +119,172 @@ impl Default for TimerWheelQueue {
 }
 
 impl TimerWheelQueue {
-    /// New wheel with [`DEFAULT_GRANULARITY`].
+    /// New queue with [`DEFAULT_GRANULARITY`] and [`MIN_SLOTS`] slots.
     #[must_use]
     pub fn new() -> Self {
         Self::with_granularity(DEFAULT_GRANULARITY)
     }
 
-    /// New wheel whose level-0 buckets are `granularity` time units wide.
-    /// Amortized cost is minimized when the bucket width is near the mean
-    /// spacing between pending events; any positive value is *correct*.
+    /// New queue of [`MIN_SLOTS`] buckets, each `granularity` time units
+    /// wide. Amortized cost is minimized when the bucket width is near the
+    /// mean spacing between pending events; any positive value is
+    /// *correct*.
     ///
     /// # Panics
     ///
     /// Panics unless `granularity` is positive and finite.
     #[must_use]
     pub fn with_granularity(granularity: f64) -> Self {
+        Self::with_ring(granularity, MIN_SLOTS)
+    }
+
+    /// New queue of `slots` buckets (rounded up to a power of two within
+    /// `64..=`[`MAX_SLOTS`]), each `granularity` time units wide; the
+    /// simulator's runner sizes it from the mean holding time. A ring that
+    /// spans most events' lifetimes places each event once; any size is
+    /// *correct*.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `granularity` is positive and finite.
+    #[must_use]
+    pub fn with_ring(granularity: f64, slots: usize) -> Self {
         assert!(
             granularity > 0.0 && granularity.is_finite(),
             "wheel granularity must be positive and finite, got {granularity}"
         );
+        let slots = slots.clamp(64, MAX_SLOTS).next_power_of_two();
+        let sentinel = Entry { time: 0.0, seq: 0, kind: EventKind::Arrival };
         Self {
             inv_g: granularity.recip(),
             cur: 0,
             current: Vec::new(),
             sorted: true,
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            overflow: Vec::new(),
+            mask: slots as u64 - 1,
+            heads: vec![NIL; slots],
+            occupied: vec![0; slots / 64],
+            nodes: vec![Node { entry: sentinel, next: NIL }],
+            free: NIL,
+            far: BinaryHeap::new(),
             len: 0,
             slot_nudge: 0,
         }
     }
 
-    /// Mutation-test hook: XOR the level-0 slot index with `nudge`,
-    /// mis-bucketing events without touching anything else. The
-    /// differential property suite uses this to prove it *would* catch a
-    /// bucket-indexing bug; never use it for real work.
+    /// Mutation-test hook: XOR the slot index with `nudge`, mis-bucketing
+    /// events without touching anything else. The differential property
+    /// suite uses this to prove it *would* catch a bucket-indexing bug;
+    /// never use it for real work.
     #[doc(hidden)]
     #[must_use]
     pub fn with_slot_nudge(mut self, nudge: u64) -> Self {
-        self.slot_nudge = nudge & MASK;
+        self.slot_nudge = nudge & self.mask;
         self
     }
 
-    /// The bucket index of time `t`: monotone non-decreasing in `t`,
-    /// saturating at the extremes (`t ≤ 0 → 0`, `+∞`/`NaN` → `u64::MAX`).
+    /// The bucket index of time `t`: monotone non-decreasing in `t` under
+    /// `total_cmp`, saturating at the extremes (`t ≤ 0` and `-NaN` → 0,
+    /// `+∞` and `+NaN` → `u64::MAX`).
     fn tick(&self, t: f64) -> u64 {
-        if t.is_nan() {
+        if t.is_nan() && t.is_sign_positive() {
             return u64::MAX;
         }
-        // `as` casts saturate: negatives to 0, overflow/+∞ to u64::MAX.
+        // `as` casts saturate: negatives and NaN to 0, overflow/+∞ to MAX.
         (t * self.inv_g) as u64
     }
 
-    /// Route one entry to the current bucket, a wheel level, or overflow,
-    /// based on the highest differing bit between its tick and `cur`.
+    /// Route one entry to the current bucket, a ring slot, or the far heap.
     fn place(&mut self, e: Entry) {
         let tick = self.tick(e.time);
         if tick <= self.cur {
             if self.sorted {
                 // Keep the drain bucket sorted (descending) by ordered
-                // insertion — the common "next arrival lands in the bucket
-                // being drained" case must not trigger a full re-sort.
+                // insertion: an arrival landing in it must not force a sort.
                 let pos = self.current.partition_point(|x| *x > e);
                 self.current.insert(pos, e);
             } else {
                 self.current.push(e);
             }
-            return;
+        } else if tick - self.cur > self.mask {
+            self.far.push(Reverse(e));
+        } else {
+            let slot = ((tick & self.mask) ^ self.slot_nudge) as usize;
+            let node = Node { entry: e, next: self.heads[slot] };
+            let index = if self.free == NIL {
+                let index = u32::try_from(self.nodes.len()).unwrap_or(NIL);
+                assert!(index != NIL, "the ring holds fewer than u32::MAX events");
+                self.nodes.push(node);
+                index
+            } else {
+                let index = self.free;
+                self.free = self.nodes[index as usize].next;
+                self.nodes[index as usize] = node;
+                index
+            };
+            self.heads[slot] = index;
+            self.occupied[slot >> 6] |= 1u64 << (slot & 63);
         }
-        let diff = tick ^ self.cur;
-        for (level, wheel) in self.levels.iter_mut().enumerate() {
-            let bits = SLOT_BITS * (level as u32 + 1);
-            if diff >> bits == 0 {
-                let mut slot = (tick >> (bits - SLOT_BITS)) & MASK;
-                if level == 0 {
-                    slot ^= self.slot_nudge;
-                }
-                wheel.insert(slot as usize, e);
-                return;
-            }
-        }
-        self.overflow.push(e);
     }
 
-    /// Refill `current` from the wheels/overflow. Returns `false` when the
-    /// queue is exhausted.
+    /// The first occupied slot after the cursor's in ring order (the
+    /// cursor's own slot last), or `None` when the ring is empty.
+    fn next_occupied(&self) -> Option<usize> {
+        let words = self.occupied.len();
+        let from = (self.cur.wrapping_add(1) & self.mask) as usize;
+        let mut word = from >> 6;
+        let mut bits = self.occupied[word] & (!0u64 << (from & 63));
+        // The first word's high bits, every other word, then the first
+        // word whole.
+        for _ in 0..=words {
+            if bits != 0 {
+                return Some((word << 6) + bits.trailing_zeros() as usize);
+            }
+            word = (word + 1) & (words - 1);
+            bits = self.occupied[word];
+        }
+        None
+    }
+
+    /// Move `slot`'s bucket into `current` and its nodes onto the free list.
+    fn take(&mut self, slot: usize) {
+        self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
+        let mut index = std::mem::replace(&mut self.heads[slot], NIL);
+        while index != NIL {
+            let node = &mut self.nodes[index as usize];
+            self.current.push(node.entry);
+            let next = std::mem::replace(&mut node.next, self.free);
+            self.free = index;
+            index = next;
+        }
+    }
+
+    /// Refill the empty `current` with the earliest pending bucket. Returns
+    /// `false` when the queue is exhausted.
     fn advance(&mut self) -> bool {
         debug_assert!(self.current.is_empty());
-        loop {
-            // Innermost non-empty level first: its buckets are the finest.
-            let mut cascaded = false;
-            for level in 0..LEVELS {
-                if self.levels[level].len == 0 {
-                    continue;
-                }
-                let bits = SLOT_BITS * (level as u32);
-                // The cursor's slot within this level; buckets at or before
-                // it are empty by the aligned-window invariant.
-                let cur_slot = ((self.cur >> bits) & MASK) as usize;
-                let Some(slot) = self.levels[level].next_occupied(cur_slot) else {
-                    continue;
-                };
-                // A level-0 slot gets the drained `current`'s allocation
-                // back, so steady state allocates nothing per bucket. Coarser
-                // slots do not: each would keep a `Vec` sized for its whole
-                // cascade (~1,250 entries per level-2 slot in a fleet lane
-                // at k̄ = 1,250), and recycling every level raises the fleet
-                // benchmark's peak RSS from 4.6 to 17.3 MiB.
-                let spare = if level == 0 { std::mem::take(&mut self.current) } else { Vec::new() };
-                let bucket = self.levels[level].take(slot, spare);
-                // Advance the cursor to the bucket's base tick. For level 0
-                // that *is* the bucket; coarser buckets cascade: their
-                // entries re-place into finer levels relative to the new
-                // cursor.
-                let base = (self.cur >> (bits + SLOT_BITS)) << (bits + SLOT_BITS);
-                self.cur = base | ((slot as u64) << bits);
-                if level == 0 {
-                    self.current = bucket;
-                    self.sorted = false;
-                    return true;
-                }
-                self.len -= bucket.len();
-                for e in bucket {
-                    self.len += 1;
-                    self.place(e);
-                }
-                cascaded = true;
+        self.sorted = false;
+        if let Some(slot) = self.next_occupied() {
+            // The ring's earliest tick lies `slot`'s distance past the cursor.
+            let ahead = (slot as u64).wrapping_sub(self.cur) & self.mask;
+            self.cur = self.cur.wrapping_add(ahead);
+            self.take(slot);
+        } else if let Some(Reverse(first)) = self.far.peek() {
+            // Only far events remain: jump to the earliest.
+            self.cur = self.tick(first.time);
+        } else {
+            return false;
+        }
+        // Far events now within the span move into the ring, or into
+        // `current` after a jump. Their ticks lie past the old cursor's
+        // span, so none is due before the bucket just taken.
+        while let Some(&Reverse(e)) = self.far.peek() {
+            if self.tick(e.time).wrapping_sub(self.cur) > self.mask {
                 break;
             }
-            if cascaded {
-                // Entries may have landed directly in `current` (tick ==
-                // new cursor); if so we are done, else scan again.
-                if !self.current.is_empty() {
-                    return true;
-                }
-                continue;
-            }
-            // All wheels empty: restart from the overflow list, if any.
-            if self.overflow.is_empty() {
-                return false;
-            }
-            let min = self
-                .overflow
-                .iter()
-                .copied()
-                .min()
-                .map(|e| self.tick(e.time))
-                .unwrap_or(u64::MAX);
-            self.cur = min;
-            let pending = std::mem::take(&mut self.overflow);
-            self.len -= pending.len();
-            for e in pending {
-                self.len += 1;
-                self.place(e);
-            }
-            // The minimum landed in `current`; loop once more to return it
-            // (or to cascade, if ticks collide oddly under saturation).
-            if !self.current.is_empty() {
-                return true;
-            }
+            self.far.pop();
+            self.place(e);
         }
+        true
     }
 }
 
@@ -319,7 +318,6 @@ impl EventQueue for TimerWheelQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::EventKind;
     use crate::queue::{BinaryHeapQueue, EventQueue};
     use bevra_load::ExpSampler;
     use rand::rngs::StdRng;
@@ -353,8 +351,10 @@ mod tests {
 
     #[test]
     fn matches_heap_on_lcg_workload_with_interleaved_pops() {
-        for granularity in [1.0 / 64.0, 1.0, 17.3, 1e-6] {
-            let mut w = TimerWheelQueue::with_granularity(granularity);
+        for (granularity, slots) in
+            [(1.0 / 64.0, MIN_SLOTS), (1.0, 64), (17.3, MIN_SLOTS), (1e-6, MAX_SLOTS)]
+        {
+            let mut w = TimerWheelQueue::with_ring(granularity, slots);
             let mut h = BinaryHeapQueue::new();
             let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
             let mut out_w = Vec::new();
@@ -373,17 +373,17 @@ mod tests {
             }
             out_w.extend(drain(&mut w).into_iter().map(Some));
             out_h.extend(drain(&mut h).into_iter().map(Some));
-            assert_eq!(out_w, out_h, "granularity {granularity}");
+            assert_eq!(out_w, out_h, "granularity {granularity}, {slots} slots");
         }
     }
 
     #[test]
-    fn far_future_rollover_through_overflow() {
+    fn far_future_events_come_back_through_the_far_heap() {
         let mut q = TimerWheelQueue::with_granularity(1.0);
-        // Top level spans 256^3 ticks; these straddle every level plus the
-        // overflow list, in scrambled insertion order.
+        // The ring spans 1,024 ticks; most of these lie past it, some by
+        // many spans, in scrambled insertion order.
         let times =
-            [1e12, 3.0, 260.0, 70_000.0, 1.7e7, 2.0e12, 5.0e9, 0.5, 66_000.0, 2.5];
+            [1e12, 3.0, 260.0, 70_000.0, 1.7e7, 2.0e12, 5.0e9, 0.5, 66_000.0, 2.5, 1_024.0];
         for (seq, &t) in times.iter().enumerate() {
             q.push(entry(t, seq as u64));
         }
@@ -398,10 +398,9 @@ mod tests {
     fn exotic_times_stay_totally_ordered() {
         let mut w = TimerWheelQueue::new();
         let mut h = BinaryHeapQueue::new();
-        for (seq, t) in [-3.0, 0.0, -0.0, f64::INFINITY, 1e300, 4.2, f64::NEG_INFINITY]
-            .into_iter()
-            .enumerate()
-        {
+        let times =
+            [-3.0, 0.0, -0.0, f64::INFINITY, 1e300, 4.2, f64::NEG_INFINITY, f64::NAN, -f64::NAN];
+        for (seq, t) in times.into_iter().enumerate() {
             w.push(entry(t, seq as u64));
             h.push(entry(t, seq as u64));
         }
@@ -425,8 +424,8 @@ mod tests {
     #[test]
     fn slot_nudge_breaks_order_detectably() {
         // The mutation hook must actually corrupt dequeue order on a
-        // stream that spans several level-0 buckets — otherwise the
-        // differential property test can't claim teeth.
+        // stream that spans several buckets — otherwise the differential
+        // property test can't claim teeth.
         let mut w = TimerWheelQueue::with_granularity(1.0).with_slot_nudge(1);
         let mut h = BinaryHeapQueue::new();
         for seq in 0..64u64 {
@@ -434,28 +433,48 @@ mod tests {
             w.push(entry(t, seq));
             h.push(entry(t, seq));
         }
-        assert_ne!(drain(&mut w), drain(&mut h), "nudged wheel must misorder");
+        assert_ne!(drain(&mut w), drain(&mut h), "nudged ring must misorder");
     }
 
-    /// Entries the wheel keeps allocated in every slot, `current` and
-    /// `overflow`, whether in use or not.
-    fn retained(q: &TimerWheelQueue) -> usize {
-        let slots: usize = q.levels.iter().flat_map(|l| &l.slots).map(Vec::capacity).sum();
-        slots + q.current.capacity() + q.overflow.capacity()
+    #[test]
+    fn ring_size_spans_four_to_eight_mean_holdings_within_bounds() {
+        // A fleet lane: λ = 1,250, h = 1, so 16·λ·h = 20,000 → 2^14, a
+        // span of 6.5 mean holdings; the million-flow bench's λ = 5,000
+        // gets 2^16.
+        assert_eq!(ring_slots(0.5 / 1_250.0, 1.0), 1 << 14);
+        assert_eq!(ring_slots(0.5 / 5_000.0, 1.0), 1 << 16);
+        assert_eq!(ring_slots(0.5 / 4_096.0, 1.0), 1 << 16);
+        assert_eq!(ring_slots(DEFAULT_GRANULARITY, 1.0), MIN_SLOTS);
+        assert_eq!(ring_slots(1e-9, 1e9), MAX_SLOTS);
+        assert_eq!(ring_slots(1.0, f64::NAN), MIN_SLOTS);
+        assert_eq!(TimerWheelQueue::with_ring(1.0, 1_000).heads.len(), 1_024);
+        assert_eq!(TimerWheelQueue::with_ring(1.0, 1).heads.len(), 64);
+        assert_eq!(TimerWheelQueue::with_ring(1.0, usize::MAX).heads.len(), MAX_SLOTS);
+    }
+
+    /// Bytes the queue keeps allocated in its slab, ring heads and bitmap,
+    /// far heap and `current`, whether in use or not.
+    fn retained_bytes(q: &TimerWheelQueue) -> usize {
+        use std::mem::size_of;
+        q.nodes.capacity() * size_of::<Node>()
+            + q.heads.capacity() * size_of::<u32>()
+            + q.occupied.capacity() * size_of::<u64>()
+            + (q.far.capacity() + q.current.capacity()) * size_of::<Entry>()
     }
 
     #[test]
     fn retained_memory_stays_near_the_pending_set() {
-        // One fleet lane's event stream at the runner's granularity:
-        // arrivals at rate 1,250, each scheduling a departure after an
-        // exponential holding time of mean 1. The horizon of 2,000 spans
-        // ~76 level-2 slots, so a slot that keeps the allocation of every
-        // cascade it held shows up as retained memory far beyond the
-        // ~1,400 events pending at the peak.
+        // One fleet lane's event stream on the ring the runner builds for
+        // it: arrivals at rate 1,250, each scheduling a departure after an
+        // exponential holding time of mean 1, for 2,000 time units. A
+        // structure that kept what each bucket once held, or one sized
+        // beyond the pending set, shows up as retained memory far beyond
+        // the ~1,400 events pending at the peak.
         let rate = 1_250.0;
         let (gap, hold) = (ExpSampler::new(rate), ExpSampler::new(1.0));
         let mut rng = StdRng::seed_from_u64(1_250);
-        let mut q = TimerWheelQueue::with_granularity(0.5 / rate);
+        let g = 0.5 / rate;
+        let mut q = TimerWheelQueue::with_ring(g, ring_slots(g, 1.0));
         q.push(entry(gap.sample(&mut rng), 0));
         let (mut seq, mut pops) = (1, 0u64);
         let (mut peak_pending, mut peak_retained) = (0, 0);
@@ -473,19 +492,20 @@ mod tests {
             peak_pending = peak_pending.max(q.len());
             pops += 1;
             if pops % 1_024 == 0 {
-                peak_retained = peak_retained.max(retained(&q));
+                peak_retained = peak_retained.max(retained_bytes(&q));
             }
         }
-        peak_retained = peak_retained.max(retained(&q));
+        peak_retained = peak_retained.max(retained_bytes(&q));
         assert!(peak_pending > 1_250, "the stream reaches the fleet's population: {peak_pending}");
+        let pending_bytes = peak_pending * std::mem::size_of::<Entry>();
         assert!(
-            peak_retained <= 4 * peak_pending,
-            "the wheel retains {peak_retained} entries for at most {peak_pending} pending"
+            peak_retained <= 4 * pending_bytes,
+            "the ring retains {peak_retained} B for {peak_pending} pending ({pending_bytes} B)"
         );
     }
 
     #[test]
-    fn len_tracks_through_cascades() {
+    fn len_tracks_through_the_far_heap() {
         let mut q = TimerWheelQueue::with_granularity(1.0);
         for seq in 0..1_000u64 {
             q.push(entry((seq as f64) * 321.7, seq));
