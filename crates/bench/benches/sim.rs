@@ -1,10 +1,12 @@
 //! Bench: simulator throughput and the event-queue ablation.
 //!
-//! The `sim_million_flow_*` rows are the acceptance bench for the
-//! timer-wheel/SoA event-loop rearchitecture (DESIGN.md § "The event loop
-//! at scale"): one million flow arrivals at k̄ = 5000, measured through
-//! the loop on both queue backends and the sharded fleet. CI's sim-scale
-//! job gates the wheel and fleet rows against the committed baseline via
+//! The `sim_million_flow_*` rows are the acceptance bench for the event
+//! loop at scale (DESIGN.md §8): one million flow arrivals at k̄ = 5000,
+//! measured through the loop on both queue backends (the calendar ring,
+//! `QueueKind::Wheel`, and the binary heap), once more on the ring with
+//! heavy-tailed holdings whose longest departures pass through the ring's
+//! far heap, and through the sharded fleet. CI's sim-scale job gates the
+//! ring and fleet rows against the committed baseline via
 //! `scripts/perf_smoke.py`.
 
 use bevra_sim::fleet::{Fleet, FleetConfig};
@@ -18,7 +20,7 @@ use std::sync::Arc;
 
 /// One million flow arrivals: k̄ = 5000 concurrent flows for 200 time
 /// units. High occupancy is the regime that separates the queues — the
-/// heap pays an O(log n) reorder per event, the wheel amortized O(1).
+/// heap pays an O(log n) reorder per event, the ring amortized O(1).
 fn million_flow_cfg() -> SimConfig {
     SimConfig {
         capacity: 6250.0,
@@ -46,6 +48,16 @@ fn million_flow_benches(c: &mut Criterion) {
     c.bench_function("sim_million_flow_wheel_soa", |b| {
         b.points(events);
         b.iter(|| black_box(Simulation::new(cfg.clone()).run_on(QueueKind::Wheel)));
+    });
+
+    // The same arrivals with Pareto holdings (z = 2.2, mean 1): about one
+    // departure in eighty outlives the ring's span of 6.5 mean holdings
+    // and waits in its far heap.
+    let pareto = SimConfig { holding: HoldingDist::Pareto { mean: 1.0, z: 2.2 }, ..cfg.clone() };
+    let pareto_events = Simulation::new(pareto.clone()).run_on(QueueKind::Wheel).events as usize;
+    c.bench_function("sim_million_flow_pareto_wheel", |b| {
+        b.points(pareto_events);
+        b.iter(|| black_box(Simulation::new(pareto.clone()).run_on(QueueKind::Wheel)));
     });
 
     // The ROADMAP-item-2 scale target: ten million flows in one run,
@@ -85,7 +97,7 @@ fn sim_benches(c: &mut Criterion) {
         b.iter(|| black_box(Simulation::new(cfg.clone()).run()));
     });
 
-    // Event-queue ablation (DESIGN.md §4): binary heap vs timer wheel
+    // Event-queue ablation (DESIGN.md §4): binary heap vs calendar ring
     // under a hold-model workload.
     fn churn(q: &mut impl EventQueue, n: u64) -> f64 {
         use bevra_sim::events::{Entry, EventKind};
@@ -108,8 +120,10 @@ fn sim_benches(c: &mut Criterion) {
     c.bench_function("ablate_eventq_binary_heap", |b| {
         b.iter(|| black_box(churn(&mut BinaryHeapQueue::new(), 4_096)));
     });
+    // The ring spans the stream's whole time range [0, 1), as the runner
+    // sizes a ring to span its events' lifetimes.
     c.bench_function("ablate_eventq_timer_wheel", |b| {
-        b.iter(|| black_box(churn(&mut TimerWheelQueue::with_granularity(1.0 / 4096.0), 4_096)));
+        b.iter(|| black_box(churn(&mut TimerWheelQueue::with_ring(1.0 / 4096.0, 4_096), 4_096)));
     });
 }
 
