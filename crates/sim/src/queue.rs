@@ -1,8 +1,9 @@
 //! Pending-event set implementations.
 //!
 //! The simulator's hot loop is pop-min/push. Production runs use the
-//! timer wheel ([`crate::wheel`]); the binary heap here is the reference
-//! it is differentially tested against.
+//! calendar ring ([`crate::wheel`]); the binary heap here is the reference
+//! it is differentially tested against. [`Pending`] holds the one live
+//! arrival beside either queue, so the most frequent event never enters it.
 
 use crate::events::Entry;
 use std::cmp::Reverse;
@@ -14,6 +15,9 @@ pub trait EventQueue {
     fn push(&mut self, e: Entry);
     /// Remove and return the earliest event.
     fn pop(&mut self) -> Option<Entry>;
+    /// The earliest event, left in place. Mutable, so a lazy queue can
+    /// bring its head into position; the pop that follows finds it there.
+    fn peek(&mut self) -> Option<&Entry>;
     /// Number of pending events.
     fn len(&self) -> usize;
     /// Whether the queue is empty.
@@ -45,8 +49,62 @@ impl EventQueue for BinaryHeapQueue {
         self.heap.pop().map(|Reverse(e)| e)
     }
 
+    fn peek(&mut self) -> Option<&Entry> {
+        self.heap.peek().map(|Reverse(e)| e)
+    }
+
     fn len(&self) -> usize {
         self.heap.len()
+    }
+}
+
+/// The simulator's pending-event set: the one live arrival, held beside a
+/// queue of every other event.
+///
+/// A Poisson stream has exactly one pending arrival at a time, and the
+/// arrivals are half of all events. Holding the live one apart keeps them
+/// out of the queue for one `(time, seq)` comparison per pop; a
+/// superseded arrival still goes into the queue. [`Pending::pop`] returns
+/// the earlier of the held arrival and the queue's head, so the pop order
+/// is exactly that of one queue that received every event.
+pub struct Pending<Q> {
+    arrival: Option<Entry>,
+    queue: Q,
+}
+
+impl<Q: EventQueue> Pending<Q> {
+    /// An empty set over `queue`.
+    #[must_use]
+    pub fn new(queue: Q) -> Self {
+        Self { arrival: None, queue }
+    }
+
+    /// Insert an event that is not the live arrival.
+    pub fn push(&mut self, e: Entry) {
+        self.queue.push(e);
+    }
+
+    /// Hold `e` as the live arrival. The arrival it supersedes, if any,
+    /// moves into the queue: it is still popped in its place, only no
+    /// longer live.
+    pub fn hold(&mut self, e: Entry) {
+        if let Some(stale) = self.arrival.replace(e) {
+            self.queue.push(stale);
+        }
+    }
+
+    /// Remove the earliest pending event in `(time, seq)` order, with
+    /// whether it is the held arrival.
+    pub fn pop(&mut self) -> Option<(Entry, bool)> {
+        let held_first = match (&self.arrival, self.queue.peek()) {
+            (Some(held), Some(head)) => held < head,
+            (held, _) => held.is_some(),
+        };
+        if held_first {
+            self.arrival.take().map(|e| (e, true))
+        } else {
+            self.queue.pop().map(|e| (e, false))
+        }
     }
 }
 
@@ -60,12 +118,16 @@ mod tests {
         Entry { time: t, seq, kind: EventKind::Arrival }
     }
 
+    /// Pop every event, checking that `peek` shows each one first.
     fn drain(q: &mut impl EventQueue) -> Vec<(f64, u64)> {
         let mut out = Vec::new();
-        while let Some(e) = q.pop() {
-            out.push((e.time, e.seq));
+        loop {
+            let peeked = q.peek().map(|e| (e.time, e.seq));
+            let popped = q.pop().map(|e| (e.time, e.seq));
+            assert_eq!(peeked, popped);
+            let Some(e) = popped else { return out };
+            out.push(e);
         }
-        out
     }
 
     fn check_time_order(q: &mut impl EventQueue) {

@@ -3,13 +3,14 @@
 //!
 //! # Architecture (post million-flow refactor)
 //!
-//! The loop is generic over its pending-event set ([`EventQueue`]) and
-//! keeps flow state in struct-of-arrays form ([`FlowTable`]) with the
-//! per-admission `max_pop` scan replaced by a monotone suffix-max stack
-//! ([`PeakTracker`]) — see `crates/sim/src/flows.rs` for the equivalence
-//! argument. Runs use the calendar ring (amortized O(1) per event, each
-//! event placed once); [`QueueKind::Heap`] selects the original binary
-//! heap as the differential reference. Both produce **bitwise-identical**
+//! The loop holds the one live arrival beside its pending-event queue
+//! ([`Pending`] over an [`EventQueue`]) and keeps flow state in
+//! struct-of-arrays form ([`FlowTable`]) with the per-admission `max_pop`
+//! scan replaced by a monotone suffix-max stack ([`PeakTracker`]) — see
+//! `crates/sim/src/flows.rs` for the equivalence argument. Runs use the
+//! calendar ring (amortized O(1) per event, each event placed once);
+//! [`QueueKind::Heap`] selects the original binary heap as the
+//! differential reference. Both produce **bitwise-identical**
 //! [`SimReport::digest`]s — the differential suite
 //! (`tests/timer_wheel.rs`, `tests/sim_scale.rs`) pins that, along with
 //! the golden digests the pre-refactor loop produced.
@@ -20,7 +21,7 @@ use crate::events::{Entry, EventKind};
 use crate::flows::{FlowTable, PeakTracker};
 use crate::holding::HoldingDist;
 use crate::link::Discipline;
-use crate::queue::{BinaryHeapQueue, EventQueue};
+use crate::queue::{BinaryHeapQueue, EventQueue, Pending};
 use crate::stats::Welford;
 use crate::wheel::{ring_slots, TimerWheelQueue, DEFAULT_GRANULARITY};
 use bevra_load::Tabulated;
@@ -383,12 +384,13 @@ impl Simulation {
         match kind {
             QueueKind::Heap => EventLoop::new(&self.cfg, BinaryHeapQueue::new()).run(),
             QueueKind::Wheel => {
-                // ~1 event per bucket is the calendar-queue sweet spot;
-                // total event rate is ≈ 2·λ (each flow arrives and
-                // departs). The ring spans four to eight mean holdings, so
-                // nearly every departure is placed once. Only a
-                // performance choice — any granularity or ring size gives
-                // the identical dequeue order.
+                // The ring sees departures (rate ≈ λ) but not the held
+                // arrival, so a bucket this wide holds about half an
+                // event; one event per bucket (1/λ) timed no faster. The
+                // ring spans four to eight mean holdings, so nearly every
+                // departure is placed once. Only a performance choice —
+                // any granularity or ring size gives the identical
+                // dequeue order.
                 let g = (0.5 / self.cfg.arrivals.mean_rate()).clamp(1e-9, DEFAULT_GRANULARITY);
                 let slots = ring_slots(g, self.cfg.holding.mean());
                 EventLoop::new(&self.cfg, TimerWheelQueue::with_ring(g, slots)).run()
@@ -397,10 +399,11 @@ impl Simulation {
     }
 }
 
-/// All mutable state of one run, generic over the pending-event set.
+/// All mutable state of one run, generic over the pending-event queue.
 struct EventLoop<'a, Q: EventQueue> {
     cfg: &'a SimConfig,
-    queue: Q,
+    /// The live arrival, held beside the queue of every other event.
+    pending: Pending<Q>,
     rng: StdRng,
     seq: u64,
     end: f64,
@@ -428,7 +431,7 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
     fn new(cfg: &'a SimConfig, queue: Q) -> Self {
         Self {
             cfg,
-            queue,
+            pending: Pending::new(queue),
             rng: StdRng::seed_from_u64(cfg.seed),
             seq: 0,
             end: cfg.warmup + cfg.horizon,
@@ -445,9 +448,24 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
         }
     }
 
-    fn push(&mut self, time: f64, kind: EventKind) {
-        self.queue.push(Entry { time, seq: self.seq, kind });
+    /// The next entry at `time`, stamped from the one sequence counter.
+    fn entry(&mut self, time: f64, kind: EventKind) -> Entry {
+        let seq = self.seq;
         self.seq += 1;
+        Entry { time, seq, kind }
+    }
+
+    fn push(&mut self, time: f64, kind: EventKind) {
+        let e = self.entry(time, kind);
+        self.pending.push(e);
+    }
+
+    /// Make the arrival at `time` the live one. The arrival it supersedes
+    /// stays pending and is skipped when popped, so it still advances the
+    /// clock and counts as an event.
+    fn hold_arrival(&mut self, time: f64) {
+        let e = self.entry(time, EventKind::Arrival);
+        self.pending.hold(e);
     }
 
     fn pi(&mut self, pop: u64) -> f64 {
@@ -471,16 +489,10 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
         let mut arrivals = self.cfg.arrivals.clone();
         let warmup = self.cfg.warmup;
 
-        // Sequence number of the one live pending Arrival event: a
-        // modulation switch replaces it, and the superseded event (still in
-        // the queue) is discarded when popped.
-        let mut live_arrival_seq: u64;
-
         // Seed the initial arrival and (if modulated) the first switch.
         arrivals.switch(&mut self.rng);
-        live_arrival_seq = self.seq;
         let first_arrival = arrivals.next_interarrival(&mut self.rng);
-        self.push(first_arrival, EventKind::Arrival);
+        self.hold_arrival(first_arrival);
         let first_sojourn = arrivals.next_sojourn(&mut self.rng);
         if first_sojourn.is_finite() {
             self.push(first_sojourn, EventKind::ModulationSwitch);
@@ -492,7 +504,7 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
         let budget = bevra_faults::budget_override("sim/budget").or(self.cfg.max_events);
         let mut events: u64 = 0;
 
-        while let Some(ev) = self.queue.pop() {
+        while let Some((ev, live)) = self.pending.pop() {
             if ev.time > self.end {
                 break;
             }
@@ -532,12 +544,10 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
                 EventKind::ModulationSwitch => {
                     arrivals.switch(&mut self.rng);
                     // Redraw the pending arrival at the new rate (valid by
-                    // memorylessness of the exponential); the superseded
-                    // arrival event is dropped when popped.
+                    // memorylessness of the exponential).
                     let ia = arrivals.next_interarrival(&mut self.rng);
                     if ia.is_finite() {
-                        live_arrival_seq = self.seq;
-                        self.push(self.t + ia, EventKind::Arrival);
+                        self.hold_arrival(self.t + ia);
                     }
                     let so = arrivals.next_sojourn(&mut self.rng);
                     if so.is_finite() {
@@ -545,7 +555,7 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
                     }
                 }
                 EventKind::Arrival => {
-                    if ev.seq != live_arrival_seq {
+                    if !live {
                         // Superseded by a modulation switch: skip.
                         continue;
                     }
@@ -560,8 +570,7 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
                     // Next arrival of the live stream.
                     let ia = arrivals.next_interarrival(&mut self.rng);
                     if ia.is_finite() {
-                        live_arrival_seq = self.seq;
-                        self.push(self.t + ia, EventKind::Arrival);
+                        self.hold_arrival(self.t + ia);
                     }
                 }
                 EventKind::Retry { attempt, holding, first_arrival } => {

@@ -9,7 +9,10 @@
 //! places each event once. Pop sorts the *current* bucket lazily (a handful
 //! of entries under a well-chosen granularity) and drains it back-to-front,
 //! so the amortized per-event cost is a few cache-resident moves — the
-//! classic calendar-queue result.
+//! classic calendar-queue result. A peek takes the next bucket just as a
+//! pop does, so the cursor can run ahead of a caller that holds earlier
+//! events of its own; what it pushes before the cursor joins the sorted
+//! bucket, or a small heap, `early`, once the bucket is large.
 //!
 //! Every bucket is an index-linked list threaded through one slab of nodes
 //! with a free list, so steady state allocates nothing per bucket. The ring
@@ -35,9 +38,10 @@
 //! # Time domain
 //!
 //! Times may be any `f64`; negative and `+∞` stamps are routed to the
-//! current bucket / the far heap and still pop in total order, as do `NaN`s
-//! (a positive one last, a negative one first, as `total_cmp` orders them).
-//! The simulator checks finiteness at every push site, so it pushes none.
+//! current bucket or `early` / the far heap and still pop in total order,
+//! as do `NaN`s (a positive one last, a negative one first, as
+//! `total_cmp` orders them). The simulator checks finiteness at every push
+//! site, so it pushes none.
 
 use crate::events::{Entry, EventKind};
 use crate::queue::EventQueue;
@@ -54,6 +58,12 @@ pub const MIN_SLOTS: usize = 1 << 10;
 
 /// Most slots a ring has: 512 KiB of list heads.
 pub const MAX_SLOTS: usize = 1 << 17;
+
+/// Most events the sorted `current` takes by ordered insertion before it
+/// and every later push move into `early`. A small bucket shifts fewer
+/// bytes than a heap push costs; the cap bounds the shift when a peek has
+/// run the cursor far ahead.
+const MAX_SORTED_INSERT: usize = 256;
 
 /// End of a bucket's list and of the free list. Slab index 0 is a sentinel
 /// that holds no event, so a fresh ring is zeroed memory.
@@ -89,11 +99,19 @@ pub struct TimerWheelQueue {
     inv_g: f64,
     /// Tick of the bucket currently being drained.
     cur: u64,
-    /// The current bucket: every event whose tick is at most `cur`, sorted
-    /// descending by `(time, seq)` when `sorted` holds, so pop-min is a pop
-    /// from the back.
+    /// The current bucket: the events of tick `cur`, sorted descending by
+    /// `(time, seq)` when `sorted` holds, so pop-min is a pop from the
+    /// back. Events pushed at or before `cur` join it, appended while it
+    /// is unsorted and by ordered insertion while it is sorted and small.
     current: Vec<Entry>,
     sorted: bool,
+    /// Events pushed at or before `cur` once the sorted `current` holds
+    /// [`MAX_SORTED_INSERT`] events, and `current`'s own, moved here by the
+    /// first of them, so `current` is empty while this is not. A peek
+    /// moves the cursor to the next bucket before the caller's clock gets
+    /// there, so many pushes can land before it: a heap takes each in
+    /// `O(log n)` where a sorted insert would shift the whole bucket.
+    early: BinaryHeap<Reverse<Entry>>,
     /// Slots − 1. The ring holds the ticks `cur + 1 ..= cur + mask`, each
     /// in slot `tick & mask`.
     mask: u64,
@@ -160,6 +178,7 @@ impl TimerWheelQueue {
             cur: 0,
             current: Vec::new(),
             sorted: true,
+            early: BinaryHeap::new(),
             mask: slots as u64 - 1,
             heads: vec![NIL; slots],
             occupied: vec![0; slots / 64],
@@ -193,17 +212,21 @@ impl TimerWheelQueue {
         (t * self.inv_g) as u64
     }
 
-    /// Route one entry to the current bucket, a ring slot, or the far heap.
+    /// Route one entry to the current bucket or `early`, a ring slot, or
+    /// the far heap.
     fn place(&mut self, e: Entry) {
         let tick = self.tick(e.time);
         if tick <= self.cur {
-            if self.sorted {
+            if !self.sorted {
+                self.current.push(e);
+            } else if self.early.is_empty() && self.current.len() < MAX_SORTED_INSERT {
                 // Keep the drain bucket sorted (descending) by ordered
-                // insertion: an arrival landing in it must not force a sort.
+                // insertion: an event landing in it must not force a sort.
                 let pos = self.current.partition_point(|x| *x > e);
                 self.current.insert(pos, e);
             } else {
-                self.current.push(e);
+                self.early.extend(self.current.drain(..).map(Reverse));
+                self.early.push(Reverse(e));
             }
         } else if tick - self.cur > self.mask {
             self.far.push(Reverse(e));
@@ -261,7 +284,7 @@ impl TimerWheelQueue {
     /// Refill the empty `current` with the earliest pending bucket. Returns
     /// `false` when the queue is exhausted.
     fn advance(&mut self) -> bool {
-        debug_assert!(self.current.is_empty());
+        debug_assert!(self.current.is_empty() && self.early.is_empty());
         self.sorted = false;
         if let Some(slot) = self.next_occupied() {
             // The ring's earliest tick lies `slot`'s distance past the cursor.
@@ -295,19 +318,30 @@ impl EventQueue for TimerWheelQueue {
     }
 
     fn pop(&mut self) -> Option<Entry> {
-        if self.current.is_empty() && !self.advance() {
-            return None;
+        self.peek()?;
+        self.len -= 1;
+        if self.current.is_empty() {
+            self.early.pop().map(|Reverse(e)| e)
+        } else {
+            self.current.pop()
+        }
+    }
+
+    fn peek(&mut self) -> Option<&Entry> {
+        if self.current.is_empty() {
+            if !self.early.is_empty() {
+                return self.early.peek().map(|Reverse(e)| e);
+            }
+            if !self.advance() {
+                return None;
+            }
         }
         if !self.sorted {
             // Descending, so pop-min is a pop from the back.
             self.current.sort_unstable_by(|a, b| b.cmp(a));
             self.sorted = true;
         }
-        let e = self.current.pop();
-        if e.is_some() {
-            self.len -= 1;
-        }
-        e
+        self.current.last()
     }
 
     fn len(&self) -> usize {
@@ -422,6 +456,39 @@ mod tests {
     }
 
     #[test]
+    fn pushes_before_a_peeked_bucket_wait_in_the_early_heap() {
+        // A peek takes the next bucket while the caller still holds earlier
+        // events of its own. What it then pushes before that bucket must
+        // pop first, by sorted insert while the bucket is small and through
+        // `early` once it is not.
+        let mut q = TimerWheelQueue::with_granularity(1.0);
+        q.push(entry(500.0, 0));
+        q.push(entry(5_000.0, 1));
+        assert_eq!(q.peek().map(|e| e.seq), Some(0));
+        assert_eq!(q.cur, 500);
+        let n = MAX_SORTED_INSERT as u64;
+        for seq in 2..n + 1 {
+            q.push(entry(seq as f64 + 0.5, seq));
+        }
+        assert_eq!((q.current.len(), q.early.len()), (MAX_SORTED_INSERT, 0));
+        q.push(entry(1.5, n + 1));
+        assert_eq!((q.current.len(), q.early.len()), (0, MAX_SORTED_INSERT + 1));
+        // Equal stamps in `early` and `current`: seq decides.
+        q.push(entry(500.0, n + 2));
+        q.push(entry(2.5, n + 3));
+        let order: Vec<(f64, u64)> = std::iter::from_fn(|| {
+            let peeked = q.peek().map(|e| (e.time, e.seq));
+            assert_eq!(q.pop().map(|e| (e.time, e.seq)), peeked);
+            peeked
+        })
+        .collect();
+        let mut expected = vec![(1.5, n + 1), (2.5, 2), (2.5, n + 3)];
+        expected.extend((3..n + 1).map(|seq| (seq as f64 + 0.5, seq)));
+        expected.extend([(500.0, 0), (500.0, n + 2), (5_000.0, 1)]);
+        assert_eq!(order, expected);
+    }
+
+    #[test]
     fn slot_nudge_breaks_order_detectably() {
         // The mutation hook must actually corrupt dequeue order on a
         // stream that spans several buckets — otherwise the differential
@@ -453,13 +520,13 @@ mod tests {
     }
 
     /// Bytes the queue keeps allocated in its slab, ring heads and bitmap,
-    /// far heap and `current`, whether in use or not.
+    /// far heap, `current` and `early`, whether in use or not.
     fn retained_bytes(q: &TimerWheelQueue) -> usize {
         use std::mem::size_of;
         q.nodes.capacity() * size_of::<Node>()
             + q.heads.capacity() * size_of::<u32>()
             + q.occupied.capacity() * size_of::<u64>()
-            + (q.far.capacity() + q.current.capacity()) * size_of::<Entry>()
+            + (q.far.capacity() + q.current.capacity() + q.early.capacity()) * size_of::<Entry>()
     }
 
     #[test]
