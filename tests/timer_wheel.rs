@@ -11,6 +11,13 @@
 //! bit-identical pop sequences. A deterministic script walks the ring's
 //! edge case by case.
 //!
+//! The simulator holds its one live arrival beside the ring
+//! ([`bevra::sim::queue::Pending`]), so the loop pops the earlier of the
+//! held arrival and the ring's head. A property and a script check that
+//! merge, over the ring and over the heap, against one heap that receives
+//! every event, and budget-truncated modulated runs must stop at the same
+//! event on either queue.
+//!
 //! The last part is a mutation test: a deliberately wrong ring (slot index
 //! XOR'd by one, the classic off-by-one-slot bug, injected via a
 //! `#[doc(hidden)]` hook) must be *caught* by the same property and the
@@ -18,11 +25,13 @@
 //! events, not the original random soup. This checks the test wall itself:
 //! the property has teeth, and the shrinker makes its failures readable.
 
+use bevra::prelude::*;
 use bevra::sim::events::{Entry, EventKind};
-use bevra::sim::queue::{BinaryHeapQueue, EventQueue};
+use bevra::sim::queue::{BinaryHeapQueue, EventQueue, Pending};
 use bevra::sim::wheel::{DEFAULT_GRANULARITY, MAX_SLOTS, MIN_SLOTS};
-use bevra::sim::TimerWheelQueue;
+use bevra::sim::{QueueKind, RetryPolicy, TimerWheelQueue};
 use bevra_check::{choice, ensure, int_range, vec_of, Checker};
+use std::sync::Arc;
 
 /// Build the event stream from raw codes: `time = code / 8 × scale`, so
 /// repeated codes collide to exact same-timestamp ties (seq must break
@@ -214,6 +223,181 @@ fn ring_edge_cases_pop_like_the_heap() {
             Pop,
             Pop,
         ],
+    );
+}
+
+/// One step on the simulator's pending set: push an event into the queue,
+/// hold a new live arrival (moving the held one into the queue), or pop.
+/// Each step's index is its seq, so seqs rise in step order, as the
+/// runner stamps them from one counter.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Push(f64),
+    Hold(f64),
+    Pop,
+}
+
+/// Run `steps`, then drain, on the held arrival plus a ring of `slots`
+/// buckets `granularity` wide, on the held arrival plus a heap, and on one
+/// heap that receives every push and every hold. Each pop must return the
+/// one heap's entry to the bit, and call it live exactly when it is the
+/// latest hold.
+fn pending_matches_one_heap(steps: &[Step], granularity: f64, slots: usize) -> Result<(), String> {
+    let mut ring = Pending::new(TimerWheelQueue::with_ring(granularity, slots));
+    let mut heap = Pending::new(BinaryHeapQueue::new());
+    let mut reference = BinaryHeapQueue::new();
+    let mut live_seq = None;
+    let drain = std::iter::repeat(&Step::Pop).take(steps.len() + 1);
+    for (seq, step) in (0u64..).zip(steps.iter().chain(drain)) {
+        match *step {
+            Step::Push(time) => {
+                let e = Entry { time, seq, kind: EventKind::Departure { slot: 0 } };
+                ring.push(e);
+                heap.push(e);
+                reference.push(e);
+            }
+            Step::Hold(time) => {
+                let e = Entry { time, seq, kind: EventKind::Arrival };
+                ring.hold(e);
+                heap.hold(e);
+                reference.push(e);
+                live_seq = Some(seq);
+            }
+            Step::Pop => {
+                let want =
+                    reference.pop().map(|e| (e.time.to_bits(), e.seq, Some(e.seq) == live_seq));
+                for (name, got) in [("ring", ring.pop()), ("heap", heap.pop())] {
+                    let got = got.map(|(e, live)| (e.time.to_bits(), e.seq, live));
+                    ensure(got == want, || {
+                        format!(
+                            "step {seq}: the held arrival plus the {name} popped {got:?}, \
+                             one heap {want:?} (granularity {granularity}, {slots} slots)"
+                        )
+                    })?;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The held arrival plus either queue pops exactly one heap's sequence on
+/// randomized step streams: few distinct stamps, so holds tie with queued
+/// events in both seq orders, and holds that demote a pending arrival
+/// ahead of, behind or level with the new one, on rings that spill into
+/// their far heap.
+#[test]
+fn held_arrival_beside_either_queue_pops_like_one_heap() {
+    let strategy = vec_of((int_range(0, 3), int_range(0, 40), choice(vec![1.0f64, 1e7])), 0, 60);
+    Checker::new("held_arrival_beside_either_queue_pops_like_one_heap").run(&strategy, |raw| {
+        let steps: Vec<Step> = raw
+            .iter()
+            .map(|&(op, code, scale)| match op {
+                0 => Step::Push(code as f64 / 8.0 * scale),
+                1 => Step::Hold(code as f64 / 8.0 * scale),
+                _ => Step::Pop,
+            })
+            .collect();
+        for granularity in [DEFAULT_GRANULARITY, 0.125, 1e-6] {
+            for slots in [64, MIN_SLOTS] {
+                pending_matches_one_heap(&steps, granularity, slots)?;
+            }
+        }
+        Ok(())
+    });
+}
+
+/// The merge's ties and demotions, case by case.
+#[test]
+fn held_arrival_ties_and_demotions_pop_like_one_heap() {
+    use Step::{Hold, Pop, Push};
+    let mut steps = vec![
+        // Equal stamps: the queued event first in seq (0 before 1), then
+        // the held arrival (4 before 5).
+        Push(5.0),
+        Hold(5.0),
+        Pop,
+        Pop,
+        Hold(6.0),
+        Push(6.0),
+        Pop,
+        Pop,
+        // A switch demotes the held arrival 8: it pops in its place, not
+        // live, before the queued 9 and the new live 10.
+        Hold(8.0),
+        Push(9.0),
+        Hold(10.0),
+        Pop,
+        Pop,
+        Pop,
+        // Demoted behind an earlier new arrival (14 by 15), and level with
+        // one (15 by 16): 15, 16, 14.
+        Hold(12.0),
+        Hold(11.0),
+        Hold(11.0),
+        Pop,
+        Pop,
+        Pop,
+        // Popping the held 21 peeks at 20, so the ring's cursor runs ahead
+        // to 20's bucket; 23, pushed after, is due before it: 21, 23, 20.
+        Push(30.0),
+        Hold(20.0),
+        Pop,
+        Push(25.0),
+        Pop,
+        Pop,
+        // A long run-ahead: the held 40 pops first, the peek having taken
+        // 1,000's bucket, and 600 pushes due between them, with tied
+        // stamps and more than the ring inserts into a sorted bucket, all
+        // pop before 1,000.
+        Push(1_000.0),
+        Hold(40.0),
+        Pop,
+    ];
+    steps.extend((0..600).map(|k| Push(41.0 + f64::from(k % 100) / 8.0)));
+    for (granularity, slots) in [(1.0, 64), (DEFAULT_GRANULARITY, MIN_SLOTS)] {
+        pending_matches_one_heap(&steps, granularity, slots).unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+/// A modulated run cut by its event budget stops at the same event, with
+/// the same bits, on either queue: switches demote held arrivals all
+/// through the run, and the cut can fall on a demoted one.
+#[test]
+fn budget_truncated_modulated_runs_match_across_queues() {
+    let strategy = (int_range(0, 3_000), int_range(0, u64::from(u32::MAX)));
+    Checker::new("budget_truncated_modulated_runs_match_across_queues").run(
+        &strategy,
+        |&(budget, seed)| {
+            let sim = Simulation::new(SimConfig {
+                capacity: 25.0,
+                discipline: Discipline::Reservation {
+                    k_max: 22,
+                    retry: Some(RetryPolicy::new(6, 2.0, 0.05)),
+                },
+                // Switches as frequent as arrivals.
+                arrivals: MixedPoisson::new(20.0, RateMixing::Exponential, 0.05),
+                holding: HoldingDist::Exponential { mean: 1.0 },
+                utility: Arc::new(AdaptiveExp::paper()),
+                warmup: 5.0,
+                horizon: 1_000.0,
+                seed,
+                max_events: Some(budget),
+            });
+            let (heap, ring) = (sim.run_on(QueueKind::Heap), sim.run_on(QueueKind::Wheel));
+            ensure(
+                (heap.events, heap.digest()) == (budget, ring.digest()) && ring.events == budget,
+                || {
+                    format!(
+                        "heap stopped after {} events with digest {:#x}, ring after {} with {:#x}",
+                        heap.events,
+                        heap.digest(),
+                        ring.events,
+                        ring.digest()
+                    )
+                },
+            )
+        },
     );
 }
 
