@@ -559,14 +559,13 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
                         // Superseded by a modulation switch: skip.
                         continue;
                     }
-                    let measured = self.t >= warmup;
-                    if measured {
+                    if self.t >= warmup {
                         self.census.arrival_saw(self.n);
                     }
                     if let Some(w) = self.cfg.discipline.ewma_weight() {
                         self.load_estimate = (1.0 - w) * self.load_estimate + w * self.n as f64;
                     }
-                    self.handle_admission_attempt(0, None, measured);
+                    self.handle_admission_attempt(0, None, self.t);
                     // Next arrival of the live stream.
                     let ia = arrivals.next_interarrival(&mut self.rng);
                     if ia.is_finite() {
@@ -574,9 +573,8 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
                     }
                 }
                 EventKind::Retry { attempt, holding, first_arrival } => {
-                    let measured = first_arrival >= warmup;
                     self.report.retries += 1;
-                    self.handle_admission_attempt(attempt, Some(holding), measured);
+                    self.handle_admission_attempt(attempt, Some(holding), first_arrival);
                 }
                 EventKind::Departure { slot } => {
                     let (admit_time, integral_at_admit, util_at_admission, admit_index, retries) =
@@ -611,14 +609,17 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
         Ok(self.report)
     }
 
-    /// Shared admission logic for fresh arrivals and retries.
+    /// Shared admission logic for fresh arrivals and retries. Every attempt
+    /// of a flow is measured when the flow first arrived after warm-up, and
+    /// a blocked one carries that `first_arrival` into its retry.
     fn handle_admission_attempt(
         &mut self,
         attempt: u32,
         holding_carryover: Option<f64>,
-        measured: bool,
+        first_arrival: f64,
     ) {
         let cfg = self.cfg;
+        let measured = first_arrival >= cfg.warmup;
         if measured {
             self.report.attempts += 1;
         }
@@ -651,7 +652,7 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
                         holding_carryover.unwrap_or_else(|| cfg.holding.sample(&mut self.rng));
                     self.push(
                         self.t + backoff,
-                        EventKind::Retry { attempt: attempt + 1, holding, first_arrival: self.t },
+                        EventKind::Retry { attempt: attempt + 1, holding, first_arrival },
                     );
                 }
                 _ => {
@@ -912,6 +913,29 @@ mod tests {
         let heap = sim.run_on(QueueKind::Heap);
         let wheel = sim.run_on(QueueKind::Wheel);
         assert_eq!(heap.digest(), wheel.digest());
+    }
+
+    #[test]
+    fn a_retried_flow_is_measured_by_its_first_arrival() {
+        // Every attempt is blocked (k_max = 0), a flow is lost at its
+        // second retry, and the Poisson stream's first arrival lies far
+        // past the run, so only the two flows pushed here run.
+        let rp = RetryPolicy::new(2, 1.0, 0.1);
+        let mut cfg = base_cfg(1.0, Discipline::Reservation { k_max: 0, retry: Some(rp) });
+        cfg.arrivals = MixedPoisson::fixed(1e-12);
+        cfg.warmup = 10.0;
+        cfg.horizon = 1_000.0;
+        let mut lp = EventLoop::new(&cfg, BinaryHeapQueue::new());
+        // Flow A arrived at t = 4, before warm-up, and was blocked; its
+        // first retry, at t = 12, after warm-up, is blocked too. Flow B
+        // arrived at t = 11 and retries at t = 13.
+        lp.push(12.0, EventKind::Retry { attempt: 1, holding: 1.0, first_arrival: 4.0 });
+        lp.push(13.0, EventKind::Retry { attempt: 1, holding: 1.0, first_arrival: 11.0 });
+        let report = lp.run().expect("no budget is configured");
+        assert_eq!(report.retries, 4, "each flow retries twice");
+        // Only B is measured: both its retries and its loss. A would count
+        // at its second retry if that carried the first retry's time.
+        assert_eq!((report.attempts, report.blocked_attempts, report.lost), (2, 2, 1));
     }
 
     #[test]

@@ -25,14 +25,18 @@ use std::sync::Arc;
 
 /// Golden `SimReport::digest()` values captured from the pre-refactor
 /// event loop (commit `bee8d8d`) on the corpus below, alongside each run's
-/// completed-flow count as a cheap second witness.
+/// completed-flow count as a cheap second witness. corpus[5], the one
+/// config whose flows retry more than once, was re-pinned from
+/// `0x7718EDADC9111A41` when a retry began carrying its flow's first
+/// arrival instead of the previous attempt's time: flows that straddle
+/// warm-up are now measured on every attempt or on none.
 const GOLDEN: [(u64, u64); 10] = [
     (0x7CB832531D8DA00B, 30042),
     (0xDF40388A535875BC, 26748),
     (0x1316958BBEAA06E9, 27165),
     (0x02778A634F7C167A, 29741),
     (0x0AE85D16A0820773, 120460),
-    (0x7718EDADC9111A41, 29801),
+    (0xE2ED649675DE387F, 29801),
     (0xAE173DE88E5BC624, 25589),
     (0xF5A0B358E49BC923, 30335),
     (0x0F16C20CEAB5E51B, 28599),
