@@ -247,7 +247,7 @@ fn pending_matches_one_heap(steps: &[Step], granularity: f64, slots: usize) -> R
     let mut heap = Pending::new(BinaryHeapQueue::new());
     let mut reference = BinaryHeapQueue::new();
     let mut live_seq = None;
-    let drain = std::iter::repeat(&Step::Pop).take(steps.len() + 1);
+    let drain = (0..=steps.len()).map(|_| &Step::Pop);
     for (seq, step) in (0u64..).zip(steps.iter().chain(drain)) {
         match *step {
             Step::Push(time) => {
