@@ -1,9 +1,9 @@
 //! Failure records, persisted as JSON lines.
 //!
-//! Every falsified property appends one line to
-//! `results/check-failures.jsonl` (relative to the repository root;
-//! `BEVRA_CHECK_DIR` overrides the directory). The record carries
-//! everything needed to reproduce the failure without the original
+//! Every property falsified under [`Checker::run`](crate::Checker::run)
+//! appends one line to `results/check-failures.jsonl` (relative to the
+//! repository root; `BEVRA_CHECK_DIR` overrides the directory). The record
+//! carries everything needed to reproduce the failure without the original
 //! process: the property name, the master and per-case seeds, and the
 //! `Debug` renderings of the original and shrunk counterexamples. CI
 //! uploads the file as an artifact when the verification job fails.

@@ -14,6 +14,11 @@
 //! both seeds — is appended to `results/check-failures.jsonl` (see
 //! [`crate::persist`]) and included in the panic message.
 //!
+//! [`Checker::falsify`] runs a property that is *meant* to fail, such as a
+//! property run against a deliberately broken implementation to show it
+//! has teeth: it returns the shrunk record and writes nothing, so the
+//! journal holds only real failures.
+//!
 //! Knobs, all environment-overridable for CI:
 //!
 //! | variable | effect |
@@ -198,21 +203,56 @@ impl Checker {
         }
     }
 
-    /// Execute one case from its derived seed.
+    /// Run a property that is expected to fail over the configured number
+    /// of cases, and return the first counterexample, shrunk as
+    /// [`Self::run`] shrinks it, or `None` when every case passes. Nothing
+    /// is appended to the failure journal and nothing panics: the failure
+    /// is the expected outcome, not a finding. [`REPLAY_ENV`] does not
+    /// apply.
+    pub fn falsify<S, P>(&self, strategy: &S, property: P) -> Option<FailureRecord>
+    where
+        S: Strategy,
+        P: Fn(&S::Value) -> Result<(), String>,
+    {
+        (0..self.cases).find_map(|index| {
+            let case_seed = rand::derive_seed(self.seed, index as u64);
+            self.check_case(strategy, &property, case_seed, index).map(|(record, _)| record)
+        })
+    }
+
+    /// Execute one case from its derived seed; on failure, persist the
+    /// shrunk record and panic with it.
     fn run_case<S, P>(&self, strategy: &S, property: &P, case_seed: u64, case_index: usize)
+    where
+        S: Strategy,
+        P: Fn(&S::Value) -> Result<(), String>,
+    {
+        if let Some((record, evals)) = self.check_case(strategy, property, case_seed, case_index) {
+            self.report_failure(&record, evals);
+        }
+    }
+
+    /// Execute one case from its derived seed; on failure, return the
+    /// shrunk record and the property evaluations spent shrinking it.
+    fn check_case<S, P>(
+        &self,
+        strategy: &S,
+        property: &P,
+        case_seed: u64,
+        case_index: usize,
+    ) -> Option<(FailureRecord, usize)>
     where
         S: Strategy,
         P: Fn(&S::Value) -> Result<(), String>,
     {
         let mut rng = StdRng::seed_from_u64(case_seed);
         let value = strategy.generate(&mut rng);
-        if let Err(message) = property(&value) {
-            self.report_failure(strategy, property, value, message, case_seed, case_index);
-        }
+        let message = property(&value).err()?;
+        Some(self.shrink(strategy, property, value, message, case_seed, case_index))
     }
 
-    /// Shrink greedily, persist the record, and panic with the result.
-    fn report_failure<S, P>(
+    /// Shrink a failing value greedily into its failure record.
+    fn shrink<S, P>(
         &self,
         strategy: &S,
         property: &P,
@@ -220,7 +260,7 @@ impl Checker {
         message: String,
         case_seed: u64,
         case_index: usize,
-    ) -> !
+    ) -> (FailureRecord, usize)
     where
         S: Strategy,
         P: Fn(&S::Value) -> Result<(), String>,
@@ -254,17 +294,24 @@ impl Checker {
             shrink_steps: accepted as u64,
             original: format!("{original:?}"),
             shrunk: format!("{current:?}"),
-            message: current_msg.clone(),
+            message: current_msg,
         };
-        let persisted = persist::append_failure(&record).map_or_else(
+        (record, evals)
+    }
+
+    /// Persist a failure record and panic with it.
+    fn report_failure(&self, record: &FailureRecord, evals: usize) -> ! {
+        let persisted = persist::append_failure(record).map_or_else(
             || "record could not be persisted".to_string(),
             |p| format!("record appended to {}", p.display()),
         );
+        let FailureRecord { case_index, case_seed, shrink_steps, original, shrunk, message, .. } =
+            record;
         panic!(
             "property '{}' falsified (case {case_index}, case seed {case_seed} = {case_seed:#x})\n  \
-             original: {original:?}\n  \
-             shrunk ({accepted} accepted step(s), {evals} eval(s)): {current:?}\n  \
-             error: {current_msg}\n  \
+             original: {original}\n  \
+             shrunk ({shrink_steps} accepted step(s), {evals} eval(s)): {shrunk}\n  \
+             error: {message}\n  \
              replay: {REPLAY_ENV}={case_seed} reruns exactly this case\n  \
              {persisted}",
             self.name,
@@ -308,29 +355,41 @@ mod tests {
     fn failure_shrinks_to_the_boundary() {
         // Property: x < 17. Minimal failing u64 is exactly 17; the greedy
         // shrinker must land on it from any failing start.
-        let result = std::panic::catch_unwind(|| {
-            Checker::new("ge-17")
-                .cases(200)
-                .seed(3)
-                .run(&int_range(0, 10_000), |&x| ensure(x < 17, || format!("{x} >= 17")));
-        });
-        let msg = *result.expect_err("must falsify").downcast::<String>().unwrap();
-        assert!(msg.contains("shrunk"), "{msg}");
-        assert!(msg.contains(": 17\n"), "not minimal: {msg}");
+        let record = Checker::new("ge-17")
+            .cases(200)
+            .seed(3)
+            .falsify(&int_range(0, 10_000), |&x| ensure(x < 17, || format!("{x} >= 17")))
+            .expect("must falsify");
+        assert_eq!(record.shrunk, "17", "not minimal: {record:?}");
+        assert_eq!(record.message, "17 >= 17");
     }
 
     #[test]
     fn vector_counterexamples_lose_irrelevant_elements() {
         // Property: no element exceeds 900. The shrunk witness must be a
         // single offending element at the boundary value 901.
-        let result = std::panic::catch_unwind(|| {
-            Checker::new("vec-bound").cases(300).seed(5).max_shrink_steps(2000).run(
-                &vec_of(int_range(0, 1000), 1, 12),
-                |v| ensure(v.iter().all(|&x| x <= 900), || "element > 900".to_string()),
-            );
-        });
-        let msg = *result.expect_err("must falsify").downcast::<String>().unwrap();
-        assert!(msg.contains("[901]"), "expected minimal witness [901]: {msg}");
+        let record = Checker::new("vec-bound")
+            .cases(300)
+            .seed(5)
+            .max_shrink_steps(2000)
+            .falsify(&vec_of(int_range(0, 1000), 1, 12), |v| {
+                ensure(v.iter().all(|&x| x <= 900), || "element > 900".to_string())
+            })
+            .expect("must falsify");
+        assert_eq!(record.shrunk, "[901]", "expected minimal witness [901]: {record:?}");
+    }
+
+    #[test]
+    fn falsify_writes_no_record_and_passes_a_true_property() {
+        let journal = || std::fs::metadata(crate::persist::failures_path()).map(|m| m.len()).ok();
+        let before = journal();
+        let record = Checker::new("ge-3")
+            .cases(50)
+            .seed(1)
+            .falsify(&int_range(0, 100), |&x| ensure(x < 3, || format!("{x} >= 3")));
+        assert_eq!(record.map(|r| r.shrunk).as_deref(), Some("3"));
+        assert_eq!(journal(), before, "falsify wrote to the failure journal");
+        assert!(Checker::new("true").cases(50).falsify(&int_range(0, 100), |_| Ok(())).is_none());
     }
 
     #[test]

@@ -410,52 +410,36 @@ fn budget_truncated_modulated_runs_match_across_queues() {
 /// as forty random events, would be dead weight — this pins both halves.
 #[test]
 fn seeded_off_by_one_slot_is_falsified_and_shrunk_to_minimal_witness() {
-    let panic_payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // Granularity 1/8 makes `tick == code`, so distinct codes land in
-        // distinct buckets of the smallest runner ring and the nudge has
-        // somewhere to bite.
-        Checker::new("wheel_mutation_off_by_one").cases(64).seed(0xB16_B06).run(
-            &vec_of(int_range(0, 200), 0, 40),
-            |codes| {
-                let pairs: Vec<(u64, f64)> = codes.iter().map(|&c| (c, 1.0)).collect();
-                let events = stream(&pairs);
-                let mut wheel = TimerWheelQueue::with_granularity(0.125).with_slot_nudge(1);
-                let mut heap = BinaryHeapQueue::new();
-                for e in &events {
-                    wheel.push(*e);
-                    heap.push(*e);
-                }
-                let mut step = 0usize;
-                while let Some(h) = heap.pop() {
-                    let w = wheel.pop();
-                    step += 1;
-                    ensure(w.map(|e| (e.time.to_bits(), e.seq)) == Some((h.time.to_bits(), h.seq)), || {
-                        format!("pop #{step}: nudged ring {w:?} vs heap {h:?}")
-                    })?;
-                }
-                Ok(())
-            },
-        );
-    }))
-    .expect_err("a ring with an off-by-one bucket index must be falsified");
+    // Granularity 1/8 makes `tick == code`, so distinct codes land in
+    // distinct buckets of the smallest runner ring and the nudge has
+    // somewhere to bite. The failure is the expected outcome, so it is
+    // not written to the failure journal.
+    let record = Checker::new("wheel_mutation_off_by_one")
+        .cases(64)
+        .seed(0xB16_B06)
+        .falsify(&vec_of(int_range(0, 200), 0, 40), |codes| {
+            let pairs: Vec<(u64, f64)> = codes.iter().map(|&c| (c, 1.0)).collect();
+            let events = stream(&pairs);
+            let mut wheel = TimerWheelQueue::with_granularity(0.125).with_slot_nudge(1);
+            let mut heap = BinaryHeapQueue::new();
+            for e in &events {
+                wheel.push(*e);
+                heap.push(*e);
+            }
+            let mut step = 0usize;
+            while let Some(h) = heap.pop() {
+                let w = wheel.pop();
+                step += 1;
+                ensure(w.map(|e| (e.time.to_bits(), e.seq)) == Some((h.time.to_bits(), h.seq)), || {
+                    format!("pop #{step}: nudged ring {w:?} vs heap {h:?}")
+                })?;
+            }
+            Ok(())
+        })
+        .expect("a ring with an off-by-one bucket index must be falsified");
 
-    let message = panic_payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| panic_payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .expect("checker panics carry a string payload");
-    assert!(
-        message.contains("falsified"),
-        "panic was not a property falsification: {message}"
-    );
-
-    // The shrunk witness is printed as `shrunk (...): [codes]`; extract the
-    // bracketed vector and count its elements.
-    let witness = message
-        .split("eval(s)): ")
-        .nth(1)
-        .and_then(|rest| rest.split("\n  error:").next())
-        .unwrap_or_else(|| panic!("no shrunk witness in panic message: {message}"));
+    // The shrunk witness is the `Debug` rendering of the code vector.
+    let witness = &record.shrunk;
     let inner = witness
         .trim()
         .strip_prefix('[')
