@@ -11,8 +11,8 @@
 //! so the amortized per-event cost is a few cache-resident moves — the
 //! classic calendar-queue result. A peek takes the next bucket just as a
 //! pop does, so the cursor can run ahead of a caller that holds earlier
-//! events of its own; what it pushes before the cursor joins the sorted
-//! bucket, or a small heap, `early`, once the bucket is large.
+//! events of its own; what it pushes before the cursor waits in a small
+//! heap, `early`, with the bucket it was pushed before.
 //!
 //! Every bucket is an index-linked list threaded through one slab of nodes
 //! with a free list, so steady state allocates nothing per bucket. The ring
@@ -59,12 +59,6 @@ pub const MIN_SLOTS: usize = 1 << 10;
 /// Most slots a ring has: 512 KiB of list heads.
 pub const MAX_SLOTS: usize = 1 << 17;
 
-/// Most events the sorted `current` takes by ordered insertion before it
-/// and every later push move into `early`. A small bucket shifts fewer
-/// bytes than a heap push costs; the cap bounds the shift when a peek has
-/// run the cursor far ahead.
-const MAX_SORTED_INSERT: usize = 256;
-
 /// End of a bucket's list and of the free list. Slab index 0 is a sentinel
 /// that holds no event, so a fresh ring is zeroed memory.
 const NIL: u32 = 0;
@@ -100,17 +94,13 @@ pub struct TimerWheelQueue {
     /// Tick of the bucket currently being drained.
     cur: u64,
     /// The current bucket: the events of tick `cur`, sorted descending by
-    /// `(time, seq)` when `sorted` holds, so pop-min is a pop from the
-    /// back. Events pushed at or before `cur` join it, appended while it
-    /// is unsorted and by ordered insertion while it is sorted and small.
+    /// `(time, seq)`, so pop-min is a pop from the back.
     current: Vec<Entry>,
-    sorted: bool,
-    /// Events pushed at or before `cur` once the sorted `current` holds
-    /// [`MAX_SORTED_INSERT`] events, and `current`'s own, moved here by the
-    /// first of them, so `current` is empty while this is not. A peek
-    /// moves the cursor to the next bucket before the caller's clock gets
-    /// there, so many pushes can land before it: a heap takes each in
-    /// `O(log n)` where a sorted insert would shift the whole bucket.
+    /// Events pushed at or before `cur`, and `current`'s own, moved here
+    /// by the first of them, so `current` is empty while this is not. A
+    /// peek moves the cursor to the next bucket before the caller's clock
+    /// gets there, so pushes can land before it: rarely in steady state,
+    /// by the thousand while a run fills up.
     early: BinaryHeap<Reverse<Entry>>,
     /// Slots − 1. The ring holds the ticks `cur + 1 ..= cur + mask`, each
     /// in slot `tick & mask`.
@@ -177,7 +167,6 @@ impl TimerWheelQueue {
             inv_g: granularity.recip(),
             cur: 0,
             current: Vec::new(),
-            sorted: true,
             early: BinaryHeap::new(),
             mask: slots as u64 - 1,
             heads: vec![NIL; slots],
@@ -212,22 +201,12 @@ impl TimerWheelQueue {
         (t * self.inv_g) as u64
     }
 
-    /// Route one entry to the current bucket or `early`, a ring slot, or
-    /// the far heap.
+    /// Route one entry to `early`, a ring slot, or the far heap.
     fn place(&mut self, e: Entry) {
         let tick = self.tick(e.time);
         if tick <= self.cur {
-            if !self.sorted {
-                self.current.push(e);
-            } else if self.early.is_empty() && self.current.len() < MAX_SORTED_INSERT {
-                // Keep the drain bucket sorted (descending) by ordered
-                // insertion: an event landing in it must not force a sort.
-                let pos = self.current.partition_point(|x| *x > e);
-                self.current.insert(pos, e);
-            } else {
-                self.early.extend(self.current.drain(..).map(Reverse));
-                self.early.push(Reverse(e));
-            }
+            self.early.extend(self.current.drain(..).map(Reverse));
+            self.early.push(Reverse(e));
         } else if tick - self.cur > self.mask {
             self.far.push(Reverse(e));
         } else {
@@ -281,11 +260,10 @@ impl TimerWheelQueue {
         }
     }
 
-    /// Refill the empty `current` with the earliest pending bucket. Returns
-    /// `false` when the queue is exhausted.
+    /// Refill the empty `current` with the earliest pending bucket, sorted.
+    /// Returns `false` when the queue is exhausted.
     fn advance(&mut self) -> bool {
         debug_assert!(self.current.is_empty() && self.early.is_empty());
-        self.sorted = false;
         if let Some(slot) = self.next_occupied() {
             // The ring's earliest tick lies `slot`'s distance past the cursor.
             let ahead = (slot as u64).wrapping_sub(self.cur) & self.mask;
@@ -301,12 +279,19 @@ impl TimerWheelQueue {
         // `current` after a jump. Their ticks lie past the old cursor's
         // span, so none is due before the bucket just taken.
         while let Some(&Reverse(e)) = self.far.peek() {
-            if self.tick(e.time).wrapping_sub(self.cur) > self.mask {
+            let ahead = self.tick(e.time).wrapping_sub(self.cur);
+            if ahead > self.mask {
                 break;
             }
             self.far.pop();
-            self.place(e);
+            if ahead == 0 {
+                self.current.push(e);
+            } else {
+                self.place(e);
+            }
         }
+        // Descending, so pop-min is a pop from the back.
+        self.current.sort_unstable_by(|a, b| b.cmp(a));
         true
     }
 }
@@ -335,11 +320,6 @@ impl EventQueue for TimerWheelQueue {
             if !self.advance() {
                 return None;
             }
-        }
-        if !self.sorted {
-            // Descending, so pop-min is a pop from the back.
-            self.current.sort_unstable_by(|a, b| b.cmp(a));
-            self.sorted = true;
         }
         self.current.last()
     }
@@ -459,33 +439,33 @@ mod tests {
     fn pushes_before_a_peeked_bucket_wait_in_the_early_heap() {
         // A peek takes the next bucket while the caller still holds earlier
         // events of its own. What it then pushes before that bucket must
-        // pop first, by sorted insert while the bucket is small and through
-        // `early` once it is not.
+        // pop first: it waits in `early`, with the bucket's own events.
         let mut q = TimerWheelQueue::with_granularity(1.0);
         q.push(entry(500.0, 0));
         q.push(entry(5_000.0, 1));
         assert_eq!(q.peek().map(|e| e.seq), Some(0));
         assert_eq!(q.cur, 500);
-        let n = MAX_SORTED_INSERT as u64;
-        for seq in 2..n + 1 {
+        q.push(entry(3.5, 2));
+        assert_eq!((q.current.len(), q.early.len()), (0, 2));
+        for seq in 3..600 {
             q.push(entry(seq as f64 + 0.5, seq));
         }
-        assert_eq!((q.current.len(), q.early.len()), (MAX_SORTED_INSERT, 0));
-        q.push(entry(1.5, n + 1));
-        assert_eq!((q.current.len(), q.early.len()), (0, MAX_SORTED_INSERT + 1));
-        // Equal stamps in `early` and `current`: seq decides.
-        q.push(entry(500.0, n + 2));
-        q.push(entry(2.5, n + 3));
+        // Equal stamps on either side of the bucket's event: seq decides.
+        q.push(entry(500.0, 600));
+        q.push(entry(3.5, 601));
         let order: Vec<(f64, u64)> = std::iter::from_fn(|| {
             let peeked = q.peek().map(|e| (e.time, e.seq));
             assert_eq!(q.pop().map(|e| (e.time, e.seq)), peeked);
             peeked
         })
         .collect();
-        let mut expected = vec![(1.5, n + 1), (2.5, 2), (2.5, n + 3)];
-        expected.extend((3..n + 1).map(|seq| (seq as f64 + 0.5, seq)));
-        expected.extend([(500.0, 0), (500.0, n + 2), (5_000.0, 1)]);
+        let mut expected = vec![(3.5, 2), (3.5, 3), (3.5, 601)];
+        expected.extend((4..500).map(|seq| (seq as f64 + 0.5, seq)));
+        expected.extend([(500.0, 0), (500.0, 600)]);
+        expected.extend((500..600).map(|seq| (seq as f64 + 0.5, seq)));
+        expected.push((5_000.0, 1));
         assert_eq!(order, expected);
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -348,8 +348,7 @@ fn held_arrival_ties_and_demotions_pop_like_one_heap() {
         Pop,
         // A long run-ahead: the held 40 pops first, the peek having taken
         // 1,000's bucket, and 600 pushes due between them, with tied
-        // stamps and more than the ring inserts into a sorted bucket, all
-        // pop before 1,000.
+        // stamps, all pop before 1,000.
         Push(1_000.0),
         Hold(40.0),
         Pop,
