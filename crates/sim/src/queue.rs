@@ -80,6 +80,7 @@ impl<Q: EventQueue> Pending<Q> {
     }
 
     /// Insert an event that is not the live arrival.
+    #[inline]
     pub fn push(&mut self, e: Entry) {
         self.queue.push(e);
     }
@@ -87,6 +88,7 @@ impl<Q: EventQueue> Pending<Q> {
     /// Hold `e` as the live arrival. The arrival it supersedes, if any,
     /// moves into the queue: it is still popped in its place, only no
     /// longer live.
+    #[inline]
     pub fn hold(&mut self, e: Entry) {
         if let Some(stale) = self.arrival.replace(e) {
             self.queue.push(stale);
@@ -95,6 +97,7 @@ impl<Q: EventQueue> Pending<Q> {
 
     /// Remove the earliest pending event in `(time, seq)` order, with
     /// whether it is the held arrival.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Entry, bool)> {
         let held_first = match (&self.arrival, self.queue.peek()) {
             (Some(held), Some(head)) => held < head,

@@ -202,6 +202,7 @@ impl TimerWheelQueue {
     }
 
     /// Route one entry to `early`, a ring slot, or the far heap.
+    #[inline]
     fn place(&mut self, e: Entry) {
         let tick = self.tick(e.time);
         if tick <= self.cur {
@@ -296,12 +297,17 @@ impl TimerWheelQueue {
     }
 }
 
+// The event loop that calls these is compiled apart from them, so
+// without `#[inline]` every event pays a call or two that the heap's
+// generic methods do not; the million-flow run took ~8 % longer so.
 impl EventQueue for TimerWheelQueue {
+    #[inline]
     fn push(&mut self, e: Entry) {
         self.len += 1;
         self.place(e);
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<Entry> {
         self.peek()?;
         self.len -= 1;
@@ -312,6 +318,7 @@ impl EventQueue for TimerWheelQueue {
         }
     }
 
+    #[inline]
     fn peek(&mut self) -> Option<&Entry> {
         if self.current.is_empty() {
             if !self.early.is_empty() {
