@@ -41,14 +41,21 @@ fn million_flow_benches(c: &mut Criterion) {
     // and events/s = 1e9 / ns_per_point.
     let events = Simulation::new(cfg.clone()).run_on(QueueKind::Wheel).events as usize;
 
-    c.bench_function("sim_million_flow_heap_soa", |b| {
-        b.points(events);
-        b.iter(|| black_box(Simulation::new(cfg.clone()).run_on(QueueKind::Heap)));
-    });
-    c.bench_function("sim_million_flow_wheel_soa", |b| {
-        b.points(events);
-        b.iter(|| black_box(Simulation::new(cfg.clone()).run_on(QueueKind::Wheel)));
-    });
+    // CI gates the ratio of these two rows, so they run in turn: nine
+    // runs of each, whatever the window, rather than one or two runs of
+    // each in windows of their own, which saw the machine at two speeds.
+    c.bench_interleaved(
+        &mut [
+            ("sim_million_flow_heap_soa", &mut || {
+                black_box(Simulation::new(cfg.clone()).run_on(QueueKind::Heap));
+            }),
+            ("sim_million_flow_wheel_soa", &mut || {
+                black_box(Simulation::new(cfg.clone()).run_on(QueueKind::Wheel));
+            }),
+        ],
+        events,
+        9,
+    );
 
     // The same arrivals with Pareto holdings (z = 2.2, mean 1): about one
     // departure in eighty outlives the ring's span of 6.5 mean holdings

@@ -24,6 +24,8 @@
 //! benchmark name, so running one bench target refreshes only its own
 //! rows). A benchmark that sweeps a grid can declare the grid size with
 //! [`Bencher::points`] so the artifact carries per-point normalization.
+//! Benchmarks whose ratio matters can be timed in turn, a sample of each
+//! per round, with [`Criterion::bench_interleaved`].
 
 use std::hint;
 use std::path::PathBuf;
@@ -88,6 +90,43 @@ impl Criterion {
         b.report(name);
         self
     }
+
+    /// Time `benches` in turn, one call of each per round for `rounds`
+    /// rounds after one warm-up call each, and record each under its own
+    /// name with `points` grid points per call. Each benchmark filling a
+    /// window of its own would see the machine at another speed; taken in
+    /// turn, a drift moves them alike, so their ratio holds steady. For
+    /// calls long enough to time one at a time; the window does not apply.
+    pub fn bench_interleaved(
+        &mut self,
+        benches: &mut [(&str, &mut dyn FnMut())],
+        points: usize,
+        rounds: usize,
+    ) -> &mut Self {
+        let samples = interleave(benches, rounds);
+        for ((name, _), samples) in benches.iter().zip(samples) {
+            let window = Duration::ZERO;
+            Bencher { samples, window, points: points.max(1) as u64 }.report(name);
+        }
+        self
+    }
+}
+
+/// One warm-up call of each benchmark, then `rounds` rounds (at least
+/// one) of one timed call each, in order; the times, per benchmark.
+fn interleave(benches: &mut [(&str, &mut dyn FnMut())], rounds: usize) -> Vec<Vec<Duration>> {
+    for (_, f) in benches.iter_mut() {
+        f();
+    }
+    let mut samples = vec![Vec::with_capacity(rounds); benches.len()];
+    for _ in 0..rounds.max(1) {
+        for ((_, f), times) in benches.iter_mut().zip(&mut samples) {
+            let t0 = Instant::now();
+            f();
+            times.push(t0.elapsed());
+        }
+    }
+    samples
 }
 
 /// Per-benchmark timing loop. Obtained inside [`Criterion::bench_function`].
@@ -295,6 +334,16 @@ mod tests {
         std::env::set_var("BEVRA_BENCH_MS", "20");
         let mut c = Criterion::default();
         c.bench_function("noop", |b| b.iter(|| 1 + 1));
+    }
+
+    #[test]
+    fn interleaving_takes_one_sample_of_each_per_round() {
+        let calls = std::cell::RefCell::new(String::new());
+        let mut a = || calls.borrow_mut().push('a');
+        let mut b = || calls.borrow_mut().push('b');
+        let samples = interleave(&mut [("a", &mut a), ("b", &mut b)], 3);
+        assert_eq!(samples.iter().map(Vec::len).collect::<Vec<_>>(), [3, 3]);
+        assert_eq!(calls.into_inner(), "abababab", "a warm-up call each, then three rounds");
     }
 
     #[test]
