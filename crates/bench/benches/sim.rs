@@ -8,6 +8,10 @@
 //! far heap, and through the sharded fleet. CI's sim-scale job gates the
 //! ring and fleet rows against the committed baseline via
 //! `scripts/perf_smoke.py`.
+//!
+//! The `_soa` suffix is historical: the flow table was a struct of arrays
+//! when the rows were named, and keeps one record per flow now. The rows
+//! keep their names because CI's gate and the baseline name them.
 
 use bevra_sim::fleet::{Fleet, FleetConfig};
 use bevra_sim::queue::{BinaryHeapQueue, EventQueue};
@@ -105,19 +109,23 @@ fn sim_benches(c: &mut Criterion) {
     });
 
     // Event-queue ablation (DESIGN.md §4): binary heap vs calendar ring
-    // under a hold-model workload.
+    // under a hold-model workload. Like the event loop, it schedules ahead
+    // of its clock, the time of the last pop: each push lands `u ∈ [0, 1)`
+    // after it, never behind the ring's cursor.
     fn churn(q: &mut impl EventQueue, n: u64) -> f64 {
         use bevra_sim::events::{Entry, EventKind};
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut now = 0.0;
         let mut t_out = 0.0;
         for seq in 0..n {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let t = (x >> 11) as f64 / (1u64 << 53) as f64;
-            q.push(Entry { time: t, seq, kind: EventKind::Arrival });
+            let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+            q.push(Entry { time: now + u, seq, kind: EventKind::Arrival });
             if seq % 2 == 1 {
                 if let Some(e) = q.pop() {
+                    now = e.time;
                     t_out += e.time;
                 }
             }
@@ -127,7 +135,7 @@ fn sim_benches(c: &mut Criterion) {
     c.bench_function("ablate_eventq_binary_heap", |b| {
         b.iter(|| black_box(churn(&mut BinaryHeapQueue::new(), 4_096)));
     });
-    // The ring spans the stream's whole time range [0, 1), as the runner
+    // The ring spans one time unit, every push's lifetime, as the runner
     // sizes a ring to span its events' lifetimes.
     c.bench_function("ablate_eventq_timer_wheel", |b| {
         b.iter(|| black_box(churn(&mut TimerWheelQueue::with_ring(1.0 / 4096.0, 4_096), 4_096)));

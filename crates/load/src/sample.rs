@@ -91,16 +91,28 @@ impl ExpSampler {
     /// # Panics
     ///
     /// Panics unless `rate` is positive and finite.
+    // Inlined: the simulator's event loop, in another crate, checks a
+    // rate at nearly every draw, and a call would sit on its path.
+    #[inline]
     #[must_use]
     pub fn new(rate: f64) -> Self {
         assert!(rate > 0.0 && rate.is_finite(), "rate must be positive and finite");
         Self { rate }
     }
 
+    /// The unit exponential at uniform `u ∈ [0, 1)`: `−ln(1−u)`, the
+    /// inverse cdf at rate 1. [`Self::sample`] and the simulator's draw
+    /// block both use this one transform, so a precomputed
+    /// `unit(u) / rate` is bit for bit [`Self::sample`] on the same `u`.
+    #[inline]
+    #[must_use]
+    pub fn unit(u: f64) -> f64 {
+        -(-u).ln_1p()
+    }
+
     /// Draw one value via inverse-cdf: `−ln(1−u)/rate`.
     pub fn sample<R: RngExt + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.random();
-        -(-u).ln_1p() / self.rate
+        Self::unit(rng.random()) / self.rate
     }
 }
 
@@ -119,16 +131,25 @@ impl ParetoSampler {
     /// # Panics
     ///
     /// Panics unless `z > 1` (otherwise not normalizable).
+    // Inlined for the simulator's Pareto holdings, as `ExpSampler::new`.
+    #[inline]
     #[must_use]
     pub fn new(z: f64) -> Self {
         assert!(z > 1.0, "pareto exponent must exceed 1");
         Self { z }
     }
 
-    /// Draw one value via inverse-cdf: `(1−u)^{−1/(z−1)}`.
-    pub fn sample<R: RngExt + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.random();
+    /// The value at uniform `u ∈ [0, 1)` by inverse cdf:
+    /// `(1−u)^{−1/(z−1)}`.
+    #[inline]
+    #[must_use]
+    pub fn at(&self, u: f64) -> f64 {
         (1.0 - u).powf(-1.0 / (self.z - 1.0))
+    }
+
+    /// Draw one value: [`Self::at`] a uniform drawn from `rng`.
+    pub fn sample<R: RngExt + ?Sized>(&self, rng: &mut R) -> f64 {
+        self.at(rng.random())
     }
 }
 
@@ -155,13 +176,19 @@ impl BoundedPareto {
         Self { z, cap }
     }
 
-    /// Draw one value by inverting the truncated cdf.
-    pub fn sample<R: RngExt + ?Sized>(&self, rng: &mut R) -> f64 {
+    /// The value at uniform `u ∈ [0, 1)` by inverting the truncated cdf.
+    #[inline]
+    #[must_use]
+    pub fn at(&self, u: f64) -> f64 {
         let a = self.z - 1.0;
         let cap_term = self.cap.powf(-a);
-        let u: f64 = rng.random();
         // cdf(x) = (1 − x^{−a})/(1 − cap^{−a}).
         (1.0 - u * (1.0 - cap_term)).powf(-1.0 / a)
+    }
+
+    /// Draw one value: [`Self::at`] a uniform drawn from `rng`.
+    pub fn sample<R: RngExt + ?Sized>(&self, rng: &mut R) -> f64 {
+        self.at(rng.random())
     }
 }
 

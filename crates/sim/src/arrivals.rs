@@ -1,9 +1,8 @@
 //! Arrival processes: modulated Poisson streams whose stationary occupancy
 //! reproduces the paper's three load families.
 
+use crate::draws::Draw;
 use bevra_load::{BoundedPareto, ExpSampler};
-use rand::rngs::StdRng;
-
 
 /// How the instantaneous arrival rate is drawn at each modulation epoch.
 ///
@@ -84,18 +83,18 @@ impl MixedPoisson {
     }
 
     /// Draw the time until the next arrival at the current rate.
-    pub fn next_interarrival(&self, rng: &mut StdRng) -> f64 {
+    pub fn next_interarrival<D: Draw + ?Sized>(&self, draws: &mut D) -> f64 {
         if self.current_rate <= 0.0 {
             return f64::INFINITY;
         }
-        ExpSampler::new(self.current_rate).sample(rng)
+        draws.exp(ExpSampler::new(self.current_rate))
     }
 
     /// Draw the time until the next modulation switch.
-    pub fn next_sojourn(&self, rng: &mut StdRng) -> f64 {
+    pub fn next_sojourn<D: Draw + ?Sized>(&self, draws: &mut D) -> f64 {
         match self.mixing {
             RateMixing::Fixed => f64::INFINITY,
-            _ => self.sojourn.sample(rng),
+            _ => draws.exp(self.sojourn),
         }
     }
 
@@ -119,12 +118,12 @@ impl MixedPoisson {
     }
 
     /// Re-draw the instantaneous rate from the mixing distribution.
-    pub fn switch(&mut self, rng: &mut StdRng) {
+    pub fn switch<D: Draw + ?Sized>(&mut self, draws: &mut D) {
         self.current_rate = match self.mixing {
             RateMixing::Fixed => self.mean_rate,
             RateMixing::Exponential => {
                 // Exponential with mean `mean_rate`.
-                ExpSampler::new(1.0 / self.mean_rate).sample(rng)
+                draws.exp(ExpSampler::new(1.0 / self.mean_rate))
             }
             RateMixing::Pareto { z, cap } => {
                 // Bounded Pareto on [1, cap] scaled so the long-run mean is
@@ -138,7 +137,7 @@ impl MixedPoisson {
                 } else {
                     a / (a - 1.0) * (1.0 - cap.powf(1.0 - a)) / (1.0 - cap.powf(-a))
                 };
-                bp.sample(rng) * self.mean_rate / mean_bp
+                bp.at(draws.uniform()) * self.mean_rate / mean_bp
             }
         };
     }
@@ -147,6 +146,7 @@ impl MixedPoisson {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]

@@ -1,7 +1,7 @@
 //! Flow holding-time distributions.
 
+use crate::draws::Draw;
 use bevra_load::{ExpSampler, ParetoSampler};
-use rand::rngs::StdRng;
 
 /// How long an admitted flow stays.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,12 +41,14 @@ impl HoldingDist {
     }
 
     /// Draw one holding time.
-    pub fn sample(&self, rng: &mut StdRng) -> f64 {
+    // Inlined so an admission makes no call for its holding.
+    #[inline]
+    pub fn sample<D: Draw + ?Sized>(&self, draws: &mut D) -> f64 {
         match *self {
-            HoldingDist::Exponential { mean } => ExpSampler::new(1.0 / mean).sample(rng),
+            HoldingDist::Exponential { mean } => draws.exp(ExpSampler::new(1.0 / mean)),
             HoldingDist::Pareto { mean, z } => {
                 // Raw Pareto on [1, ∞) has mean (z−1)/(z−2); rescale.
-                let raw = ParetoSampler::new(z).sample(rng);
+                let raw = ParetoSampler::new(z).at(draws.uniform());
                 raw * mean * (z - 2.0) / (z - 1.0)
             }
             HoldingDist::Deterministic { mean } => mean,
@@ -57,6 +59,7 @@ impl HoldingDist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]

@@ -35,6 +35,7 @@
 pub mod arrivals;
 pub mod census;
 pub mod ckpt;
+pub mod draws;
 pub mod events;
 pub mod fleet;
 pub mod flows;

@@ -4,9 +4,11 @@
 //! # Architecture (post million-flow refactor)
 //!
 //! The loop holds the one live arrival beside its pending-event queue
-//! ([`Pending`] over an [`EventQueue`]) and keeps flow state in
-//! struct-of-arrays form ([`FlowTable`]) with the per-admission `max_pop`
-//! scan replaced by a monotone suffix-max stack ([`PeakTracker`]) — see
+//! ([`Pending`] over an [`EventQueue`]), takes its random draws from a
+//! [`DrawBlock`] that hands out the run's generator stream with the
+//! exponentials precomputed, and keeps one record per active flow
+//! ([`FlowTable`]) with the per-admission `max_pop` scan replaced by a
+//! monotone suffix-max stack ([`PeakTracker`]) — see
 //! `crates/sim/src/flows.rs` for the equivalence argument. Runs use the
 //! calendar ring (amortized O(1) per event, each event placed once);
 //! [`QueueKind::Heap`] selects the original binary heap as the
@@ -17,6 +19,7 @@
 
 use crate::arrivals::MixedPoisson;
 use crate::census::Census;
+use crate::draws::{Draw, DrawBlock};
 use crate::events::{Entry, EventKind};
 use crate::flows::{FlowTable, PeakTracker};
 use crate::holding::HoldingDist;
@@ -27,8 +30,6 @@ use crate::wheel::{ring_slots, TimerWheelQueue, DEFAULT_GRANULARITY};
 use bevra_load::Tabulated;
 use bevra_obs::{enabled, metrics, ObsLevel};
 use bevra_utility::Utility;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Which [`EventQueue`] implementation the run uses. The choice never
@@ -404,7 +405,7 @@ struct EventLoop<'a, Q: EventQueue> {
     cfg: &'a SimConfig,
     /// The live arrival, held beside the queue of every other event.
     pending: Pending<Q>,
-    rng: StdRng,
+    draws: DrawBlock,
     seq: u64,
     end: f64,
     flows: FlowTable,
@@ -432,7 +433,7 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
         Self {
             cfg,
             pending: Pending::new(queue),
-            rng: StdRng::seed_from_u64(cfg.seed),
+            draws: DrawBlock::seed_from_u64(cfg.seed),
             seq: 0,
             end: cfg.warmup + cfg.horizon,
             flows: FlowTable::new(),
@@ -468,13 +469,23 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
         self.pending.hold(e);
     }
 
+    /// π(C/pop), from `pi_at`. The lookup runs at every event and is
+    /// inlined into the loop; extending the table, once per new population
+    /// high, is kept out of line, so the loop makes no call for it.
+    #[inline]
     fn pi(&mut self, pop: u64) -> f64 {
-        let k = pop as usize;
-        if k >= self.pi_at.len() {
-            let cfg = self.cfg;
-            let from = self.pi_at.len();
-            self.pi_at.extend((from..=k).map(|j| cfg.utility.value(cfg.capacity / j as f64)));
+        match self.pi_at.get(pop as usize) {
+            Some(&v) => v,
+            None => self.extend_pi(pop as usize),
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn extend_pi(&mut self, k: usize) -> f64 {
+        let cfg = self.cfg;
+        let from = self.pi_at.len();
+        self.pi_at.extend((from..=k).map(|j| cfg.utility.value(cfg.capacity / j as f64)));
         self.pi_at[k]
     }
 
@@ -490,10 +501,10 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
         let warmup = self.cfg.warmup;
 
         // Seed the initial arrival and (if modulated) the first switch.
-        arrivals.switch(&mut self.rng);
-        let first_arrival = arrivals.next_interarrival(&mut self.rng);
+        arrivals.switch(&mut self.draws);
+        let first_arrival = arrivals.next_interarrival(&mut self.draws);
         self.hold_arrival(first_arrival);
-        let first_sojourn = arrivals.next_sojourn(&mut self.rng);
+        let first_sojourn = arrivals.next_sojourn(&mut self.draws);
         if first_sojourn.is_finite() {
             self.push(first_sojourn, EventKind::ModulationSwitch);
         }
@@ -542,14 +553,14 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
 
             match ev.kind {
                 EventKind::ModulationSwitch => {
-                    arrivals.switch(&mut self.rng);
+                    arrivals.switch(&mut self.draws);
                     // Redraw the pending arrival at the new rate (valid by
                     // memorylessness of the exponential).
-                    let ia = arrivals.next_interarrival(&mut self.rng);
+                    let ia = arrivals.next_interarrival(&mut self.draws);
                     if ia.is_finite() {
                         self.hold_arrival(self.t + ia);
                     }
-                    let so = arrivals.next_sojourn(&mut self.rng);
+                    let so = arrivals.next_sojourn(&mut self.draws);
                     if so.is_finite() {
                         self.push(self.t + so, EventKind::ModulationSwitch);
                     }
@@ -567,7 +578,7 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
                     }
                     self.handle_admission_attempt(0, None, self.t);
                     // Next arrival of the live stream.
-                    let ia = arrivals.next_interarrival(&mut self.rng);
+                    let ia = arrivals.next_interarrival(&mut self.draws);
                     if ia.is_finite() {
                         self.hold_arrival(self.t + ia);
                     }
@@ -630,7 +641,7 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
             self.n += 1;
             let pop = self.n;
             let util = self.pi(pop);
-            let holding = holding_carryover.unwrap_or_else(|| cfg.holding.sample(&mut self.rng));
+            let holding = holding_carryover.unwrap_or_else(|| cfg.holding.sample(&mut self.draws));
             // The newcomer raises everyone's worst-case population — the
             // tracker folds that in lazily instead of scanning the active
             // list (see flows.rs for the equivalence argument).
@@ -647,9 +658,9 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
             match cfg.discipline.retry_policy() {
                 Some(rp) if attempt < rp.max_retries => {
                     let backoff =
-                        bevra_load::ExpSampler::new(1.0 / rp.backoff_mean).sample(&mut self.rng);
+                        self.draws.exp(bevra_load::ExpSampler::new(1.0 / rp.backoff_mean));
                     let holding =
-                        holding_carryover.unwrap_or_else(|| cfg.holding.sample(&mut self.rng));
+                        holding_carryover.unwrap_or_else(|| cfg.holding.sample(&mut self.draws));
                     self.push(
                         self.t + backoff,
                         EventKind::Retry { attempt: attempt + 1, holding, first_arrival },

@@ -141,7 +141,9 @@ fn fleet_digest_is_shard_count_invariant_at_scale() {
     assert_eq!(
         reference.merged.digest(),
         0xBE25_1F1D_BB9E_A0D0,
-        "million-flow merged digest drifted from the committed pin"
+        "million-flow merged digest drifted from the committed pin; the pin holds only where \
+         glibc 2.36 picks its FMA/AVX2 math variants, so on another libm or CPU suspect the \
+         platform first (DESIGN.md §8.1)"
     );
     for (shards, queue) in
         [(1, QueueKind::Heap), (2, QueueKind::Wheel), (5, QueueKind::Wheel), (16, QueueKind::Wheel)]

@@ -1,7 +1,7 @@
 //! Golden-digest wall for the rearchitected event loop.
 //!
 //! The simulator's hot loop was rewritten — binary heap → timer wheel,
-//! boxed per-flow state → struct-of-arrays [`bevra::sim::flows`], O(active)
+//! boxed per-flow state → dense flow records [`bevra::sim::flows`], O(active)
 //! max-population scans → a monotone [`bevra::sim::flows::PeakTracker`] —
 //! with a bitwise-compatibility contract: *every* report bit, census
 //! included, must equal the pre-refactor loop's. This file pins that
@@ -100,7 +100,11 @@ fn summary(r: &SimReport) -> String {
     )
 }
 
-/// The SoA loop reproduces the committed pre-refactor digests exactly, on
+/// What a failed pin says besides the digests.
+const PLATFORM: &str = "the pins hold only where glibc 2.36 picks its FMA/AVX2 math variants, \
+                        so on another libm or CPU suspect the platform first (DESIGN.md §8.1)";
+
+/// The loop reproduces the committed pre-refactor digests exactly, on
 /// both queue backends.
 #[test]
 fn corpus_digests_match_golden_on_all_implementations() {
@@ -111,14 +115,17 @@ fn corpus_digests_match_golden_on_all_implementations() {
         assert_eq!(
             wheel.digest(),
             digest,
-            "corpus[{i}]: wheel loop drifted from golden — {}",
+            "corpus[{i}]: wheel loop drifted from golden — {}; {PLATFORM}",
             summary(&wheel)
         );
-        assert_eq!(wheel.completed, completed, "corpus[{i}]: completed-count witness drifted");
+        assert_eq!(
+            wheel.completed, completed,
+            "corpus[{i}]: completed-count witness drifted; {PLATFORM}"
+        );
         assert_eq!(
             heap.digest(),
             digest,
-            "corpus[{i}]: heap-backed new loop drifted from golden — {}",
+            "corpus[{i}]: heap-backed new loop drifted from golden — {}; {PLATFORM}",
             summary(&heap)
         );
         // The digest folds the census and welfare accumulators; also pin

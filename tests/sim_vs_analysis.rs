@@ -171,7 +171,7 @@ fn full_pipeline_is_deterministic() {
 
 /// PASTA at scale: the rearchitected event loop must keep reproducing the
 /// analytical model as the offered load climbs three decades,
-/// k̄ ∈ {10³, 10⁴, 10⁵} — the regime the timer wheel and SoA flow table
+/// k̄ ∈ {10³, 10⁴, 10⁵} — the regime the timer wheel and the flow table
 /// exist for. Two CLT-banded checks per decade, both at 8σ so a failure
 /// is a defect, not noise:
 ///
