@@ -44,8 +44,8 @@ use bevra_faults::{install, FaultKind, FaultPlan, FaultRule, PANIC_MARKER};
 use bevra_report::persist::{load_figure, save_figure};
 use bevra_report::series::{Figure, Panel, Series};
 use bevra_sim::{
-    ckpt::FleetCheckpoint, Discipline, Fleet, FleetConfig, HoldingDist, MixedPoisson,
-    QueueKind, SimConfig, SimError, Simulation,
+    Discipline, Fleet, FleetConfig, HoldingDist, MixedPoisson, QueueKind, SimConfig, SimError,
+    Simulation,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -137,10 +137,8 @@ pub struct ChaosStats {
     /// Persistent-cache load/store attempts absorbed as I/O failures
     /// (each degraded to a recompute or a skipped store).
     pub cache_io_errors: u64,
-    /// Fleet lane re-executions performed by recovery supervisors.
+    /// Fleet lane re-runs after shard panics.
     pub lane_restarts: u64,
-    /// Recovery-breaker trips across fleet cases.
-    pub fleet_breaker_trips: u64,
     /// Lanes rescued to bitwise-identical reports after transient faults.
     pub rescued_lanes: u64,
     /// Lanes correctly declared dead under permanent faults.
@@ -436,18 +434,17 @@ pub fn run_case(case_seed: u64) -> Result<ChaosStats, String> {
     Ok(stats)
 }
 
-/// Run one *recovery* chaos case: the resilience-runtime invariants over
-/// a randomly shaped fleet. Three phases, all derived from `case_seed`:
+/// Run one *recovery* chaos case: the fleet's lane re-run invariants
+/// over a randomly shaped fleet. Two phases, both derived from
+/// `case_seed`:
 ///
 /// 1. **transient faults are rescued bitwise** — a plan of `n`-bounded
-///    lane panics (plus optional shard panics, which per-lane recovery
-///    always bypasses) must yield a merged digest bitwise-equal to the
-///    fault-free run, with every restart ledgered in `FleetHealth`;
+///    lane panics (plus optional shard panics, which lane re-runs always
+///    bypass) must yield a merged digest bitwise-equal to the fault-free
+///    run, with every restart ledgered in `FleetHealth`;
 /// 2. **permanent faults degrade, never abort** — permanently dead lanes
-///    are declared dead one by one, every surviving lane's digest is
-///    untouched, and sustained death is visible in the breaker ledger;
-/// 3. **kill/resume is bitwise** — a run killed at the `sim/fleet-ckpt`
-///    site resumes from its checkpoint to the exact fault-free digest.
+///    are declared dead one by one, and every other lane reports its
+///    fault-free digest.
 ///
 /// Callers install [`silence_injected_panics`] first.
 ///
@@ -521,11 +518,10 @@ pub fn run_recovery_case(case_seed: u64) -> Result<ChaosStats, String> {
         return Err(fail("transient lane faults fired but no restart was ledgered".into()));
     }
     stats.lane_restarts += rescued.health.restarts;
-    stats.fleet_breaker_trips += rescued.health.breaker_trips;
     stats.rescued_lanes += u64::from(rescued.health.ok_lanes);
 
     // Phase 2: permanent lane deaths. The targeted lanes stay dead;
-    // everyone else is bitwise-untouched; nothing aborts.
+    // every other lane reports its fault-free bits; nothing aborts.
     let dead_count = 1 + rng.random_range(0..u64::from(lanes) - 1) as u32;
     let mut dead: Vec<u32> = Vec::new();
     let mut plan = FaultPlan::seeded(rng.random::<u64>());
@@ -555,68 +551,17 @@ pub fn run_recovery_case(case_seed: u64) -> Result<ChaosStats, String> {
                     "lane {lane} is permanently faulted but still produced a report"
                 )));
             }
-        } else if let Some(digest) = degraded.lane_digests[lane] {
-            if Some(digest) != reference.lane_digests[lane] {
-                return Err(fail(format!(
-                    "surviving lane {lane} digest diverged from the fault-free run"
-                )));
-            }
-        } else {
-            // A healthy lane with no report must have been shed by the
-            // open breaker (fail-fast after sustained death), and the
-            // failure entry must say so — never a silent drop.
-            let shed = degraded.health.failed.iter().any(|f| {
-                f.lanes.contains(&(lane as u32)) && f.error.contains("breaker open")
-            });
-            if !shed {
-                return Err(fail(format!(
-                    "healthy lane {lane} went missing without a breaker-open record"
-                )));
-            }
+        } else if degraded.lane_digests[lane] != reference.lane_digests[lane] {
+            return Err(fail(format!(
+                "healthy lane {lane} did not report its fault-free digest"
+            )));
         }
     }
     if degraded.health.restarts == 0 {
         return Err(fail("permanent deaths recorded no restart attempts".into()));
     }
     stats.lane_restarts += degraded.health.restarts;
-    stats.fleet_breaker_trips += degraded.health.breaker_trips;
     stats.dead_lanes += u64::from(degraded.health.failed_lanes());
-
-    // Phase 3: kill mid-run at the checkpoint site, resume, compare
-    // digests. Group 0's checkpoint always lands before the kill fires.
-    let ckpt_dir =
-        std::env::temp_dir().join(format!("bevra-chaos-recovery-{case_seed}"));
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-    let plan = FaultPlan::seeded(0)
-        .rule(FaultRule::at_key(FaultKind::Panic, "sim/fleet-ckpt", 0));
-    let killed = {
-        let _guard = install(plan);
-        let doomed = Fleet::new(cfg.clone())
-            .with_checkpoint(FleetCheckpoint::new(&ckpt_dir, CacheMode::ReadWrite));
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            doomed.run_on(shards, QueueKind::Wheel)
-        }))
-    };
-    if killed.is_ok() {
-        return Err(fail("the fleet-ckpt kill site did not abort the run".into()));
-    }
-    let resumed_fleet = Fleet::new(cfg)
-        .with_checkpoint(FleetCheckpoint::new(&ckpt_dir, CacheMode::ReadWrite));
-    let resumed = {
-        let _guard = install(FaultPlan::seeded(0));
-        resumed_fleet.run_on(shards, QueueKind::Wheel)
-    };
-    let restored = resumed_fleet
-        .checkpoint_store()
-        .map_or(0, bevra_sim::ckpt::FleetCheckpoint::restored_lanes);
-    if restored == 0 {
-        return Err(fail("resume restored nothing from the checkpoint".into()));
-    }
-    if resumed.merged.digest() != reference.merged.digest() {
-        return Err(fail("resumed fleet digest diverged from the uninterrupted run".into()));
-    }
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-    stats.rescued_lanes += restored;
     Ok(stats)
 }
 
@@ -632,7 +577,6 @@ impl std::ops::AddAssign for ChaosStats {
         self.cache_sweeps += o.cache_sweeps;
         self.cache_io_errors += o.cache_io_errors;
         self.lane_restarts += o.lane_restarts;
-        self.fleet_breaker_trips += o.fleet_breaker_trips;
         self.rescued_lanes += o.rescued_lanes;
         self.dead_lanes += o.dead_lanes;
     }

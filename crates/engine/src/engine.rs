@@ -4,12 +4,11 @@
 use crate::cache::{f64_key, CacheStats, ShardedCache};
 use crate::instrument::{span, SweepHealth};
 use crate::persist::{grid_key, sweep_key, GridRow, PersistentCache};
-use crate::pool::{parallel_map_supervised, parallel_map_with, thread_count};
+use crate::pool::{parallel_map_supervised, parallel_map_with, thread_count, POINT_ATTEMPTS};
 use bevra_core::welfare::SampledValue;
 use bevra_core::{equalizing_price_ratio, DiscreteModel, Kernel};
 use bevra_num::{brent, expand_bracket_up, NumError, NumResult};
 use bevra_obs::{enabled, metrics, ObsLevel};
-use bevra_resilience::RetryPolicy;
 use bevra_utility::Utility;
 use std::time::Instant;
 
@@ -102,8 +101,8 @@ pub enum PointOutcome {
     /// The point evaluated (possibly with non-finite fields, which the
     /// sweep's [`SweepHealth`] counts as degraded).
     Ok(SweepPoint),
-    /// The point produced no value: its worker panicked on every attempt
-    /// the retry policy permitted, or its result slot was lost.
+    /// The point produced no value: its worker panicked on all
+    /// [`POINT_ATTEMPTS`], or its result slot was lost.
     Failed {
         /// The capacity that failed.
         capacity: f64,
@@ -407,8 +406,8 @@ impl<U: Utility> SweepEngine<U> {
     /// parallel per [`Self::mode`]. Failed gap solves surface as NaN.
     ///
     /// Legacy all-or-nothing wrapper over [`Self::sweep_checked`]: a
-    /// point whose evaluation panics on every attempt its retry policy
-    /// permits (see [`crate::pool::parallel_map_supervised`]) panics here
+    /// point whose evaluation panics on all [`POINT_ATTEMPTS`] (see
+    /// [`crate::pool::parallel_map_supervised`]) panics here
     /// too, after every other point has been evaluated. Use
     /// `sweep_checked` to get structured per-point outcomes instead.
     pub fn sweep(&self, capacities: &[f64]) -> Vec<SweepPoint> {
@@ -428,9 +427,9 @@ impl<U: Utility> SweepEngine<U> {
     ///   finished rows are on disk is restored bitwise instead of
     ///   evaluated, so a killed sweep resumes and a repeated one is
     ///   read back;
-    /// * **retry** — otherwise the batch is evaluated, and per-point
-    ///   panics are retried under [`RetryPolicy::compute`] (one immediate
-    ///   serial retry); retries spent land in `health.retries`;
+    /// * **retry** — otherwise the batch is evaluated, and a point that
+    ///   panics gets [`POINT_ATTEMPTS`] in all (one immediate serial
+    ///   retry); retries spent land in `health.retries`;
     /// * **store** — a batch whose every point is clean (finite, no
     ///   solver cause) is stored to the cache;
     /// * **kill site** — the `engine/ckpt-batch` fault site after each
@@ -448,7 +447,6 @@ impl<U: Utility> SweepEngine<U> {
         self.prime(capacities);
         let timing = enabled(ObsLevel::Summary);
         let lat = metrics::histogram("engine/sweep_point_ns");
-        let policy = RetryPolicy::compute();
         let threads = self.mode.threads();
         let cap = self.kernel.capability();
         let indexed: Vec<(usize, f64)> = capacities.iter().copied().enumerate().collect();
@@ -481,7 +479,7 @@ impl<U: Utility> SweepEngine<U> {
             if let Some(points) = cache.and_then(|(pc, key)| pc.load_sweep(key, &cs)) {
                 results.extend(points.into_iter().map(|pt| Ok((pt, None))));
             } else {
-                let (done, spent) = parallel_map_supervised(batch, threads, &policy, eval);
+                let (done, spent) = parallel_map_supervised(batch, threads, POINT_ATTEMPTS, eval);
                 retries += spent;
                 if let Some((pc, key)) = cache {
                     let clean: Option<Vec<SweepPoint>> = done

@@ -43,15 +43,9 @@ pub struct SweepHealth {
     /// contribute several).
     pub non_finite: u64,
     /// Retry attempts spent rescuing transient per-point failures
-    /// (isolated worker retries under the active `RetryPolicy`). A
-    /// nonzero count with zero failures means the retries worked.
+    /// (isolated worker retries, [`crate::POINT_ATTEMPTS`]). A nonzero
+    /// count with zero failures means the retries worked.
     pub retries: u64,
-    /// Circuit-breaker trips recorded while producing this ledger (lane
-    /// supervision or guarded evaluation; engine sweeps keep per-item
-    /// retry decisions breaker-free for determinism).
-    pub breaker_trips: u64,
-    /// Work units (fleet lanes) restarted by a supervisor.
-    pub restarts: u64,
     /// Human-readable cause of the first degradation or failure, in
     /// input order.
     pub first_failure: Option<String>,
@@ -125,8 +119,6 @@ impl SweepHealth {
         self.failed += other.failed;
         self.non_finite += other.non_finite;
         self.retries += other.retries;
-        self.breaker_trips += other.breaker_trips;
-        self.restarts += other.restarts;
         if self.first_failure.is_none() {
             self.first_failure.clone_from(&other.first_failure);
         }
@@ -146,12 +138,8 @@ impl std::fmt::Display for SweepHealth {
             "{} ok, {} degraded, {} failed ({} non-finite values)",
             self.ok, self.degraded, self.failed, self.non_finite
         )?;
-        if self.retries + self.breaker_trips + self.restarts > 0 {
-            write!(
-                f,
-                "; {} retries, {} breaker trips, {} restarts",
-                self.retries, self.breaker_trips, self.restarts
-            )?;
+        if self.retries > 0 {
+            write!(f, "; {} retries", self.retries)?;
         }
         if let Some(cause) = &self.first_failure {
             write!(f, "; first failure: {cause}")?;
@@ -261,23 +249,20 @@ mod tests {
         assert!(!h.is_clean());
         let text = h.to_string();
         assert!(text.contains("2 degraded") && text.contains("max iterations"), "{text}");
-        assert!(!text.contains("retries"), "quiet resilience counters stay out of Display");
+        assert!(!text.contains("retries"), "a zero retry count stays out of Display");
         h.retries = 3;
-        h.restarts = 1;
         let text = h.to_string();
-        assert!(text.contains("3 retries") && text.contains("1 restarts"), "{text}");
+        assert!(text.contains("3 retries"), "{text}");
     }
 
     #[test]
-    fn merge_sums_resilience_counters() {
+    fn merge_sums_retries() {
         let mut a = SweepHealth::new();
         a.retries = 2;
-        a.breaker_trips = 1;
         let mut b = SweepHealth::new();
         b.retries = 3;
-        b.restarts = 4;
         a.merge(&b);
-        assert_eq!((a.retries, a.breaker_trips, a.restarts), (5, 1, 4));
+        assert_eq!(a.retries, 5);
     }
 
     #[test]

@@ -104,13 +104,9 @@ pub struct LedgerRecord {
     pub failed: u64,
     /// Non-finite fields across all degraded points.
     pub non_finite: u64,
-    /// Point-evaluation retries performed by the resilience runtime
-    /// (summed over health ledgers).
+    /// Point-evaluation retries spent by engine sweeps (summed over
+    /// health ledgers).
     pub retries: u64,
-    /// Circuit-breaker trips during the run.
-    pub breaker_trips: u64,
-    /// Worker/lane restarts performed by supervisors during the run.
-    pub restarts: u64,
     /// Cause of the first degraded or failed point, in the merge order of
     /// the run's health ledgers; `None` for a clean run.
     pub first_failure: Option<String>,
@@ -171,15 +167,12 @@ impl LedgerRecord {
         let _ = write!(
             line,
             "],\"ok\":{},\"degraded\":{},\"failed\":{},\"non_finite\":{},\
-             \"retries\":{},\"breaker_trips\":{},\"restarts\":{},\
-             \"first_failure\":{},\"digest\":\"{:016x}\"",
+             \"retries\":{},\"first_failure\":{},\"digest\":\"{:016x}\"",
             self.ok,
             self.degraded,
             self.failed,
             self.non_finite,
             self.retries,
-            self.breaker_trips,
-            self.restarts,
             self.first_failure.as_deref().map_or_else(|| "null".to_string(), json_str),
             self.digest,
         );
@@ -224,8 +217,6 @@ mod tests {
             failed: 1,
             non_finite: 2,
             retries: 3,
-            breaker_trips: 1,
-            restarts: 2,
             first_failure: Some("gap solver: \"no bracket\"\nat C = 4".into()),
             digest: 0x0123_4567_89AB_CDEF,
         }

@@ -10,9 +10,9 @@
 //! * [`pool`] — scoped-thread `parallel_map` with deterministic output
 //!   ordering (`BEVRA_THREADS` overrides the worker count), plus
 //!   [`parallel_map_supervised`] which catches per-item panics and
-//!   retries them under a `bevra_resilience::RetryPolicy` (then a
-//!   structured [`ItemError`]) so one bad grid point degrades instead of
-//!   aborting the sweep;
+//!   re-runs them up to a fixed attempt count (then a structured
+//!   [`ItemError`]) so one bad grid point degrades instead of aborting
+//!   the sweep;
 //! * [`cache`] — sharded thread-safe memo tables keyed by capacity bit
 //!   patterns, with hit/miss counters;
 //! * [`persist`] — the engine's only on-disk store: a cross-run value
@@ -101,7 +101,6 @@ pub use instrument::{
     StageRecord, SweepHealth,
 };
 pub use pool::{
-    chunk_ranges, default_thread_count, parallel_map, parallel_map_isolated,
-    parallel_map_supervised, parallel_map_with, parse_thread_count, thread_count, ItemError,
-    MAX_THREADS, THREADS_ENV,
+    chunk_ranges, default_thread_count, parallel_map, parallel_map_supervised, parallel_map_with,
+    parse_thread_count, thread_count, ItemError, MAX_THREADS, POINT_ATTEMPTS, THREADS_ENV,
 };

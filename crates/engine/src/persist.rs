@@ -26,7 +26,7 @@
 //! Design rules:
 //!
 //! * **Never wrong, never fatal.** Entries carry the full capacity list
-//!   and an FNV checksum ([`frame_entry`]); a missing, truncated,
+//!   and an FNV checksum (`frame_entry`); a missing, truncated,
 //!   corrupt, or mismatched file is a cache miss (recompute), never an
 //!   error and never a wrong number. Store failures are logged to
 //!   metrics and swallowed.
@@ -176,11 +176,9 @@ fn content_key<U: Utility>(
 
 /// Frame an entry body for disk: a `format` tag line, the `key` line,
 /// `body` (newline-terminated lines), and a closing `crc` line holding
-/// the FNV-1a of everything before it. Every on-disk store of the
-/// workspace — value-table and sweep rows here, lane reports in the
-/// simulator's fleet checkpoint — writes this framing.
-#[must_use]
-pub fn frame_entry(format: &str, key: u64, body: &str) -> Vec<u8> {
+/// the FNV-1a of everything before it. Value-table and sweep rows both
+/// write this framing.
+fn frame_entry(format: &str, key: u64, body: &str) -> Vec<u8> {
     let mut text = format!("{format}\nkey {key:016x}\n{body}");
     let mut h = Fnv::new();
     h.eat(text.as_bytes());
@@ -191,8 +189,7 @@ pub fn frame_entry(format: &str, key: u64, body: &str) -> Vec<u8> {
 /// The body of an entry written by [`frame_entry`], or `None` when the
 /// checksum, the format tag, or the key does not match — a torn,
 /// bit-flipped, or foreign file never reaches a body parser.
-#[must_use]
-pub fn unframe_entry<'a>(text: &'a str, format: &str, key: u64) -> Option<&'a str> {
+fn unframe_entry<'a>(text: &'a str, format: &str, key: u64) -> Option<&'a str> {
     // Checksum first: everything before the final `crc` line must hash to
     // the recorded value.
     let crc_at = text.rfind("crc ")?;
@@ -412,11 +409,9 @@ impl PersistentCache {
 ///
 /// `site` is a fault-injection site consulted per attempt as `io/<site>`,
 /// like [`bevra_faults::atomic_write`]: transient faults are retried
-/// under the workspace I/O retry policy
-/// ([`bevra_resilience::RetryPolicy::io`]), waiting on the ambient
-/// fault-aware clock
-/// (virtual-clock, sleep-free, whenever a fault plan is active);
-/// permanent ones surface as errors.
+/// under the same I/O policy and loop ([`bevra_faults::retry_transient`]),
+/// waiting on the [`bevra_faults::ambient_clock`] (sleep-free whenever a
+/// fault plan is active); permanent ones surface as errors.
 ///
 /// # Errors
 ///
@@ -424,7 +419,7 @@ impl PersistentCache {
 /// non-transient error opening, creating the parent directory for, or
 /// writing the file.
 pub fn append_line(site: &str, path: &Path, line: &str) -> std::io::Result<()> {
-    use bevra_resilience::RetryPolicy;
+    use bevra_faults::{ambient_clock, retry_transient, IoFault, RetryPolicy};
     use std::io::Write as _;
 
     let mut buf = line.to_string();
@@ -437,15 +432,13 @@ pub fn append_line(site: &str, path: &Path, line: &str) -> std::io::Result<()> {
         }
     }
     let full_site = format!("io/{site}");
-    let policy = RetryPolicy::io();
-    let mut clock = bevra_resilience::ambient_clock();
-    let attempt_once = |attempt: u32| -> Result<(), std::io::Error> {
+    retry_transient(RetryPolicy::default(), &mut *ambient_clock(), |attempt| {
         match bevra_faults::io_fault(&full_site, u64::from(attempt)) {
-            Some(bevra_faults::IoFault::Transient) => Err(std::io::Error::new(
+            Some(IoFault::Transient) => Err(std::io::Error::new(
                 std::io::ErrorKind::Interrupted,
                 format!("bevra-faults: injected transient I/O error at {full_site}"),
             )),
-            Some(bevra_faults::IoFault::Permanent) => Err(std::io::Error::other(format!(
+            Some(IoFault::Permanent) => Err(std::io::Error::other(format!(
                 "bevra-faults: injected permanent I/O error at {full_site}"
             ))),
             None => std::fs::OpenOptions::new()
@@ -454,25 +447,8 @@ pub fn append_line(site: &str, path: &Path, line: &str) -> std::io::Result<()> {
                 .open(path)
                 .and_then(|mut f| f.write_all(buf.as_bytes())),
         }
-    };
-    let schedule = policy.schedule();
-    let mut attempt: u32 = 0;
-    loop {
-        match attempt_once(attempt) {
-            Ok(()) => return Ok(()),
-            Err(e)
-                if (attempt as usize) < schedule.len()
-                    && matches!(
-                        e.kind(),
-                        std::io::ErrorKind::Interrupted | std::io::ErrorKind::WouldBlock
-                    ) =>
-            {
-                clock.sleep_ms(schedule[attempt as usize]);
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    })
+    .map(drop)
 }
 
 /// Default cache directory: `results/cache` under the workspace root (the

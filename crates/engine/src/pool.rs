@@ -11,35 +11,36 @@
 //! # Failure isolation
 //!
 //! [`parallel_map_supervised`] wraps every per-item call in
-//! [`std::panic::catch_unwind`] and retries panicked items **serially on
-//! the same worker** under a [`bevra_resilience::RetryPolicy`]: the
+//! [`std::panic::catch_unwind`] and re-runs a panicked item **at once,
+//! serially on the same worker**, up to a fixed number of attempts: the
 //! attempt index is passed to the closure (so fault sites can distinguish
-//! attempts), backoff waits go through the fault-aware clock (virtual
-//! under an active plan — chaos runs never sleep), and the retries spent
-//! are returned for the health ledger. An item that fails every permitted
-//! attempt degrades to an [`ItemError::Panic`] in its output slot while
-//! every other item completes normally. A result slot that was never
-//! filled (a worker died outside the per-item guard) degrades to
-//! [`ItemError::Missing`]. One bad grid point can therefore no longer
-//! abort a whole sweep process — the engine turns these errors into
-//! structured `PointOutcome::Failed` entries and `SweepHealth` counts.
-//!
-//! [`parallel_map_isolated`] is the policy-free wrapper: the historical
-//! "one immediate serial retry" behavior, spelled
-//! [`RetryPolicy::compute`].
+//! attempts), and the retries spent are returned for the health ledger.
+//! No attempt waits: an item is a pure function of its input, so it
+//! either replays identically (a transient injected fault) or fails
+//! identically (a real bug), and sleeping between the two buys nothing.
+//! An item that fails every attempt degrades to an [`ItemError::Panic`]
+//! in its output slot while every other item completes normally. A result
+//! slot that was never filled (a worker died outside the per-item guard)
+//! degrades to [`ItemError::Missing`]. One bad grid point can therefore
+//! no longer abort a whole sweep process — the engine turns these errors
+//! into structured `PointOutcome::Failed` entries and `SweepHealth`
+//! counts. Engine sweeps give each point [`POINT_ATTEMPTS`].
 //!
 //! Retry decisions are **per-item-local** (a pure function of the item and
 //! its attempt count), never shared across workers — shared retry state
 //! would make rescue decisions scheduling-dependent and break the
 //! workspace's bitwise replay invariant.
 
-use bevra_resilience::RetryPolicy;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "BEVRA_THREADS";
+
+/// Attempts an engine sweep gives each grid point: the first, then one
+/// immediate serial retry.
+pub const POINT_ATTEMPTS: u32 = 2;
 
 /// Upper bound on an explicitly requested worker count. Values above this
 /// fall back to the default rather than spawning an unbounded number of
@@ -79,14 +80,13 @@ pub fn thread_count() -> usize {
 /// Why an isolated item produced no value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ItemError {
-    /// The item's closure panicked on every attempt its retry policy
-    /// permitted.
+    /// The item's closure panicked on every attempt it was given.
     Panic {
         /// The first panic's payload, rendered as text.
         message: String,
-        /// Whether the policy permitted (and spent) at least one retry —
-        /// `false` only under a single-attempt policy, so health reports
-        /// can distinguish "never retried" from "retried and still dead".
+        /// Whether at least one retry was spent — `false` only for a
+        /// single attempt, so health reports can distinguish "never
+        /// retried" from "retried and still dead".
         retried: bool,
     },
     /// The item's result slot was never filled — its worker died outside
@@ -134,7 +134,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// bitwise-identical results for any pure `f`.
 ///
 /// A panicking `f` propagates (the scope re-raises the worker's panic),
-/// exactly like a serial `map` — use [`parallel_map_isolated`] when one
+/// exactly like a serial `map` — use [`parallel_map_supervised`] when one
 /// bad item must not take down the whole sweep.
 pub fn parallel_map_with<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
@@ -187,12 +187,12 @@ where
 }
 
 /// [`parallel_map_with`], but with per-item panic isolation and
-/// policy-driven serial retry: each call of `f` runs under
-/// [`catch_unwind`] with its attempt index, a panicking item is retried
-/// on the same worker per `policy` (backoff on the fault-aware clock —
-/// virtual under an active plan), and exhausting the policy degrades the
-/// item to [`ItemError::Panic`] instead of aborting the sweep. Output
-/// slots that no worker filled degrade to [`ItemError::Missing`].
+/// immediate serial retry: each call of `f` runs under [`catch_unwind`]
+/// with its attempt index, a panicking item is re-run on the same worker
+/// until it has had `attempts` tries (at least one), and an item that
+/// panics on all of them degrades to [`ItemError::Panic`] instead of
+/// aborting the sweep. Output slots that no worker filled degrade to
+/// [`ItemError::Missing`].
 ///
 /// Returns the results plus the total retries spent (rescuing or not),
 /// for the caller's health ledger.
@@ -209,7 +209,7 @@ where
 pub fn parallel_map_supervised<T, U, F>(
     items: &[T],
     threads: usize,
-    policy: &RetryPolicy,
+    attempts: u32,
     f: F,
 ) -> (Vec<Result<U, ItemError>>, u64)
 where
@@ -218,32 +218,22 @@ where
     F: Fn(&T, u32) -> U + Sync,
 {
     let n = items.len();
-    let schedule = policy.schedule();
+    let attempts = attempts.max(1);
     let retries = AtomicU64::new(0);
     let isolated = |i: usize| -> Result<U, ItemError> {
-        let mut clock = bevra_resilience::ambient_clock();
-        let mut attempt = 0u32;
         let mut first_message: Option<String> = None;
-        loop {
+        for attempt in 0..attempts {
+            if attempt > 0 {
+                retries.fetch_add(1, Ordering::Relaxed);
+            }
             match catch_unwind(AssertUnwindSafe(|| f(&items[i], attempt))) {
                 Ok(v) => return Ok(v),
                 Err(payload) => {
-                    if first_message.is_none() {
-                        first_message = Some(panic_message(payload.as_ref()));
-                    }
-                    if let Some(&wait) = schedule.get(attempt as usize) {
-                        clock.sleep_ms(wait);
-                        attempt += 1;
-                        retries.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        return Err(ItemError::Panic {
-                            message: first_message.unwrap_or_default(),
-                            retried: attempt > 0,
-                        });
-                    }
+                    first_message.get_or_insert_with(|| panic_message(payload.as_ref()));
                 }
             }
         }
+        Err(ItemError::Panic { message: first_message.unwrap_or_default(), retried: attempts > 1 })
     };
     let results = if threads <= 1 || n <= 1 {
         (0..n).map(isolated).collect()
@@ -276,22 +266,6 @@ where
         slots.into_iter().map(|s| s.unwrap_or(Err(ItemError::Missing))).collect()
     };
     (results, retries.load(Ordering::Relaxed))
-}
-
-/// [`parallel_map_supervised`] under the compute policy
-/// ([`RetryPolicy::compute`]: one immediate serial retry), discarding the
-/// retry counter — the attempt-blind compatibility entry point.
-pub fn parallel_map_isolated<T, U, F>(
-    items: &[T],
-    threads: usize,
-    f: F,
-) -> Vec<Result<U, ItemError>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    parallel_map_supervised(items, threads, &RetryPolicy::compute(), |item, _attempt| f(item)).0
 }
 
 /// Split `0..n` into `chunks` contiguous, balanced, non-empty ranges
@@ -373,7 +347,7 @@ mod tests {
     fn isolated_panic_degrades_only_that_item() {
         let items: Vec<u64> = (0..97).collect();
         for threads in [1, 4, 16] {
-            let out = parallel_map_isolated(&items, threads, |&x| {
+            let (out, _) = parallel_map_supervised(&items, threads, POINT_ATTEMPTS, |&x, _| {
                 assert!(x != 41, "boom at {x}");
                 x * 3
             });
@@ -399,7 +373,7 @@ mod tests {
         use std::sync::atomic::AtomicU32;
         // Panics on its first call for item 5 only; the serial retry succeeds.
         let calls = AtomicU32::new(0);
-        let out = parallel_map_isolated(&[1u32, 5, 9], 1, |&x| {
+        let (out, _) = parallel_map_supervised(&[1u32, 5, 9], 1, POINT_ATTEMPTS, |&x, _| {
             if x == 5 && calls.fetch_add(1, Ordering::Relaxed) == 0 {
                 panic!("transient");
             }
@@ -410,19 +384,12 @@ mod tests {
     }
 
     #[test]
-    fn supervised_reports_retry_count_and_honors_policy() {
+    fn supervised_reports_retry_count_and_honors_attempts() {
         use std::sync::atomic::AtomicU32;
-        // Item 3 panics on attempts 0 and 1; a 3-attempt policy rescues it
-        // and the retry tally reflects the two spent retries.
+        // Item 3 panics on attempts 0 and 1; three attempts rescue it and
+        // the retry tally reflects the two spent retries.
         let calls = AtomicU32::new(0);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff_ms: 0,
-            max_backoff_ms: 0,
-            total_budget_ms: 0,
-            seed: 0,
-        };
-        let (out, retries) = parallel_map_supervised(&[1u32, 3, 7], 1, &policy, |&x, attempt| {
+        let (out, retries) = parallel_map_supervised(&[1u32, 3, 7], 1, 3, |&x, attempt| {
             calls.fetch_add(1, Ordering::Relaxed);
             assert!(!(x == 3 && attempt < 2), "flaky at {x}");
             x * 2
@@ -430,9 +397,8 @@ mod tests {
         assert_eq!(out, vec![Ok(2), Ok(6), Ok(14)]);
         assert_eq!(retries, 2, "two retries rescued item 3");
         assert_eq!(calls.load(Ordering::Relaxed), 5, "3 items + 2 extra attempts");
-        // A single-attempt policy leaves the flaky item dead with retried=false.
-        let strict = RetryPolicy { max_attempts: 1, ..policy };
-        let (out, retries) = parallel_map_supervised(&[3u32], 1, &strict, |&x, attempt| {
+        // A single attempt leaves the flaky item dead with retried=false.
+        let (out, retries) = parallel_map_supervised(&[3u32], 1, 1, |&x, attempt| {
             assert!(!(x == 3 && attempt < 2), "flaky at {x}");
             x
         });
@@ -440,7 +406,7 @@ mod tests {
         match &out[0] {
             Err(ItemError::Panic { message, retried }) => {
                 assert!(message.contains("flaky at 3"), "message: {message}");
-                assert!(!retried, "single-attempt policy never retries");
+                assert!(!retried, "a single attempt never retries");
             }
             other => panic!("expected Panic, got {other:?}"),
         }
@@ -451,7 +417,7 @@ mod tests {
         let items: Vec<f64> = (1..300).map(f64::from).collect();
         let work = |&c: &f64| (c.ln() * c.sqrt()).sin();
         let plain = parallel_map_with(&items, 8, work);
-        let isolated = parallel_map_isolated(&items, 8, work);
+        let (isolated, _) = parallel_map_supervised(&items, 8, POINT_ATTEMPTS, |c, _| work(c));
         for (a, b) in plain.iter().zip(&isolated) {
             let b = b.as_ref().expect("no faults injected");
             assert_eq!(a.to_bits(), b.to_bits());

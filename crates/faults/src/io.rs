@@ -8,11 +8,12 @@
 //! new one on disk, never a truncated hybrid.
 //!
 //! Transient failures are retried with bounded exponential backoff
-//! driven by a [`Clock`]: production callers sleep for real
-//! ([`WallClock`]), while fault-injected runs use a [`VirtualClock`]
-//! that only *accounts* the backoff, keeping chaos tests deterministic
-//! and sleep-free. [`atomic_write`] picks the virtual clock
-//! automatically whenever a fault plan is active.
+//! ([`retry_transient`]) driven by a [`Clock`]: production callers sleep
+//! for real ([`WallClock`]), while fault-injected runs use a
+//! [`VirtualClock`] that only *accounts* the backoff, keeping chaos tests
+//! deterministic and sleep-free. [`ambient_clock`] picks the virtual
+//! clock whenever a fault plan is active; [`atomic_write`] and the run
+//! ledger's appends wait on it.
 //!
 //! The actual file operations go through the [`Writer`] trait so tests
 //! can substitute their own; the default [`WallClock`]/[`FaultWriter`]
@@ -89,11 +90,12 @@ impl Clock for WallClock {
     }
 }
 
-/// Bounded-retry policy of [`atomic_write`]: exponential backoff
+/// The workspace's I/O retry policy, applied by [`retry_transient`] to
+/// [`atomic_write`] and to the run ledger's appends: exponential backoff
 /// `base · 2^attempt`, capped per-step, at most `max_attempts` tries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Maximum write attempts (≥ 1).
+    /// Maximum attempts, the first included (≥ 1).
     pub max_attempts: u32,
     /// Backoff before the second attempt, in milliseconds.
     pub base_backoff_ms: u64,
@@ -114,6 +116,56 @@ impl RetryPolicy {
         self.base_backoff_ms
             .saturating_mul(1u64 << attempt.min(20))
             .min(self.max_backoff_ms)
+    }
+}
+
+/// The clock an I/O retry should wait on right now: the deterministic
+/// [`VirtualClock`] whenever a fault plan is active (chaos runs must not
+/// sleep), the real [`WallClock`] otherwise.
+#[must_use]
+pub fn ambient_clock() -> Box<dyn Clock> {
+    if crate::active() {
+        Box::new(VirtualClock::default())
+    } else {
+        Box::new(WallClock::default())
+    }
+}
+
+/// Run `op` with its 0-based attempt index until it succeeds, fails with
+/// a non-transient error, or `policy.max_attempts` attempts are spent,
+/// waiting `policy.backoff_ms(a)` on `clock` after failed attempt `a`.
+/// Returns the attempts performed (1 = first try succeeded).
+///
+/// Transient = [`ErrorKind::Interrupted`](io::ErrorKind) or
+/// [`ErrorKind::WouldBlock`](io::ErrorKind); anything else aborts
+/// immediately.
+///
+/// # Errors
+///
+/// The first non-transient error, or the last transient one once the
+/// attempts are spent.
+pub fn retry_transient(
+    policy: RetryPolicy,
+    clock: &mut dyn Clock,
+    mut op: impl FnMut(u32) -> io::Result<()>,
+) -> io::Result<u32> {
+    let max_attempts = policy.max_attempts.max(1);
+    let mut attempt = 0;
+    loop {
+        match op(attempt) {
+            Ok(()) => return Ok(attempt + 1),
+            Err(e)
+                if attempt + 1 < max_attempts
+                    && matches!(
+                        e.kind(),
+                        io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock
+                    ) =>
+            {
+                clock.sleep_ms(policy.backoff_ms(attempt));
+                attempt += 1;
+            }
+            Err(e) => return Err(e),
+        }
     }
 }
 
@@ -188,13 +240,9 @@ pub fn temp_path(path: &Path) -> PathBuf {
 }
 
 /// Write `bytes` to `path` atomically (write temp, rename over), with
-/// bounded retry on transient errors, through an explicit writer and
-/// clock. On failure the temp file is removed and the previous contents
-/// of `path` (if any) are untouched.
-///
-/// Transient = [`ErrorKind::Interrupted`](io::ErrorKind) or
-/// [`ErrorKind::WouldBlock`](io::ErrorKind); anything else aborts
-/// immediately.
+/// bounded retry on transient errors ([`retry_transient`]), through an
+/// explicit writer and clock. On failure the temp file is removed and
+/// the previous contents of `path` (if any) are untouched.
 ///
 /// # Errors
 ///
@@ -213,26 +261,8 @@ pub fn atomic_write_with(
         }
     }
     let tmp = temp_path(path);
-    let max_attempts = policy.max_attempts.max(1);
-    let mut attempts = 0;
-    let result = loop {
-        attempts += 1;
-        match writer.write_file(&tmp, bytes) {
-            Ok(()) => break Ok(()),
-            Err(e)
-                if attempts < max_attempts
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock
-                    ) =>
-            {
-                clock.sleep_ms(policy.backoff_ms(attempts - 1));
-            }
-            Err(e) => break Err(e),
-        }
-    };
-    match result {
-        Ok(()) => {
+    match retry_transient(policy, clock, |_| writer.write_file(&tmp, bytes)) {
+        Ok(attempts) => {
             writer.rename(&tmp, path)?;
             Ok(WriteOutcome { attempts, backoff_ms: clock.total_ms() })
         }
@@ -245,8 +275,7 @@ pub fn atomic_write_with(
 }
 
 /// [`atomic_write_with`] using the ambient fault plan at `io/<site>`,
-/// the default [`RetryPolicy`], and — when a fault plan is active — the
-/// deterministic [`VirtualClock`] instead of real sleeps.
+/// the default [`RetryPolicy`], and the [`ambient_clock`].
 ///
 /// # Errors
 ///
@@ -254,12 +283,7 @@ pub fn atomic_write_with(
 pub fn atomic_write(site: &str, path: &Path, bytes: &[u8]) -> io::Result<WriteOutcome> {
     let full_site = format!("io/{site}");
     let mut writer = FaultWriter::new(&full_site);
-    let policy = RetryPolicy::default();
-    if crate::active() {
-        atomic_write_with(&mut writer, &mut VirtualClock::default(), policy, path, bytes)
-    } else {
-        atomic_write_with(&mut writer, &mut WallClock::default(), policy, path, bytes)
-    }
+    atomic_write_with(&mut writer, &mut *ambient_clock(), RetryPolicy::default(), path, bytes)
 }
 
 #[cfg(test)]
@@ -348,6 +372,38 @@ mod tests {
         assert_eq!(p.backoff_ms(2), 8);
         assert_eq!(p.backoff_ms(3), 9, "capped");
         assert_eq!(p.backoff_ms(63), 9, "shift saturates instead of overflowing");
+    }
+
+    #[test]
+    fn retry_transient_backs_off_then_gives_up() {
+        let mut clock = VirtualClock::default();
+        let mut calls = Vec::new();
+        let err = retry_transient(RetryPolicy::default(), &mut clock, |attempt| {
+            calls.push(attempt);
+            Err(io::Error::new(io::ErrorKind::Interrupted, "flaky"))
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Interrupted);
+        assert_eq!(calls, vec![0, 1, 2, 3], "four attempts, indexed from 0");
+        assert_eq!(clock.total_ms(), 1 + 2 + 4, "waits of 1, 2 and 4 ms");
+
+        let mut clock = VirtualClock::default();
+        let attempts = retry_transient(RetryPolicy::default(), &mut clock, |attempt| {
+            if attempt < 2 {
+                Err(io::Error::new(io::ErrorKind::WouldBlock, "busy"))
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(attempts.unwrap(), 3);
+
+        let mut calls = 0;
+        let err = retry_transient(RetryPolicy::default(), &mut clock, |_| {
+            calls += 1;
+            Err(io::Error::other("permanent"))
+        });
+        assert!(err.is_err());
+        assert_eq!(calls, 1, "a non-transient error is not retried");
     }
 
     #[test]

@@ -41,7 +41,10 @@
 pub mod io;
 pub mod plan;
 
-pub use io::{atomic_write, atomic_write_with, Clock, RetryPolicy, VirtualClock, WallClock, Writer};
+pub use io::{
+    ambient_clock, atomic_write, atomic_write_with, retry_transient, Clock, RetryPolicy,
+    VirtualClock, WallClock, Writer,
+};
 pub use plan::{FaultKind, FaultPlan, FaultRule};
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -76,17 +76,9 @@ fn main() -> ExitCode {
         _ => &parsed.records[..],
     };
     print!("{}", trend_table(shown));
-    let (retries, trips, restarts) = parsed
-        .records
-        .iter()
-        .fold((0u64, 0u64, 0u64), |(a, b, c), r| {
-            (a + r.retries, b + r.breaker_trips, c + r.restarts)
-        });
-    if retries + trips + restarts > 0 {
-        println!(
-            "\nresilience: {retries} retry(ies), {trips} breaker trip(s), \
-             {restarts} restart(s) across recorded runs"
-        );
+    let retries: u64 = parsed.records.iter().map(|r| r.retries).sum();
+    if retries > 0 {
+        println!("\nretries: {retries} point retry(ies) across recorded runs");
     }
 
     let regressions = find_regressions(&parsed.records, threshold);

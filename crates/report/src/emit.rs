@@ -90,8 +90,6 @@ fn ledger_record(
         failed: merged.failed,
         non_finite: merged.non_finite,
         retries: merged.retries,
-        breaker_trips: merged.breaker_trips,
-        restarts: merged.restarts,
         first_failure: merged.first_failure,
         digest: figure_digest(fig),
     }

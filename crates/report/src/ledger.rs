@@ -100,11 +100,12 @@ fn parse_line(line: &str) -> Option<LedgerRecord> {
         degraded: get_u64(&doc, "degraded")?,
         failed: get_u64(&doc, "failed")?,
         non_finite: get_u64(&doc, "non_finite")?,
-        // Resilience counters arrived mid-v1; absent on older lines, which
-        // default to zero rather than being skipped.
+        // The retry count arrived mid-v1; absent on older lines, which
+        // default to zero rather than being skipped. Lines written before
+        // the breaker and lane-restart counters went also carry
+        // `breaker_trips` and `restarts`, always 0; unknown keys are
+        // ignored.
         retries: get_u64(&doc, "retries").unwrap_or(0),
-        breaker_trips: get_u64(&doc, "breaker_trips").unwrap_or(0),
-        restarts: get_u64(&doc, "restarts").unwrap_or(0),
         // The SIMD tier stamp also arrived mid-v1: older lines carry no
         // field and parse as "unknown" (append-tolerant, never skipped).
         simd: doc
@@ -291,7 +292,7 @@ pub fn trend_table(records: &[LedgerRecord]) -> String {
                 slowest,
                 hit_rate,
                 format!("{}/{}/{}", r.ok, r.degraded, r.failed),
-                format!("{}/{}/{}", r.retries, r.breaker_trips, r.restarts),
+                r.retries.to_string(),
                 format!("{:016x}", r.digest),
             ]
         })
@@ -307,7 +308,7 @@ pub fn trend_table(records: &[LedgerRecord]) -> String {
             "slowest stage",
             "cache-hit",
             "ok/deg/fail",
-            "retry/trip/restart",
+            "retries",
             "digest",
         ],
         &rows,
@@ -338,8 +339,6 @@ mod tests {
             failed: 0,
             non_finite: 0,
             retries: 2,
-            breaker_trips: 0,
-            restarts: 1,
             first_failure: None,
             digest,
         }
@@ -385,21 +384,34 @@ mod tests {
         assert_eq!(r.stages, vec![stage("total", 0.25, 100)]);
         assert_eq!(r.caches, vec![("total".to_string(), CacheStats { hits: 3, misses: 1 })]);
         assert_eq!(r.first_failure, None);
-        assert_eq!((r.retries, r.restarts, r.simd.as_str()), (2, 1, "autovec"));
+        assert_eq!((r.retries, r.simd.as_str()), (2, "autovec"));
         assert_eq!(r.digest, 0xCD, "other fields unaffected");
 
-        // The oldest v1 lines predate the resilience counters and the simd
-        // stamp: they default to zero and "unknown", never skipped.
-        let oldest = v1
-            .replace(",\"retries\":2,\"breaker_trips\":0,\"restarts\":1", "")
-            .replace(",\"simd\":\"autovec\"", "");
+        // The oldest v1 lines predate the retry count and the simd stamp:
+        // they default to zero and "unknown", never skipped.
+        let oldest = v1.replace(",\"retries\":2", "").replace(",\"simd\":\"autovec\"", "");
         assert!(!oldest.contains("simd") && !oldest.contains("retries"), "splice failed: {oldest}");
         let parsed = parse_ledger(&recrc(&oldest));
-        assert_eq!(parsed.skipped, 0, "pre-resilience lines must still parse");
+        assert_eq!(parsed.skipped, 0, "pre-retry lines must still parse");
         let r = &parsed.records[0];
-        assert_eq!((r.retries, r.breaker_trips, r.restarts), (0, 0, 0));
+        assert_eq!(r.retries, 0);
         assert_eq!(r.simd, "unknown");
         assert_eq!(r.stages, vec![stage("total", 0.25, 100)]);
+    }
+
+    #[test]
+    fn lines_with_breaker_and_restart_counters_still_parse() {
+        // Lines written while the fleet had a circuit breaker carry two
+        // more counters after `retries`, always 0.
+        let r = rec("fig2", 0xAB, 0xCD, 0.25);
+        let line = r.to_line();
+        let fresh = &line[..line.rfind(",\"crc\":\"").unwrap()];
+        let old = fresh
+            .replace(",\"retries\":2", ",\"retries\":2,\"breaker_trips\":0,\"restarts\":0");
+        assert_ne!(old, fresh, "splice failed: {old}");
+        let parsed = parse_ledger(&recrc(&old));
+        assert_eq!(parsed.skipped, 0, "old lines must still parse: {old}");
+        assert_eq!(parsed.records, vec![r]);
     }
 
     #[test]

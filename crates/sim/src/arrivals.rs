@@ -98,25 +98,6 @@ impl MixedPoisson {
         }
     }
 
-    /// Fold the process's *configuration* — mean rate, mixing family and
-    /// parameters, sojourn rate — into an FNV-1a accumulator. The runtime
-    /// `current_rate` is deliberately excluded: two processes with equal
-    /// configuration are interchangeable at run start, which is the
-    /// identity the fleet checkpoint key needs.
-    pub fn digest_into(&self, hash: &mut u64) {
-        crate::stats::fnv_fold(hash, self.mean_rate.to_bits());
-        match self.mixing {
-            RateMixing::Fixed => crate::stats::fnv_fold(hash, 0),
-            RateMixing::Exponential => crate::stats::fnv_fold(hash, 1),
-            RateMixing::Pareto { z, cap } => {
-                crate::stats::fnv_fold(hash, 2);
-                crate::stats::fnv_fold(hash, z.to_bits());
-                crate::stats::fnv_fold(hash, cap.to_bits());
-            }
-        }
-        crate::stats::fnv_fold(hash, self.sojourn.rate.to_bits());
-    }
-
     /// Re-draw the instantaneous rate from the mixing distribution.
     pub fn switch<D: Draw + ?Sized>(&mut self, draws: &mut D) {
         self.current_rate = match self.mixing {

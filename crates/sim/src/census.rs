@@ -107,20 +107,6 @@ impl Census {
         self.total_time += other.total_time;
     }
 
-    /// The exact internal state — dwell times, arrival counts, total
-    /// time — for bitwise checkpointing.
-    #[must_use]
-    pub fn state(&self) -> (&[f64], &[u64], f64) {
-        (&self.time_at, &self.seen_at, self.total_time)
-    }
-
-    /// Rebuild a census from a persisted [`state`](Self::state). The
-    /// round trip is bitwise lossless.
-    #[must_use]
-    pub fn from_state(time_at: Vec<f64>, seen_at: Vec<u64>, total_time: f64) -> Self {
-        Self { time_at, seen_at, total_time }
-    }
-
     /// Fold the census's exact state — every dwell time's bit pattern,
     /// every arrival count, the total time — into an FNV-1a accumulator.
     /// Used by `SimReport::digest` for bitwise determinism checks.

@@ -19,43 +19,28 @@
 //! Each shard runs under the engine pool's panic isolation and passes
 //! through the `panic:sim/shard` fault site keyed by shard index; each
 //! lane additionally crosses `panic:sim/lane` (keyed by lane, attempt 0)
-//! so chaos plans can kill a single lane. A panicked shard no longer
-//! condemns its lanes outright: after the parallel phase, a serial
-//! [`Supervisor`] re-runs each missing lane individually — in strict lane
-//! order, from the lane's derived seed, re-crossing `sim/lane` with an
-//! incremented attempt index — under [`RetryPolicy::compute`] (one
-//! immediate retry). A transient fault (`n=`-bounded rule) is thereby
-//! *rescued*: the restarted lane reproduces its exact bits and the merged
-//! digest equals the fault-free run's, with the restart recorded in
-//! [`FleetHealth::restarts`]. Persistent faults exhaust the policy, trip
-//! the supervisor's [`CircuitBreaker`]
-//! ([`FleetHealth::breaker_trips`]), and remaining dead lanes are
-//! rejected fast, each recorded as a single-lane [`ShardFailure`].
-//! Because recovery is serial and seeded, rescued runs replay
-//! identically. Budget exhaustion inside a lane (the `sim/budget`
-//! watchdog) is *not* a failure: the lane's partial report merges and the
-//! lane is counted in [`FleetHealth::truncated_lanes`].
-//!
-//! # Checkpoint/resume
-//!
-//! With a [`FleetCheckpoint`] attached ([`Fleet::with_checkpoint`]) the
-//! fleet persists completed clean lanes after every [`GROUP_SHARDS`]
-//! shards, crossing the `panic:sim/fleet-ckpt` kill site between groups,
-//! and restores them bitwise on the next run — a killed ≥10M-flow fleet
-//! resumes instead of starting over, and the resumed merged digest is
-//! identical to an uninterrupted run's.
+//! so chaos plans can kill a single lane. A panicked shard does not
+//! condemn its lanes: each of them is re-run on its own, serially, in
+//! lane order, from the lane's derived seed, re-crossing `sim/lane` at
+//! attempts 1 to [`LANE_RESTARTS`]. A lane is a pure function of its
+//! seed, so a transient fault (an `n`-bounded rule with
+//! `n ≤ LANE_RESTARTS`) is *rescued*: the re-run reproduces the lane's
+//! exact bits and the merged digest equals the fault-free run's, with
+//! every re-run counted in [`FleetHealth::restarts`]. A lane still dead
+//! after its last re-run would die on every further one, so it is
+//! recorded as a single-lane [`ShardFailure`] and the fleet moves on to
+//! the next lane. Budget exhaustion inside a lane (the `sim/budget`
+//! watchdog) is *not* a failure: the lane's partial report merges and
+//! the lane is counted in [`FleetHealth::truncated_lanes`].
 
-use crate::ckpt::{FleetCheckpoint, GROUP_SHARDS};
 use crate::runner::{QueueKind, SimConfig, SimError, SimReport, Simulation};
 use bevra_obs::metrics;
-use bevra_resilience::{ambient_clock, CircuitBreaker, RetryPolicy, Supervisor};
 use rand::derive_seed;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Consecutive dead lanes that trip the recovery breaker.
-const BREAKER_THRESHOLD: u32 = 3;
-
-/// Rejected lanes between half-open probes once the breaker is open.
-const BREAKER_PROBE_AFTER: u32 = 4;
+/// Serial re-runs each lane of a panicked shard gets before it is
+/// recorded failed.
+pub const LANE_RESTARTS: u32 = 2;
 
 /// Number of shards (contiguous lane chunks) [`Fleet::run`] splits its
 /// lanes into: one per engine worker. Any count yields the identical
@@ -77,18 +62,16 @@ pub struct FleetConfig {
     pub lanes: u32,
 }
 
-/// One failed recovery unit, for the health ledger.
+/// One lane that stayed dead, for the health ledger.
 #[derive(Debug, Clone)]
 pub struct ShardFailure {
-    /// Shard index (into the run's contiguous lane chunking) the lanes
+    /// Shard index (into the run's contiguous lane chunking) the lane
     /// belonged to.
     pub shard: u32,
-    /// Lanes that produced no report. Since per-lane recovery, each entry
-    /// covers the single lane that stayed dead (or was rejected by the
-    /// open breaker) after supervision.
+    /// Lanes that produced no report: the single lane still dead after
+    /// its [`LANE_RESTARTS`] re-runs.
     pub lanes: std::ops::Range<u32>,
-    /// The failure, rendered as text (panic payload, or the breaker's
-    /// rejection).
+    /// The lane's last panic message.
     pub error: String,
 }
 
@@ -100,12 +83,10 @@ pub struct FleetHealth {
     /// Of the ok lanes, how many were truncated by the `sim/budget`
     /// watchdog (their partial reports still merged).
     pub truncated_lanes: u32,
-    /// Lane re-executions performed by the recovery supervisor (every
-    /// restart attempt of a panicked lane counts one, successful or not).
+    /// Lane re-runs after a shard panicked (every re-run counts one,
+    /// successful or not).
     pub restarts: u64,
-    /// Times the recovery breaker tripped open on persistent lane death.
-    pub breaker_trips: u64,
-    /// Lanes that stayed dead after supervision (one entry per lane).
+    /// Lanes still dead after their re-runs (one entry per lane).
     pub failed: Vec<ShardFailure>,
 }
 
@@ -156,12 +137,10 @@ impl FleetReport {
 /// A fleet instance. Create with [`Fleet::new`], run with [`Fleet::run`].
 pub struct Fleet {
     cfg: FleetConfig,
-    ckpt: Option<FleetCheckpoint>,
-    restarts_enabled: bool,
 }
 
 impl Fleet {
-    /// New fleet from a config, without a checkpoint store.
+    /// New fleet from a config.
     ///
     /// # Panics
     ///
@@ -172,40 +151,7 @@ impl Fleet {
         assert!(cfg.lanes > 0, "a fleet needs at least one lane");
         assert!(cfg.base.capacity > 0.0, "capacity must be positive");
         assert!(cfg.base.horizon > 0.0, "horizon must be positive");
-        Self { cfg, ckpt: None, restarts_enabled: true }
-    }
-
-    /// Attach a checkpoint store (builder style): completed lanes persist
-    /// to it and a rerun resumes from it.
-    #[must_use]
-    pub fn with_checkpoint(mut self, store: FleetCheckpoint) -> Self {
-        self.ckpt = Some(store);
-        self
-    }
-
-    /// Disable lane-restart recovery (builder style): panicked lanes stay
-    /// dead. Exists for the mutation test that proves a dropped restart
-    /// is caught by the digest pin — production code never calls this.
-    #[must_use]
-    pub fn without_restarts(mut self) -> Self {
-        self.restarts_enabled = false;
-        self
-    }
-
-    /// The active checkpoint store, if any.
-    #[must_use]
-    pub fn checkpoint_store(&self) -> Option<&FleetCheckpoint> {
-        self.ckpt.as_ref()
-    }
-
-    /// Content-hash key of this fleet's results: the base config's
-    /// [`SimConfig::fingerprint`] folded with the lane count. Checkpoint
-    /// entries are stored under this key.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = self.cfg.base.fingerprint();
-        crate::stats::fnv_fold(&mut h, u64::from(self.cfg.lanes));
-        h
+        Self { cfg }
     }
 
     /// The [`SimConfig`] lane `lane` runs: the base with its derived seed.
@@ -225,34 +171,18 @@ impl Fleet {
     /// Run the fleet with an explicit shard count and queue kind — the
     /// determinism suite calls this with several shard counts and asserts
     /// one digest.
-    #[allow(clippy::too_many_lines)]
     #[must_use]
     pub fn run_on(&self, shards: usize, queue: QueueKind) -> FleetReport {
         let lanes = self.cfg.lanes as usize;
         let mut sp = bevra_obs::span("sim/fleet");
         sp.add_points(lanes as u64);
-        let ranges = bevra_engine::chunk_ranges(lanes, shards.max(1));
+        let shard_lanes: Vec<(usize, std::ops::Range<usize>)> =
+            bevra_engine::chunk_ranges(lanes, shards.max(1)).into_iter().enumerate().collect();
         let started = std::time::Instant::now();
         let mut health = FleetHealth::default();
 
-        // Per-lane result slots, filled by checkpoint restore, the
-        // parallel shard phase, and the recovery loop — then merged in
-        // strict lane order, which is what keeps the digest invariant
-        // under any shard/thread count and any restore/recovery mix.
-        let mut slots: Vec<Option<(SimReport, bool)>> = (0..lanes).map(|_| None).collect();
-        let key = self.fingerprint();
-        let mut restored = vec![false; lanes];
-        if let Some(cs) = &self.ckpt {
-            for (lane, report) in cs.load(key, lanes).into_iter().enumerate() {
-                if let Some(r) = report {
-                    slots[lane] = Some((r, false));
-                    restored[lane] = true;
-                }
-            }
-        }
-
         // One simulated lane, shared by the shard phase (attempt 0) and
-        // the recovery loop (attempt ≥ 1). Budget truncation is
+        // the lane re-runs (attempt ≥ 1). Budget truncation is
         // degradation, not failure.
         let run_lane = |lane: usize, attempt: u64| -> (SimReport, bool) {
             bevra_faults::panic_point_attempt("sim/lane", lane as u64, attempt);
@@ -263,129 +193,47 @@ impl Fleet {
             }
         };
 
-        // Parallel phase: one pool item per shard, each running its
-        // not-yet-restored lanes serially. No pool-level retry — recovery
-        // is the serial supervisor's job, so a panicked shard costs at
-        // most one wasted partial pass.
-        let todo: Vec<(usize, std::ops::Range<usize>)> = ranges
-            .iter()
-            .cloned()
-            .enumerate()
-            .filter(|(_, r)| r.clone().any(|lane| !restored[lane]))
-            .collect();
-        let single_attempt = RetryPolicy {
-            max_attempts: 1,
-            base_backoff_ms: 0,
-            max_backoff_ms: 0,
-            total_budget_ms: 0,
-            seed: 0,
-        };
-        let mut failed_shards: Vec<(usize, String)> = Vec::new();
-        let group = if self.ckpt.is_some() { GROUP_SHARDS } else { todo.len().max(1) };
-        for (group_idx, chunk) in todo.chunks(group).enumerate() {
-            let (results, _) = bevra_engine::parallel_map_supervised(
-                chunk,
-                bevra_engine::thread_count().min(chunk.len()),
-                &single_attempt,
-                |item: &(usize, std::ops::Range<usize>), _attempt| {
-                    let (shard, range) = item;
-                    bevra_faults::panic_point("sim/shard", *shard as u64);
-                    let mut sh = bevra_obs::span("sim/fleet/shard");
-                    sh.add_points(range.len() as u64);
-                    let mut out = Vec::with_capacity(range.len());
-                    for lane in range.clone() {
-                        if restored[lane] {
-                            continue;
-                        }
-                        let (report, truncated) = run_lane(lane, 0);
-                        out.push((lane, report, truncated));
-                    }
-                    out
-                },
-            );
-            for ((shard, _), result) in chunk.iter().zip(results) {
-                match result {
-                    Ok(lane_reports) => {
-                        for (lane, report, truncated) in lane_reports {
-                            slots[lane] = Some((report, truncated));
-                        }
-                    }
-                    Err(e) => failed_shards.push((*shard, e.to_string())),
-                }
-            }
-            if let Some(cs) = &self.ckpt {
-                cs.store(key, lanes, &clean_lanes(&slots));
-                bevra_faults::panic_point("sim/fleet-ckpt", group_idx as u64);
-            }
-        }
+        // Parallel phase: one pool item per shard, one attempt each, each
+        // running its lanes serially.
+        let (results, _) = bevra_engine::parallel_map_supervised(
+            &shard_lanes,
+            bevra_engine::thread_count().min(shard_lanes.len()),
+            1,
+            |(shard, range): &(usize, std::ops::Range<usize>), _attempt| {
+                bevra_faults::panic_point("sim/shard", *shard as u64);
+                let mut sh = bevra_obs::span("sim/fleet/shard");
+                sh.add_points(range.len() as u64);
+                range.clone().map(|lane| run_lane(lane, 0)).collect::<Vec<_>>()
+            },
+        );
 
-        // Recovery: re-run each missing lane individually, serially, in
-        // lane order, under the compute retry policy and a breaker that
-        // fails fast on persistent death. Serial + seeded = the rescue
+        // Per-lane result slots, merged in strict lane order below, which
+        // is what keeps the digest invariant under any shard/thread count
+        // and any mix of re-runs. The lanes of a panicked shard are re-run
+        // one at a time, in lane order: serial and seeded, so a rescue
         // replays identically regardless of shard/thread counts.
-        if !failed_shards.is_empty() && self.restarts_enabled {
-            let mut sup = Supervisor::new(
-                RetryPolicy::compute(),
-                CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_PROBE_AFTER),
-            );
-            let mut clock = ambient_clock();
-            for (shard, shard_error) in &failed_shards {
-                for lane in ranges[*shard].clone() {
-                    if slots[lane].is_some() {
-                        continue;
-                    }
-                    let mut last_error = shard_error.clone();
-                    let rejected_before = sup.stats().rejected;
-                    let got = sup.run_unit(&mut *clock, |attempt| {
-                        health.restarts += 1;
-                        // Attempt 0 was the lane's pass inside the
-                        // panicked shard; recovery re-crosses the fault
-                        // site from attempt 1, so `n`-bounded (transient)
-                        // rules stop firing and the lane reproduces its
-                        // exact bits from the derived seed.
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            run_lane(lane, u64::from(attempt) + 1)
-                        })) {
-                            Ok(r) => Ok(r),
-                            Err(payload) => {
-                                last_error = panic_message(payload.as_ref());
-                                Err(last_error.clone())
-                            }
-                        }
-                    });
-                    match got {
-                        Some((report, truncated)) => slots[lane] = Some((report, truncated)),
-                        None => {
-                            let error = if sup.stats().rejected > rejected_before {
-                                format!(
-                                    "lane {lane} not restarted: breaker open after repeated lane death"
-                                )
-                            } else {
-                                format!("lane {lane} dead after restarts: {last_error}")
-                            };
-                            health.failed.push(ShardFailure {
-                                shard: *shard as u32,
-                                lanes: lane as u32..lane as u32 + 1,
-                                error,
-                            });
-                        }
-                    }
-                }
+        let mut slots: Vec<Option<(SimReport, bool)>> = Vec::with_capacity(lanes);
+        for ((shard, range), result) in shard_lanes.iter().zip(results) {
+            if let Ok(reports) = result {
+                slots.extend(reports.into_iter().map(Some));
+                continue;
             }
-            health.breaker_trips = sup.breaker_trips();
-            if let Some(cs) = &self.ckpt {
-                cs.store(key, lanes, &clean_lanes(&slots));
-            }
-        } else if !failed_shards.is_empty() {
-            // Restarts disabled (mutation-test knob): dead shards stay
-            // dead, one failure entry per shard as before.
-            for (shard, error) in &failed_shards {
-                let r = &ranges[*shard];
-                health.failed.push(ShardFailure {
-                    shard: *shard as u32,
-                    lanes: r.start as u32..r.end as u32,
-                    error: error.clone(),
+            for lane in range.clone() {
+                let mut last_panic = String::new();
+                let slot = (1..=u64::from(LANE_RESTARTS)).find_map(|attempt| {
+                    health.restarts += 1;
+                    catch_unwind(AssertUnwindSafe(|| run_lane(lane, attempt)))
+                        .map_err(|payload| last_panic = panic_message(payload.as_ref()))
+                        .ok()
                 });
+                if slot.is_none() {
+                    health.failed.push(ShardFailure {
+                        shard: *shard as u32,
+                        lanes: lane as u32..lane as u32 + 1,
+                        error: format!("lane {lane} dead after restarts: {last_panic}"),
+                    });
+                }
+                slots.push(slot);
             }
         }
 
@@ -401,32 +249,14 @@ impl Fleet {
                 health.truncated_lanes += u32::from(*truncated);
             }
         }
-        if let Some(cs) = &self.ckpt {
-            if health.failed.is_empty() && health.truncated_lanes == 0 {
-                cs.clear(key);
-            }
-        }
 
         metrics::counter("sim/fleet/lanes_ok").add(u64::from(health.ok_lanes));
         metrics::counter("sim/fleet/lanes_failed").add(u64::from(health.failed_lanes()));
         metrics::counter("sim/fleet/lane_restarts").add(health.restarts);
-        metrics::counter("sim/fleet/breaker_trips").add(health.breaker_trips);
         let report = FleetReport { merged, lane_digests, health, seconds };
         metrics::gauge("sim/fleet/events_per_sec").set(report.events_per_sec());
         report
     }
-}
-
-/// The clean (untruncated) completed lanes, ready to checkpoint.
-fn clean_lanes(slots: &[Option<(SimReport, bool)>]) -> Vec<(usize, &SimReport)> {
-    slots
-        .iter()
-        .enumerate()
-        .filter_map(|(lane, slot)| match slot {
-            Some((report, false)) => Some((lane, report)),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Render a panic payload as text (the pool's convention).
@@ -461,7 +291,6 @@ mod tests {
     use crate::arrivals::MixedPoisson;
     use crate::holding::HoldingDist;
     use crate::link::Discipline;
-    use bevra_engine::CacheMode;
     use bevra_faults::{install, FaultKind, FaultPlan, FaultRule};
     use bevra_utility::AdaptiveExp;
     use std::sync::Arc;
@@ -582,8 +411,8 @@ mod tests {
         silence_injected_panics();
         let fleet = Fleet::new(fleet_cfg(6));
         let reference = clean_run(&fleet, 3, QueueKind::Wheel);
-        // Lane 2 panics on its first attempt only; the supervisor's
-        // restart reproduces it from the derived seed.
+        // Lane 2 panics on its first attempt only; its re-run reproduces
+        // it from the derived seed.
         let plan = FaultPlan::seeded(0)
             .rule(FaultRule::at_key(FaultKind::Panic, "sim/lane", 2).with_n(1));
         let r = {
@@ -594,7 +423,6 @@ mod tests {
         assert_eq!(r.health.ok_lanes, 6);
         // The dead shard covered lanes 2 and 3; both re-execute once.
         assert_eq!(r.health.restarts, 2, "both lanes of the dead shard re-execute");
-        assert_eq!(r.health.breaker_trips, 0);
         assert_eq!(
             r.merged.digest(),
             reference.merged.digest(),
@@ -623,13 +451,11 @@ mod tests {
     }
 
     #[test]
-    fn permanent_lane_death_trips_the_breaker_and_isolates() {
+    fn permanent_lane_death_is_recorded_lane_by_lane() {
         silence_injected_panics();
         let fleet = Fleet::new(fleet_cfg(8));
-        let reference = clean_run(&fleet, 1, QueueKind::Wheel);
-        // Every lane dies permanently: the first BREAKER_THRESHOLD lanes
-        // burn their restart budget, then the breaker opens and most of
-        // the rest are rejected without wasted attempts.
+        // Every lane dies permanently: each spends its whole re-run budget
+        // and is recorded dead with its own panic message.
         let plan =
             FaultPlan::seeded(0).rule(FaultRule::always(FaultKind::Panic, "sim/lane"));
         let r = {
@@ -639,14 +465,34 @@ mod tests {
         assert_eq!(r.health.ok_lanes, 0);
         assert_eq!(r.health.failed_lanes(), 8);
         assert_eq!(r.health.failed.len(), 8, "one failure entry per dead lane");
-        assert!(r.health.breaker_trips >= 1, "persistent death must trip the breaker");
-        assert!(
-            r.health.restarts < 16,
-            "the open breaker must fail fast, not burn the full budget on every lane: {}",
-            r.health.restarts
-        );
-        assert!(r.health.failed.iter().any(|f| f.error.contains("breaker open")));
-        drop(reference);
+        assert_eq!(r.health.restarts, 8 * u64::from(LANE_RESTARTS));
+        for (lane, failure) in (0u32..).zip(&r.health.failed) {
+            assert_eq!(failure.lanes, lane..lane + 1);
+            assert_eq!(failure.shard, lane / 4, "chunk_ranges(8, 2) puts 4 lanes per shard");
+            assert!(failure.error.contains("injected panic"), "{}", failure.error);
+        }
+    }
+
+    #[test]
+    fn dead_lanes_do_not_shed_a_healthy_lane() {
+        silence_injected_panics();
+        let fleet = Fleet::new(fleet_cfg(8));
+        let reference = clean_run(&fleet, 2, QueueKind::Wheel);
+        // Lanes 0-2 die on every attempt and take shard 0 (lanes 0-3)
+        // down with them; lane 3 is healthy and must still be re-run.
+        let mut plan = FaultPlan::seeded(0);
+        for lane in 0..3 {
+            plan = plan.rule(FaultRule::at_key(FaultKind::Panic, "sim/lane", lane));
+        }
+        let r = {
+            let _guard = install(plan);
+            fleet.run_on(2, QueueKind::Wheel)
+        };
+        let dead: Vec<_> = r.health.failed.iter().map(|f| f.lanes.clone()).collect();
+        assert_eq!(dead, vec![0..1, 1..2, 2..3], "exactly lanes 0-2 are dead");
+        assert_eq!(r.health.ok_lanes, 5);
+        assert_eq!(r.lane_digests[3], reference.lane_digests[3], "lane 3 reports its own bits");
+        assert_eq!(r.lane_digests[4..], reference.lane_digests[4..]);
     }
 
     #[test]
@@ -671,75 +517,41 @@ mod tests {
         assert_eq!(r.lane_digests[4], None);
     }
 
-    #[test]
-    fn dropped_restart_is_caught_by_the_digest() {
+    /// Lane 2 of `fleet_cfg(6)` at 3 shards, panicking on its first
+    /// `n` attempts, against the fault-free reference.
+    fn lane_2_panics_n_times(n: u64) -> (FleetReport, FleetReport) {
         silence_injected_panics();
         let fleet = Fleet::new(fleet_cfg(6));
         let reference = clean_run(&fleet, 3, QueueKind::Wheel);
-        // Mutation test: with restarts disabled, the same transient fault
-        // that recovery would rescue instead changes the merged digest —
-        // i.e. the digest pin *does* catch a silently dropped restart.
         let plan = FaultPlan::seeded(0)
-            .rule(FaultRule::at_key(FaultKind::Panic, "sim/lane", 2).with_n(1));
-        let crippled = Fleet::new(fleet_cfg(6)).without_restarts();
-        let r = {
-            let _guard = install(plan);
-            crippled.run_on(3, QueueKind::Wheel)
-        };
-        assert!(!r.health.all_ok(), "without restarts the shard stays dead");
-        assert_eq!(r.health.restarts, 0);
-        assert_ne!(
-            r.merged.digest(),
-            reference.merged.digest(),
-            "a dropped restart must be visible in the digest"
-        );
-        drop(fleet);
-    }
-
-    fn tmp_store(tag: &str) -> FleetCheckpoint {
-        let d =
-            std::env::temp_dir().join(format!("bevra-fleet-run-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        FleetCheckpoint::new(d, CacheMode::ReadWrite)
+            .rule(FaultRule::at_key(FaultKind::Panic, "sim/lane", 2).with_n(n));
+        let _guard = install(plan);
+        (reference, fleet.run_on(3, QueueKind::Wheel))
     }
 
     #[test]
-    fn killed_fleet_resumes_bitwise_from_checkpoint() {
-        silence_injected_panics();
-        let reference = clean_run(&Fleet::new(fleet_cfg(8)), 8, QueueKind::Wheel);
+    fn lane_dying_on_every_restart_but_the_last_is_rescued() {
+        let (reference, r) = lane_2_panics_n_times(u64::from(LANE_RESTARTS));
+        assert!(r.health.all_ok(), "the last re-run rescues lane 2: {:?}", r.health.failed);
+        // Lanes 2 and 3 share shard 1: lane 2 re-runs twice, lane 3 once.
+        assert_eq!(r.health.restarts, 3);
+        assert_eq!(r.merged.digest(), reference.merged.digest());
+        assert_eq!(r.lane_digests, reference.lane_digests);
+    }
 
-        // 8 shards in groups of GROUP_SHARDS = 2 groups; kill after the
-        // first group's checkpoint is stored.
-        let plan = FaultPlan::seeded(0)
-            .rule(FaultRule::at_key(FaultKind::Panic, "sim/fleet-ckpt", 0));
-        let store = tmp_store("kill");
-        let dir = store.dir().to_path_buf();
-        let interrupted = {
-            let _guard = install(plan);
-            let fleet = Fleet::new(fleet_cfg(8)).with_checkpoint(store);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                fleet.run_on(8, QueueKind::Wheel)
-            }))
-        };
-        assert!(interrupted.is_err(), "the kill site must abort the run");
-
-        // Resume with a fresh store over the same directory: the first
-        // group's lanes restore from disk, the rest are simulated.
-        let resume_store = FleetCheckpoint::new(dir, CacheMode::ReadWrite);
-        let fleet = Fleet::new(fleet_cfg(8)).with_checkpoint(resume_store);
-        let resumed = clean_run(&fleet, 8, QueueKind::Wheel);
-        let cs = fleet.checkpoint_store().expect("store attached");
-        assert!(cs.restored_lanes() > 0, "resume must restore checkpointed lanes");
-        assert!(resumed.health.all_ok());
-        assert_eq!(
-            resumed.merged.digest(),
+    #[test]
+    fn lane_outliving_its_restarts_is_dead_and_moves_the_digest() {
+        // Mutation check: one panic more than the re-run budget leaves the
+        // lane dead, and the digest pin sees the missing lane.
+        let (reference, r) = lane_2_panics_n_times(u64::from(LANE_RESTARTS) + 1);
+        let dead: Vec<_> = r.health.failed.iter().map(|f| f.lanes.clone()).collect();
+        assert_eq!(dead, vec![2..3]);
+        assert_eq!(r.lane_digests[2], None);
+        assert_eq!(r.lane_digests[3], reference.lane_digests[3]);
+        assert_ne!(
+            r.merged.digest(),
             reference.merged.digest(),
-            "resumed fleet must be bitwise-identical to an uninterrupted run"
-        );
-        assert_eq!(resumed.lane_digests, reference.lane_digests);
-        assert!(
-            cs.load(fleet.fingerprint(), 8).iter().all(Option::is_none),
-            "a fully clean fleet clears its checkpoint"
+            "a lane lost after its restarts must be visible in the digest"
         );
     }
 }

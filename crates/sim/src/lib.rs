@@ -34,7 +34,6 @@
 
 pub mod arrivals;
 pub mod census;
-pub mod ckpt;
 pub mod draws;
 pub mod events;
 pub mod fleet;
@@ -48,7 +47,6 @@ pub mod wheel;
 
 pub use arrivals::{MixedPoisson, RateMixing};
 pub use census::Census;
-pub use ckpt::FleetCheckpoint;
 pub use fleet::{Fleet, FleetConfig, FleetHealth, FleetReport, ShardFailure};
 pub use holding::HoldingDist;
 pub use link::{Discipline, RetryPolicy};

@@ -105,89 +105,6 @@ pub struct SimConfig {
     pub max_events: Option<u64>,
 }
 
-/// Probe bandwidths folded into the utility fingerprint of
-/// [`SimConfig::fingerprint`]: two utilities agreeing in name and on all
-/// probes to the bit are treated as identical (the same convention as the
-/// engine's persistent-cache key).
-const UTILITY_PROBES: [f64; 16] = [
-    0.0, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 13.0, 144.0,
-];
-
-impl SimConfig {
-    /// Content hash of everything that determines this run's results:
-    /// capacity, discipline (including any retry policy), arrival process
-    /// configuration, holding distribution, utility fingerprint (name,
-    /// probed values, knots), warm-up, horizon, seed, and event budget.
-    ///
-    /// Two configs with equal fingerprints produce bitwise-identical
-    /// reports (queue kind and shard/thread counts never enter — they are
-    /// execution knobs). The fleet checkpoint keys its entries on this.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        use crate::stats::{fnv_fold, fnv_fold_bytes};
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        fnv_fold_bytes(&mut h, b"bevra-sim v1");
-        fnv_fold(&mut h, self.capacity.to_bits());
-        let fold_retry = |h: &mut u64, retry: &Option<crate::link::RetryPolicy>| match retry {
-            None => fnv_fold(h, 0),
-            Some(rp) => {
-                fnv_fold(h, 1);
-                fnv_fold(h, u64::from(rp.max_retries));
-                fnv_fold(h, rp.backoff_mean.to_bits());
-                fnv_fold(h, rp.penalty.to_bits());
-            }
-        };
-        match &self.discipline {
-            Discipline::BestEffort => fnv_fold(&mut h, 0),
-            Discipline::Reservation { k_max, retry } => {
-                fnv_fold(&mut h, 1);
-                fnv_fold(&mut h, *k_max);
-                fold_retry(&mut h, retry);
-            }
-            Discipline::MeasurementBased { target_share, ewma_weight, retry } => {
-                fnv_fold(&mut h, 2);
-                fnv_fold(&mut h, target_share.to_bits());
-                fnv_fold(&mut h, ewma_weight.to_bits());
-                fold_retry(&mut h, retry);
-            }
-        }
-        self.arrivals.digest_into(&mut h);
-        match self.holding {
-            HoldingDist::Exponential { mean } => {
-                fnv_fold(&mut h, 0);
-                fnv_fold(&mut h, mean.to_bits());
-            }
-            HoldingDist::Pareto { mean, z } => {
-                fnv_fold(&mut h, 1);
-                fnv_fold(&mut h, mean.to_bits());
-                fnv_fold(&mut h, z.to_bits());
-            }
-            HoldingDist::Deterministic { mean } => {
-                fnv_fold(&mut h, 2);
-                fnv_fold(&mut h, mean.to_bits());
-            }
-        }
-        fnv_fold_bytes(&mut h, self.utility.name().as_bytes());
-        for &b in &UTILITY_PROBES {
-            fnv_fold(&mut h, self.utility.value(b).to_bits());
-        }
-        for k in self.utility.knots() {
-            fnv_fold(&mut h, k.to_bits());
-        }
-        fnv_fold(&mut h, self.warmup.to_bits());
-        fnv_fold(&mut h, self.horizon.to_bits());
-        fnv_fold(&mut h, self.seed);
-        match self.max_events {
-            None => fnv_fold(&mut h, 0),
-            Some(n) => {
-                fnv_fold(&mut h, 1);
-                fnv_fold(&mut h, n);
-            }
-        }
-        h
-    }
-}
-
 /// Why a checked run stopped early.
 #[derive(Debug)]
 pub enum SimError {

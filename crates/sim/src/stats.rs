@@ -11,16 +11,6 @@ pub fn fnv_fold(hash: &mut u64, word: u64) {
     }
 }
 
-/// Fold a byte string (length-prefixed, so `"ab" + "c"` and `"a" + "bc"`
-/// hash differently) into an FNV-1a accumulator.
-pub fn fnv_fold_bytes(hash: &mut u64, bytes: &[u8]) {
-    fnv_fold(hash, bytes.len() as u64);
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 /// Welford's single-pass mean and variance accumulator with a normal-theory
 /// confidence half-width helper.
 #[derive(Debug, Clone, Copy, Default)]
@@ -114,21 +104,6 @@ impl Welford {
         fnv_fold(hash, self.n);
         fnv_fold(hash, self.mean.to_bits());
         fnv_fold(hash, self.m2.to_bits());
-    }
-
-    /// The exact internal state `(n, mean, M₂)` — what a checkpoint must
-    /// persist to reconstruct the accumulator bitwise.
-    #[must_use]
-    pub fn state(&self) -> (u64, f64, f64) {
-        (self.n, self.mean, self.m2)
-    }
-
-    /// Rebuild an accumulator from a persisted [`state`](Self::state)
-    /// triple. Round-tripping through `state`/`from_state` is bitwise
-    /// lossless (the fleet checkpoint relies on that).
-    #[must_use]
-    pub fn from_state(n: u64, mean: f64, m2: f64) -> Self {
-        Self { n, mean, m2 }
     }
 }
 

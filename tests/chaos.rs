@@ -261,10 +261,10 @@ fn pinned_shard_panic_is_accounted_and_isolated() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every pinned recovery-corpus seed upholds the resilience invariants:
-/// transient fleet faults rescued to the bitwise fault-free digest,
-/// permanent faults degraded with per-lane accounting (and breaker
-/// fail-fast), kill-at-checkpoint runs resumed digest-equal.
+/// Every pinned recovery-corpus seed upholds the lane re-run invariants:
+/// transient fleet faults rescued to the bitwise fault-free digest, and
+/// permanent faults degraded with per-lane accounting while every other
+/// lane reports its fault-free digest.
 #[test]
 fn pinned_recovery_corpus_passes() {
     silence_injected_panics();

@@ -33,8 +33,6 @@ fn record(id: &str, digest: u64) -> LedgerRecord {
         failed: 1,
         non_finite: 2,
         retries: 1,
-        breaker_trips: 0,
-        restarts: 0,
         first_failure: Some("worker panicked".into()),
         digest,
     }
