@@ -11,9 +11,11 @@
 //!   `k̄ = 20`, eight capacities, both rigid and adaptive utilities)
 //!   through the memoized `SweepEngine`, covering `B`, `R`, `δ` and the
 //!   root-solved `Δ`;
-//! * `fig4-fast-panel{1..6}.csv` — all six panels of `fig4(Quality::Fast)`
-//!   (algebraic z = 3 load on a 2¹⁶-entry table), so a change to how the
-//!   heavy tail is summed cannot quietly move a published curve;
+//! * `fig4-panel{1..6}.csv` and `fig4-fast-panel{1..6}.csv` — all six
+//!   panels of `fig4` at full quality (algebraic z = 3 load on a
+//!   2²⁰-entry table) and at `Quality::Fast` (2¹⁶ entries), so a change
+//!   to how the heavy tail is summed cannot quietly move a published
+//!   curve;
 //! * `fig2-panel{1..6}.csv`, `fig3-panel{1..6}.csv` and
 //!   `ext-sampling-panel{1..3}.csv` — every panel of `fig2`, `fig3` and
 //!   `ext_sampling` at full quality (Poisson and geometric loads), so a
@@ -153,6 +155,11 @@ fn assert_figure_matches_golden(fig: &Figure, stem: &str, budgets: &[&[(&str, u6
     for (i, (panel, budgets)) in fig.panels.iter().zip(budgets).enumerate() {
         assert_matches_golden(&format!("{stem}-panel{}.csv", i + 1), &panel_csv(panel), budgets);
     }
+}
+
+#[test]
+fn fig4_matches_golden() {
+    assert_figure_matches_golden(&fig4(Quality::Full), "fig4", &[SIX_PANEL_BUDGETS; 6]);
 }
 
 #[test]
