@@ -1,7 +1,8 @@
 //! Bench: observability overhead — the same fixed parallel sweep run at
-//! `BEVRA_OBS=off`, `summary`, and `trace` (set programmatically via
-//! [`bevra_obs::set_level`] so one process covers all three). The `off`
-//! case is the acceptance bar: it must be indistinguishable from the
+//! `BEVRA_OBS=off` and `trace` (set programmatically via
+//! [`bevra_obs::set_level`] so one process covers both), and at `off`
+//! with the flight recorder switched off too. The `off` case is the
+//! acceptance bar: it must be indistinguishable from the
 //! pre-instrumentation engine, since the hot path only pays one relaxed
 //! atomic load per gate check.
 
@@ -25,7 +26,6 @@ fn grid(n: usize) -> Vec<f64> {
 fn drain_obs() {
     let _ = bevra_obs::drain_stages();
     let _ = bevra_obs::drain_trace();
-    bevra_obs::metrics::reset_all();
     let _ = bevra_engine::drain_caches();
 }
 
@@ -43,12 +43,11 @@ fn obs_overhead(c: &mut Criterion) {
         black_box(engine.sweep(black_box(cs)))
     };
     // The recorder gate is independent of the obs level: the `_norec`
-    // case isolates what the flight recorder itself adds on top of the
-    // summary instrumentation (span ring writes + tracked counters).
+    // case isolates what the flight recorder itself (span ring writes)
+    // adds to the default level.
     for (label, level, recording) in [
         ("obs_sweep_off", ObsLevel::Off, true),
-        ("obs_sweep_summary", ObsLevel::Summary, true),
-        ("obs_sweep_summary_norec", ObsLevel::Summary, false),
+        ("obs_sweep_off_norec", ObsLevel::Off, false),
         ("obs_sweep_trace", ObsLevel::Trace, true),
     ] {
         bevra_obs::set_level(level);

@@ -249,10 +249,9 @@ impl<U: Utility> DiscreteModel<U> {
     /// caller instead of recomputed.
     ///
     /// `kmax` must be what [`Self::k_max`] would return for `capacity`
-    /// (the parallel sweep engine memoizes that table per utility family
-    /// and injects it here); passing anything else evaluates a *different*
-    /// admission policy — which is exactly how footnote 9's chosen-cap
-    /// studies use it.
+    /// to evaluate the paper's policy; passing anything else evaluates a
+    /// *different* admission policy — which is exactly how footnote 9's
+    /// chosen-cap studies use it.
     pub fn reservation_with_kmax(&self, capacity: f64, kmax: Option<u64>) -> f64 {
         // Fault-injection site, mirroring `best_effort` (`eval/reservation`).
         bevra_faults::corrupt_f64(

@@ -4,8 +4,7 @@
 //! primitives (`k_max`, `B`, `R`) over a sorted capacity grid and
 //! self-reports a [`KernelCapability`] record: its name, the SIMD tier of
 //! its hot loop, and whether the engine primes whole grids through it.
-//! The health ledger, the run announce line and the observability
-//! metrics record that record.
+//! The health ledger and the run announce line record that record.
 //!
 //! There is one backend, [`batch`]: the loop-interchanged exact pass of
 //! [`crate::discrete_batch::sweep_grid`], bitwise identical to the
@@ -47,7 +46,7 @@ impl SimdLevel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCapability {
     /// Unique stable name; `BEVRA_KERNEL` selects by it, and the health
-    /// ledger and metrics record it.
+    /// ledger records it.
     pub name: &'static str,
     /// SIMD engagement of the backend's hot loop.
     pub simd: SimdLevel,

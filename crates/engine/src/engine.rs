@@ -8,35 +8,12 @@ use crate::pool::{parallel_map_supervised, parallel_map_with, thread_count, POIN
 use bevra_core::welfare::SampledValue;
 use bevra_core::{equalizing_price_ratio, DiscreteModel, Kernel};
 use bevra_num::{brent, expand_bracket_up, NumError, NumResult};
-use bevra_obs::{enabled, metrics, ObsLevel};
 use bevra_utility::Utility;
-use std::time::Instant;
 
 /// Grid points per sweep batch: [`SweepEngine::sweep_checked`] restores
 /// or evaluates, then stores, its grid this many points at a time, and
 /// crosses the `engine/ckpt-batch` kill site after each batch.
 pub const BATCH_POINTS: usize = 32;
-
-/// Time one grid-point evaluation into `hist` when per-point timing is on
-/// (`BEVRA_OBS=summary|trace`); otherwise just evaluate. Timing is
-/// observation only — the evaluated value is returned untouched, so
-/// parallel/serial output stays bitwise-identical with instrumentation
-/// enabled.
-#[inline]
-fn timed_point<T>(
-    timing: bool,
-    hist: &metrics::Histogram,
-    eval: impl FnOnce() -> T,
-) -> T {
-    if timing {
-        let t0 = Instant::now();
-        let out = eval();
-        hist.record(t0.elapsed().as_nanos() as u64);
-        out
-    } else {
-        eval()
-    }
-}
 
 /// Execution strategy of an engine's sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,11 +140,11 @@ impl CheckedSweep {
 ///
 /// The engine wraps a [`DiscreteModel`] and adds:
 ///
-/// * **memoization** — sharded thread-safe caches for the `k_max(C)`
-///   table, `B(C)`, and `R(C)`, keyed by the capacity's bit pattern. The
-///   bandwidth-gap root-finder and the welfare tables re-probe the same
-///   capacities many times; with the caches every distinct capacity is
-///   summed over the load table exactly once per engine;
+/// * **memoization** — sharded thread-safe caches for `B(C)` and `R(C)`,
+///   keyed by the capacity's bit pattern. The bandwidth-gap root-finder
+///   and the welfare tables re-probe the same capacities many times; with
+///   the caches every distinct capacity is summed over the load table
+///   exactly once per engine;
 /// * **data parallelism** — [`Self::sweep`], [`Self::value_table`] and
 ///   [`Self::gamma_sweep`] fan their grids out over scoped threads
 ///   ([`crate::pool`]), with output **bitwise-identical** to serial
@@ -181,7 +158,6 @@ pub struct SweepEngine<U: Utility> {
     mode: ExecMode,
     kernel: &'static dyn Kernel,
     persist: Option<PersistentCache>,
-    kmax: ShardedCache<Option<u64>>,
     b: ShardedCache<f64>,
     r: ShardedCache<f64>,
 }
@@ -213,7 +189,6 @@ impl<U: Utility> SweepEngine<U> {
             mode,
             kernel: crate::registry::from_env(),
             persist: PersistentCache::from_env(),
-            kmax: ShardedCache::new(),
             b: ShardedCache::new(),
             r: ShardedCache::new(),
         }
@@ -259,26 +234,22 @@ impl<U: Utility> SweepEngine<U> {
     /// per-point path exactly, so results are identical under any thread
     /// count or split.
     ///
-    /// A panic inside the batched compute is caught and counted
-    /// (`engine/prime/panic`): the sweep then falls back to the per-point
-    /// path, preserving the engine's degradation contract.
+    /// A panic inside the batched compute is caught: the sweep then falls
+    /// back to the per-point path, preserving the engine's degradation
+    /// contract.
     pub fn prime(&self, capacities: &[f64]) {
-        let cap = self.kernel.capability();
         let mut cs: Vec<f64> =
             capacities.iter().copied().filter(|c| c.is_finite() && *c > 0.0).collect();
         cs.sort_unstable_by(f64::total_cmp);
         cs.dedup_by(|a, b| a.to_bits() == b.to_bits());
         cs.retain(|&c| {
             let k = f64_key(c);
-            self.kmax.peek(k).is_none()
-                || self.b.peek(k).is_none()
-                || self.r.peek(k).is_none()
+            self.b.peek(k).is_none() || self.r.peek(k).is_none()
         });
         if cs.is_empty() {
             return;
         }
 
-        metrics::counter(&format!("engine/kernel/{}/primes", cap.name)).inc();
         if let Some(pc) = &self.persist {
             let key = grid_key(&self.model, &cs);
             if let Some(rows) = pc.load(key, &cs) {
@@ -329,27 +300,17 @@ impl<U: Utility> SweepEngine<U> {
             });
             (0..cs.len()).map(|i| parts[i % workers][i / workers]).collect::<Vec<GridRow>>()
         }));
-        match computed {
-            Ok(rows) => Some(rows),
-            Err(_) => {
-                metrics::counter("engine/prime/panic").inc();
-                None
-            }
-        }
+        computed.ok()
     }
 
+    /// Memoize the `B` and `R` of each row; the row's `k_max` is kept on
+    /// disk only.
     fn insert_rows(&self, cs: &[f64], rows: &[GridRow]) {
-        for (&c, &(kmax, b, r)) in cs.iter().zip(rows) {
+        for (&c, &(_, b, r)) in cs.iter().zip(rows) {
             let k = f64_key(c);
-            self.kmax.insert(k, kmax);
             self.b.insert(k, b);
             self.r.insert(k, r);
         }
-    }
-
-    /// Memoized admission threshold `k_max(C)`.
-    pub fn k_max(&self, capacity: f64) -> Option<u64> {
-        self.kmax.get_or_insert_with(f64_key(capacity), || self.model.k_max(capacity))
     }
 
     /// Memoized normalized best-effort utility `B(C)`.
@@ -357,12 +318,9 @@ impl<U: Utility> SweepEngine<U> {
         self.b.get_or_insert_with(f64_key(capacity), || self.model.best_effort(capacity))
     }
 
-    /// Memoized normalized reservation utility `R(C)`, reusing the
-    /// memoized `k_max` table.
+    /// Memoized normalized reservation utility `R(C)`.
     pub fn reservation(&self, capacity: f64) -> f64 {
-        self.r.get_or_insert_with(f64_key(capacity), || {
-            self.model.reservation_with_kmax(capacity, self.k_max(capacity))
-        })
+        self.r.get_or_insert_with(f64_key(capacity), || self.model.reservation(capacity))
     }
 
     /// Performance gap `δ(C) = max(R(C) − B(C), 0)` from the caches.
@@ -445,30 +403,26 @@ impl<U: Utility> SweepEngine<U> {
         let mut sp = span("sweep/points");
         sp.add_points(capacities.len() as u64);
         self.prime(capacities);
-        let timing = enabled(ObsLevel::Summary);
-        let lat = metrics::histogram("engine/sweep_point_ns");
         let threads = self.mode.threads();
         let cap = self.kernel.capability();
         let indexed: Vec<(usize, f64)> = capacities.iter().copied().enumerate().collect();
         let eval = |&(i, c): &(usize, f64), attempt: u32| {
             bevra_faults::panic_point_attempt("engine/point", i as u64, u64::from(attempt));
-            timed_point(timing, &lat, || {
-                let best_effort = self.best_effort(c);
-                let reservation = self.reservation(c);
-                let performance_gap = self.performance_gap(c);
-                let (bandwidth_gap, gap_cause) = match self.bandwidth_gap(c) {
-                    Ok(g) => (g, None),
-                    Err(e) => (f64::NAN, Some(format!("bandwidth gap at C = {c}: {e}"))),
-                };
-                let point = SweepPoint {
-                    capacity: c,
-                    best_effort,
-                    reservation,
-                    performance_gap,
-                    bandwidth_gap,
-                };
-                (point, gap_cause)
-            })
+            let best_effort = self.best_effort(c);
+            let reservation = self.reservation(c);
+            let performance_gap = self.performance_gap(c);
+            let (bandwidth_gap, gap_cause) = match self.bandwidth_gap(c) {
+                Ok(g) => (g, None),
+                Err(e) => (f64::NAN, Some(format!("bandwidth gap at C = {c}: {e}"))),
+            };
+            let point = SweepPoint {
+                capacity: c,
+                best_effort,
+                reservation,
+                performance_gap,
+                bandwidth_gap,
+            };
+            (point, gap_cause)
         };
 
         let mut results = Vec::with_capacity(indexed.len());
@@ -575,13 +529,9 @@ impl<U: Utility> SweepEngine<U> {
         sp.add_points(cs.len() as u64);
         self.prime(&cs);
         let kbar = self.model.mean_load();
-        let timing = enabled(ObsLevel::Summary);
-        let lat = metrics::histogram("engine/value_point_ns");
-        let vs = parallel_map_with(&cs, self.mode.threads(), |&c| {
-            timed_point(timing, &lat, || match arch {
-                Architecture::BestEffort => kbar * self.best_effort(c),
-                Architecture::Reservation => kbar * self.reservation(c),
-            })
+        let vs = parallel_map_with(&cs, self.mode.threads(), |&c| match arch {
+            Architecture::BestEffort => kbar * self.best_effort(c),
+            Architecture::Reservation => kbar * self.reservation(c),
         });
         let mut health = SweepHealth::new();
         let cap = self.kernel.capability();
@@ -616,16 +566,12 @@ impl<U: Utility> SweepEngine<U> {
     ) -> (Vec<f64>, SweepHealth) {
         let mut sp = span("welfare/gamma");
         sp.add_points(prices.len() as u64);
-        let timing = enabled(ObsLevel::Summary);
-        let lat = metrics::histogram("engine/gamma_point_ns");
         let raw = parallel_map_with(prices, self.mode.threads(), |&p| {
-            timed_point(timing, &lat, || {
-                let wb = sv_b.welfare(p).welfare;
-                match equalizing_price_ratio(|ph| sv_r.welfare(ph).welfare, wb, p) {
-                    Ok(g) => (g, None),
-                    Err(e) => (f64::NAN, Some(format!("gamma solve at p = {p}: {e}"))),
-                }
-            })
+            let wb = sv_b.welfare(p).welfare;
+            match equalizing_price_ratio(|ph| sv_r.welfare(ph).welfare, wb, p) {
+                Ok(g) => (g, None),
+                Err(e) => (f64::NAN, Some(format!("gamma solve at p = {p}: {e}"))),
+            }
         });
         let mut health = SweepHealth::new();
         let mut out = Vec::with_capacity(raw.len());
@@ -645,11 +591,10 @@ impl<U: Utility> SweepEngine<U> {
         (out, health)
     }
 
-    /// Hit/miss counters of the three memo tables — plus the persistent
+    /// Hit/miss counters of the two memo tables — plus the persistent
     /// cross-run cache, when one is attached — named for reports.
     pub fn cache_stats(&self) -> Vec<(String, CacheStats)> {
         let mut out = vec![
-            ("k_max".into(), self.kmax.stats()),
             ("best_effort".into(), self.b.stats()),
             ("reservation".into(), self.r.stats()),
         ];

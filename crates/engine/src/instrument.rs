@@ -14,7 +14,7 @@
 pub use bevra_obs::{drain_stages, span, Span, StageRecord};
 
 use crate::cache::CacheStats;
-use bevra_obs::{enabled, metrics, recorder, ObsLevel};
+use bevra_obs::recorder;
 use std::sync::{Mutex, PoisonError};
 
 static CACHES: Mutex<Vec<(String, CacheStats)>> = Mutex::new(Vec::new());
@@ -150,11 +150,10 @@ impl std::fmt::Display for SweepHealth {
 
 /// Publish one sweep stage's degradation ledger under `label` so the
 /// next [`drain_health`] (and through it the run ledger) picks it up.
-/// Degraded/failed counts are mirrored into the metrics registry at
-/// [`ObsLevel::Summary`], and every ledger (clean or not)
-/// leaves a `health` event in the flight recorder so a post-mortem black
-/// box shows which stages had completed. A poisoned registry drops the
-/// record rather than propagating the panic.
+/// Every ledger (clean or not) leaves a `health` event in the flight
+/// recorder so a post-mortem black box shows which stages had
+/// completed. A poisoned registry drops the record rather than
+/// propagating the panic.
 pub fn record_health(label: &str, health: SweepHealth) {
     recorder::record(
         recorder::EventKind::Health,
@@ -162,11 +161,6 @@ pub fn record_health(label: &str, health: SweepHealth) {
         health.degraded + health.failed,
         health.non_finite,
     );
-    if enabled(ObsLevel::Summary) && !health.is_clean() {
-        metrics::counter(&format!("health/{label}/degraded")).add(health.degraded);
-        metrics::counter(&format!("health/{label}/failed")).add(health.failed);
-        metrics::counter(&format!("health/{label}/non_finite")).add(health.non_finite);
-    }
     let Ok(mut registry) = HEALTH.lock() else {
         return; // poisoned: drop the record, never panic
     };
@@ -182,23 +176,11 @@ pub fn drain_health() -> Vec<(String, SweepHealth)> {
 }
 
 /// Publish one engine's cache counters under `prefix` (e.g. the sweep's
-/// utility family) so the next [`drain_caches`] picks them up. At
-/// [`ObsLevel::Summary`] and above the counters are also mirrored into the
-/// metrics registry (`cache/<prefix>/<name>/{hits,misses,hit_rate}`).
+/// utility family) so the next [`drain_caches`] picks them up.
 ///
 /// If the registry mutex was poisoned by a panicking thread the records
 /// are dropped rather than propagating the panic.
 pub fn record_caches(prefix: &str, stats: Vec<(String, CacheStats)>) {
-    if enabled(ObsLevel::Summary) {
-        for (name, st) in &stats {
-            // Tracked counters also leave a counter-delta event in the
-            // flight recorder, so a black box shows cache activity leading
-            // up to a fault. These fire once per sweep, not per point.
-            metrics::tracked_counter(&format!("cache/{prefix}/{name}/hits")).add(st.hits);
-            metrics::tracked_counter(&format!("cache/{prefix}/{name}/misses")).add(st.misses);
-            metrics::gauge(&format!("cache/{prefix}/{name}/hit_rate")).set(st.hit_rate());
-        }
-    }
     let Ok(mut registry) = CACHES.lock() else {
         return; // poisoned: drop the records, never panic
     };

@@ -22,16 +22,15 @@
 //!   batches, so a killed sweep resumes and a repeated one is read back
 //!   (corrupt or missing entries degrade to recompute);
 //! * [`engine`] — the [`SweepEngine`] tying both to a
-//!   [`bevra_core::DiscreteModel`]: memoized `k_max(C)` tables, `B`/`R`
-//!   evaluations shared between the gap root-finder and the welfare
-//!   tables, and parallel grid sweeps;
+//!   [`bevra_core::DiscreteModel`]: memoized `B`/`R` evaluations shared
+//!   between the gap root-finder and the welfare tables, and parallel
+//!   grid sweeps;
 //! * [`instrument`] — spans per sweep stage (a shim over the workspace's
 //!   [`bevra_obs`] observability crate: hierarchical, thread-aware,
 //!   panic-safe) plus the cache-counter and [`SweepHealth`] registries a
-//!   figure run drains into its [`ledger`] line. With
-//!   `BEVRA_OBS=summary|trace` the engine also records per-point latency
-//!   histograms and cache hit-rate metrics, and figure binaries export
-//!   chrome-trace JSON — see the `bevra-obs` docs;
+//!   figure run drains into its [`ledger`] line. With `BEVRA_OBS=trace`
+//!   figure binaries also export chrome-trace JSON — see the
+//!   `bevra-obs` docs;
 //! * [`ledger`] — the run ledger: one CRC-tailed JSON line per figure run
 //!   with per-stage times, per-cache counters, and merged health.
 //!

@@ -28,8 +28,8 @@
 //! * **Never wrong, never fatal.** Entries carry the full capacity list
 //!   and an FNV checksum (`frame_entry`); a missing, truncated,
 //!   corrupt, or mismatched file is a cache miss (recompute), never an
-//!   error and never a wrong number. Store failures are logged to
-//!   metrics and swallowed.
+//!   error and never a wrong number. Store failures are counted
+//!   ([`PersistentCache::io_errors`]) and swallowed.
 //! * **Atomic writes.** Entries are written via
 //!   [`bevra_faults::atomic_write`] (write-temp-then-rename, the PR 4
 //!   path), so a crashed or fault-injected writer can't leave a torn
@@ -42,15 +42,13 @@
 //!
 //! Gating: [`PersistentCache::from_env`] reads `BEVRA_CACHE`
 //! (`off`/unset, `rw`, `ro`) and `BEVRA_CACHE_DIR` (default
-//! `<repo>/results/cache`). Hit/miss/store/restore/error counters are
-//! exported through `bevra-obs` metrics (`engine/pcache/*`); hits and
-//! misses are surfaced by `SweepEngine::cache_stats` under the name
-//! `"persistent"`.
+//! `<repo>/results/cache`). The cache keeps its own hit/miss/store/
+//! restore/error counters; hits and misses are surfaced by
+//! `SweepEngine::cache_stats` under the name `"persistent"`.
 
 use crate::cache::CacheStats;
 use crate::engine::SweepPoint;
 use bevra_faults::FaultKind;
-use bevra_obs::metrics;
 use bevra_utility::Utility;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -261,8 +259,8 @@ impl PersistentCache {
 
     /// Value-table lookup counters, in the same shape as the in-memory
     /// memo tables (`hits`/`misses`; sweep rows are counted by
-    /// [`Self::restored_points`], store and I/O-error counts are
-    /// exported as metrics only).
+    /// [`Self::restored_points`], stores and I/O errors by
+    /// [`Self::stores`] and [`Self::io_errors`]).
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -304,13 +302,9 @@ impl PersistentCache {
             .and_then(|text| parse_rows(unframe_entry(&text, FORMAT, key)?, capacities));
         if loaded.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            metrics::counter("engine/pcache/hit").inc();
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            metrics::counter("engine/pcache/miss").inc();
         }
-        let s = self.stats();
-        metrics::gauge("engine/pcache/hit_rate").set(s.hit_rate());
         loaded
     }
 
@@ -339,7 +333,6 @@ impl PersistentCache {
         let text = self.read(key)?;
         let points = parse_sweep(unframe_entry(&text, SWEEP_FORMAT, key)?, capacities)?;
         self.restored.fetch_add(points.len() as u64, Ordering::Relaxed);
-        metrics::counter("engine/pcache/restored").add(points.len() as u64);
         Some(points)
     }
 
@@ -370,7 +363,6 @@ impl PersistentCache {
         // retry — recompute is the degradation path.
         if bevra_faults::io_fault("io/cache/load", key).is_some() {
             self.io_errors.fetch_add(1, Ordering::Relaxed);
-            metrics::counter("engine/pcache/io_error").inc();
             return None;
         }
         std::fs::read_to_string(self.entry_path(key)).ok()
@@ -386,15 +378,9 @@ impl PersistentCache {
         // plans the `io/cache/store` site; it retries transient faults
         // with backoff and leaves only temp debris on permanent ones.
         match bevra_faults::atomic_write("cache/store", &self.entry_path(key), bytes) {
-            Ok(_) => {
-                self.stores.fetch_add(1, Ordering::Relaxed);
-                metrics::counter("engine/pcache/store").inc();
-            }
-            Err(_) => {
-                self.io_errors.fetch_add(1, Ordering::Relaxed);
-                metrics::counter("engine/pcache/io_error").inc();
-            }
-        }
+            Ok(_) => self.stores.fetch_add(1, Ordering::Relaxed),
+            Err(_) => self.io_errors.fetch_add(1, Ordering::Relaxed),
+        };
     }
 }
 

@@ -31,6 +31,7 @@
 //! would make rescue decisions scheduling-dependent and break the
 //! workspace's bitwise replay invariant.
 
+use bevra_obs::panic_message;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -114,16 +115,6 @@ fn label_shard(w: usize) {
     if bevra_obs::enabled(bevra_obs::ObsLevel::Trace) {
         bevra_obs::set_thread_label(format!("engine-shard-{w}"));
     }
-}
-
-/// Render a `catch_unwind` payload as text (panics carry `String` or
-/// `&str` in practice; anything else gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload.downcast_ref::<String>().cloned().unwrap_or_else(|| {
-        payload
-            .downcast_ref::<&str>()
-            .map_or_else(|| "non-string panic payload".to_string(), |s| (*s).to_string())
-    })
 }
 
 /// Apply `f` to every item, using up to `threads` workers, returning the

@@ -6,9 +6,8 @@
 //!   only one);
 //! * anything else, the retired `fast`, `portable` and
 //!   `deterministic-portable` included → the same `batch` backend, with
-//!   one warning on stderr per process and a `kernel/unknown_env` metric
-//!   per resolution — a misspelled or retired selector falls back to the
-//!   bitwise default rather than aborting.
+//!   one warning on stderr per process — a misspelled or retired selector
+//!   falls back to the bitwise default rather than aborting.
 
 use bevra_core::kernel::{self, Kernel};
 
@@ -54,17 +53,15 @@ pub fn resolve(request: Option<&str>) -> Selection {
 }
 
 /// Resolve `BEVRA_KERNEL` from the environment (see the module docs for
-/// the selection table). Unknown names bump the `kernel/unknown_env`
-/// counter before falling back to `batch`; the first one in a process
-/// also warns on stderr (every engine resolves the variable, so a figure
-/// run would otherwise repeat the warning once per engine).
+/// the selection table). Unknown names fall back to `batch`; the first
+/// one in a process warns on stderr (every engine resolves the variable,
+/// so a figure run would otherwise repeat the warning once per engine).
 #[must_use]
 pub fn from_env() -> &'static dyn Kernel {
     static WARNED: std::sync::Once = std::sync::Once::new();
     let request = std::env::var("BEVRA_KERNEL").ok();
     let selection = resolve(request.as_deref());
     if let Some(warning) = selection.warning {
-        bevra_obs::metrics::counter("kernel/unknown_env").inc();
         WARNED.call_once(|| {
             eprintln!("bevra: BEVRA_KERNEL={}: {warning}", request.as_deref().unwrap_or(""));
         });

@@ -1,7 +1,6 @@
 //! Path reservation admission control.
 
 use crate::topology::{FlowSpec, Topology};
-use bevra_obs::{enabled, metrics, ObsLevel};
 
 /// Result of admitting a batch of reservation requests.
 #[derive(Debug, Clone)]
@@ -56,11 +55,6 @@ pub fn admit_reservations(topology: &Topology, flows: &[FlowSpec]) -> AdmissionO
             }
         }
         admitted.push(fits);
-    }
-    if enabled(ObsLevel::Summary) {
-        let ok = admitted.iter().filter(|&&a| a).count() as u64;
-        metrics::counter("net/admission/admitted").add(ok);
-        metrics::counter("net/admission/rejected").add(admitted.len() as u64 - ok);
     }
     AdmissionOutcome { admitted, residual }
 }

@@ -1,5 +1,5 @@
-//! Exporters over the collected spans and metrics: chrome-trace JSON and
-//! a plain-text summary table.
+//! Exporters over the collected spans: chrome-trace JSON, plus the
+//! JSON string and number helpers the run ledger shares.
 //!
 //! The chrome-trace output follows the [Trace Event Format] (`"X"`
 //! complete events, microsecond timestamps, one `tid` track per
@@ -9,12 +9,10 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //!
 //! Figure binaries call [`export_run`], which consults [`crate::level`]:
-//! nothing happens at `Off`, the summary table is rendered at `Summary`,
-//! and the trace file is additionally written at `Trace`. The per-stage
-//! times and cache counters of a figure run are not exported here: they
-//! go to the run ledger (`bevra_engine::ledger`).
+//! nothing happens at `Off`, and the trace file is written at `Trace`.
+//! The per-stage times and cache counters of a figure run are not
+//! exported here: they go to the run ledger (`bevra_engine::ledger`).
 
-use crate::metrics::{self, MetricsSnapshot};
 use crate::span::{drain_trace, SpanEvent};
 use crate::ObsLevel;
 use std::fmt::Write as _;
@@ -117,82 +115,29 @@ pub fn trace_json(events: &[SpanEvent]) -> String {
     out
 }
 
-/// Render a metrics snapshot as a plain-text table (the `summary` level's
-/// stdout output). Empty string when nothing was recorded.
-#[must_use]
-pub fn summary_table(snap: &MetricsSnapshot) -> String {
-    if snap.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from("== observability summary ==\n");
-    if !snap.counters.is_empty() {
-        out.push_str("counters:\n");
-        for (name, v) in &snap.counters {
-            let _ = writeln!(out, "  {name:<44} {v:>14}");
-        }
-    }
-    if !snap.gauges.is_empty() {
-        out.push_str("gauges:\n");
-        for (name, v) in &snap.gauges {
-            let _ = writeln!(out, "  {name:<44} {v:>14.6}");
-        }
-    }
-    if !snap.histograms.is_empty() {
-        out.push_str("histograms (count / mean / p50 / p90 / p99):\n");
-        for (name, h) in &snap.histograms {
-            let _ = writeln!(
-                out,
-                "  {name:<44} {:>10} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
-                h.count, h.mean, h.p50, h.p90, h.p99
-            );
-        }
-    }
-    out
-}
-
-/// What [`export_run`] produced for one run.
-#[derive(Debug, Default)]
-pub struct RunExport {
-    /// Path of the chrome-trace JSON, when written (`Trace` level).
-    pub trace_path: Option<PathBuf>,
-    /// Rendered summary table, when collection was on (`Summary`+) and
-    /// metrics exist.
-    pub summary: Option<String>,
-}
-
-/// Export everything collected for run `id` into `dir` according to the
-/// current [`crate::level`]: at `Off` this is a no-op; at `Summary` the
-/// metrics summary table is rendered; at `Trace` the buffered span events
-/// are additionally drained and written as `<id>-trace.json`.
+/// Export the spans collected for run `id` into `dir` according to the
+/// current [`crate::level`]: at `Off` this is a no-op; at `Trace` the
+/// buffered span events are drained and written as `<id>-trace.json`,
+/// whose path is returned.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures creating `dir` or writing the trace file.
-pub fn export_run(id: &str, dir: &Path) -> std::io::Result<RunExport> {
-    let level = crate::level();
-    let mut out = RunExport::default();
-    if level < ObsLevel::Summary {
-        return Ok(out);
+pub fn export_run(id: &str, dir: &Path) -> std::io::Result<Option<PathBuf>> {
+    if !crate::enabled(ObsLevel::Trace) {
+        return Ok(None);
     }
-    if level >= ObsLevel::Trace {
-        std::fs::create_dir_all(dir)?;
-        // Atomic write (temp + rename): an interrupted export leaves the
-        // previous trace complete instead of a truncated JSON file.
-        let trace_path = dir.join(format!("{id}-trace.json"));
-        bevra_faults::atomic_write("obs/trace", &trace_path, trace_json(&drain_trace()).as_bytes())?;
-        out.trace_path = Some(trace_path);
-    }
-    let table = summary_table(&metrics::snapshot());
-    if !table.is_empty() {
-        out.summary = Some(table);
-    }
-    Ok(out)
+    std::fs::create_dir_all(dir)?;
+    // Atomic write (temp + rename): an interrupted export leaves the
+    // previous trace complete instead of a truncated JSON file.
+    let trace_path = dir.join(format!("{id}-trace.json"));
+    bevra_faults::atomic_write("obs/trace", &trace_path, trace_json(&drain_trace()).as_bytes())?;
+    Ok(Some(trace_path))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::HistogramSummary;
 
     fn sample_events() -> Vec<SpanEvent> {
         vec![
@@ -241,25 +186,6 @@ mod tests {
         assert!(json.contains("process_name"));
         assert!(!json.contains("\"ph\": \"X\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn summary_table_renders_sections() {
-        let snap = MetricsSnapshot {
-            counters: vec![("net/admitted".into(), 3)],
-            histograms: vec![(
-                "sim/occupancy".into(),
-                HistogramSummary { count: 5, mean: 2.0, p50: 1.5, p90: 3.0, p99: 3.0 },
-            )],
-            ..MetricsSnapshot::default()
-        };
-        let table = summary_table(&snap);
-        assert!(table.contains("observability summary"));
-        assert!(table.contains("net/admitted"));
-        assert!(table.contains("histograms (count / mean / p50 / p90 / p99):"));
-        assert!(table.contains("sim/occupancy"));
-        assert!(!table.contains("gauges:"), "empty sections omitted");
-        assert!(summary_table(&MetricsSnapshot::default()).is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! One instrumentation surface for every layer — the sweep engine, the
 //! flow-level simulator, the network substrate, and the figure binaries —
 //! with no external dependencies (the build environment is offline, so the
-//! `tracing`/`metrics` crates are unavailable). Three pieces:
+//! `tracing` crate is unavailable). Three pieces:
 //!
 //! * [`mod@span`] — hierarchical, thread-aware timing spans. Each thread
 //!   buffers its completed spans locally (one short uncontended lock per
@@ -11,66 +11,56 @@
 //!   per-thread stack, and completed spans double as the flat
 //!   [`span::StageRecord`] list whose per-stage totals the run ledger
 //!   records;
-//! * [`metrics`] — a process-global registry of named [`metrics::Counter`]s,
-//!   [`metrics::Gauge`]s, and log-bucketed [`metrics::Histogram`]s
-//!   (p50/p90/p99 summaries), all plain atomics so recording never
-//!   allocates;
-//! * [`export`] — exporters over the collected data: a
-//!   `chrome://tracing`-compatible trace JSON (open it in
-//!   [Perfetto](https://ui.perfetto.dev)) and a plain-text summary table
-//!   printed by the figure binaries;
+//! * [`export`] — a `chrome://tracing`-compatible trace JSON exporter
+//!   (open it in [Perfetto](https://ui.perfetto.dev)) plus the JSON
+//!   escaping the run ledger shares;
 //! * [`recorder`] — the always-on flight recorder: bounded per-thread
-//!   seqlock rings of structured events (span boundaries, counter deltas,
-//!   fault trips, health records, ordered by a logical sequence counter)
-//!   drained to a `results/<id>-blackbox.jsonl` black box by a chained
-//!   panic hook or at the end of a faulted run. On unless
+//!   seqlock rings of structured events (span boundaries, fault trips,
+//!   health records, ordered by a logical sequence counter) drained to a
+//!   `results/<id>-blackbox.jsonl` black box by a chained panic hook or
+//!   at the end of a faulted run. On unless
 //!   `recorder::set_recording(false)` turns it off (the off path is one
 //!   relaxed load).
+//!
+//! The counts a run keeps live in structured records, not in this crate:
+//! the engine's `SweepHealth` and cache counters in the run ledger, the
+//! simulator's `SimReport` and `FleetHealth`.
 //!
 //! # The `BEVRA_OBS` gate
 //!
 //! Collection depth is controlled by the `BEVRA_OBS` environment variable
 //! (read once, overridable programmatically via [`set_level`]):
 //!
-//! | value               | behaviour                                                                             |
-//! |---------------------|---------------------------------------------------------------------------------------|
-//! | unset / `off` / `0` | coarse stage timings only; fine-grained metrics and trace events skipped entirely     |
-//! | `summary` / `1`     | plus metrics (event counters, occupancy/latency histograms, cache hit rates) + table  |
-//! | `trace` / `2`       | plus per-span trace events, written to `results/<id>-trace.json`                      |
+//! | value               | behaviour                                                          |
+//! |---------------------|--------------------------------------------------------------------|
+//! | unset / `off` / `0` | coarse stage timings only (what the run ledger records)            |
+//! | `trace` / `2`       | plus per-span trace events, written to `results/<id>-trace.json`   |
 //!
-//! Unrecognized values fall back to `off`. Instrumented hot paths (the
-//! simulator event loop, per-point sweep timing) guard on [`enabled`] — a
-//! single relaxed atomic load — so the default `off` path stays
-//! allocation-free and within measurement noise of uninstrumented code
-//! (asserted by the `obs` bench).
+//! Unrecognized values fall back to `off`. Span bookkeeping guards on
+//! [`enabled`] — a single relaxed atomic load — so the default `off`
+//! path keeps no trace events (measured by the `obs` bench).
 //!
 //! ```
 //! use bevra_obs::{enabled, set_level, ObsLevel};
 //!
-//! set_level(ObsLevel::Summary);
-//! let events = bevra_obs::metrics::counter("doc/events");
+//! set_level(ObsLevel::Off);
 //! {
 //!     let mut sp = bevra_obs::span("doc/stage");
 //!     for _ in 0..10 {
-//!         if enabled(ObsLevel::Summary) {
-//!             events.inc();
-//!         }
 //!         sp.add_points(1);
 //!     }
 //! } // span records itself on drop
-//! assert_eq!(events.get(), 10);
+//! assert!(!enabled(ObsLevel::Trace));
 //! let stage = bevra_obs::drain_stages()
 //!     .into_iter()
 //!     .find(|s| s.name == "doc/stage")
 //!     .expect("stage recorded");
 //! assert_eq!(stage.points, 10);
-//! set_level(ObsLevel::Off);
 //! ```
 
 #![deny(missing_docs)]
 
 pub mod export;
-pub mod metrics;
 pub mod recorder;
 pub mod span;
 
@@ -82,15 +72,13 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub const OBS_ENV: &str = "BEVRA_OBS";
 
 /// How much the process collects and exports. Levels are ordered:
-/// `Off < Summary < Trace`, and each level includes everything below it.
+/// `Off < Trace`, and `Trace` includes everything `Off` collects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum ObsLevel {
-    /// Coarse stage timings only (what the run ledger records); fine-grained
-    /// metrics and trace events are skipped. The default.
+    /// Coarse stage timings only (what the run ledger records); trace
+    /// events are skipped. The default.
     Off = 0,
-    /// Metrics (counters, gauges, histograms) plus a printed summary table.
-    Summary = 1,
     /// Everything: per-span trace events exported as chrome-trace JSON.
     Trace = 2,
 }
@@ -106,12 +94,11 @@ impl ObsLevel {
         }
     }
 
-    /// Parse a level string (`off|0`, `summary|1`, `trace|2`,
-    /// case-insensitive); anything else is [`ObsLevel::Off`].
+    /// Parse a level string (`off|0`, `trace|2`, case-insensitive);
+    /// anything else is [`ObsLevel::Off`].
     #[must_use]
     pub fn parse(raw: &str) -> Self {
         match raw.trim().to_ascii_lowercase().as_str() {
-            "summary" | "1" => ObsLevel::Summary,
             "trace" | "2" => ObsLevel::Trace,
             _ => ObsLevel::Off,
         }
@@ -119,7 +106,6 @@ impl ObsLevel {
 
     fn from_u8(v: u8) -> Self {
         match v {
-            1 => ObsLevel::Summary,
             2 => ObsLevel::Trace,
             _ => ObsLevel::Off,
         }
@@ -165,32 +151,58 @@ pub fn enabled(l: ObsLevel) -> bool {
     level() >= l
 }
 
+/// Render a caught panic payload as text: panics carry a `String` or a
+/// `&str` in practice, and anything else gets a fixed placeholder. The
+/// engine pool, the simulator fleet and the recorder's panic hook all
+/// render payloads through this one function.
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn levels_are_ordered() {
-        assert!(ObsLevel::Off < ObsLevel::Summary);
-        assert!(ObsLevel::Summary < ObsLevel::Trace);
+        assert!(ObsLevel::Off < ObsLevel::Trace);
     }
 
     #[test]
     fn parse_accepts_names_and_digits() {
         assert_eq!(ObsLevel::parse("off"), ObsLevel::Off);
         assert_eq!(ObsLevel::parse("0"), ObsLevel::Off);
-        assert_eq!(ObsLevel::parse(" Summary "), ObsLevel::Summary);
-        assert_eq!(ObsLevel::parse("1"), ObsLevel::Summary);
         assert_eq!(ObsLevel::parse("TRACE"), ObsLevel::Trace);
-        assert_eq!(ObsLevel::parse("2"), ObsLevel::Trace);
+        assert_eq!(ObsLevel::parse(" 2 "), ObsLevel::Trace);
+        // The retired `summary` level reads as off, like any unknown value.
+        assert_eq!(ObsLevel::parse("summary"), ObsLevel::Off);
+        assert_eq!(ObsLevel::parse("1"), ObsLevel::Off);
         assert_eq!(ObsLevel::parse("verbose"), ObsLevel::Off, "unknown → off");
         assert_eq!(ObsLevel::parse(""), ObsLevel::Off);
     }
 
     #[test]
     fn roundtrip_u8() {
-        for l in [ObsLevel::Off, ObsLevel::Summary, ObsLevel::Trace] {
+        for l in [ObsLevel::Off, ObsLevel::Trace] {
             assert_eq!(ObsLevel::from_u8(l as u8), l);
         }
+    }
+
+    #[test]
+    fn panic_message_renders_strings_and_a_placeholder() {
+        // The payload types `panic!` and `panic_any` hand to `catch_unwind`.
+        let literal: Box<dyn std::any::Any + Send> = Box::new("static message");
+        let formatted: Box<dyn std::any::Any + Send> = Box::new(format!("formatted {}", 7));
+        let opaque: Box<dyn std::any::Any + Send> = Box::new(42_u32);
+        assert_eq!(panic_message(literal.as_ref()), "static message");
+        assert_eq!(panic_message(formatted.as_ref()), "formatted 7");
+        assert_eq!(panic_message(opaque.as_ref()), "panic with non-string payload");
     }
 }

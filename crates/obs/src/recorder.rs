@@ -5,8 +5,7 @@
 //! # What gets recorded
 //!
 //! Low-rate structural events only — span boundaries ([`EventKind::SpanEnter`]
-//! / [`EventKind::SpanExit`]), registered-counter deltas
-//! ([`EventKind::CounterDelta`]), fault-rule trips ([`EventKind::FaultTrip`],
+//! / [`EventKind::SpanExit`]), fault-rule trips ([`EventKind::FaultTrip`],
 //! fed by a [`bevra_faults::set_trip_observer`] hook), and sweep-health
 //! ledger records ([`EventKind::Health`]). Per-grid-point work is never
 //! recorded, so the recorder's steady-state cost is a handful of atomic
@@ -136,9 +135,6 @@ pub enum EventKind {
     SpanEnter = 1,
     /// A span closed (`site` = span name, `a` = points attributed).
     SpanExit = 2,
-    /// A registered counter moved (`site` = counter name, `a` = delta,
-    /// `b` = new total).
-    CounterDelta = 3,
     /// A fault rule tripped (`site` = fault site, `a` = key, `b` = the
     /// [`bevra_faults::FaultKind`] discriminant).
     FaultTrip = 4,
@@ -157,7 +153,6 @@ impl EventKind {
         match self {
             EventKind::SpanEnter => "span-enter",
             EventKind::SpanExit => "span-exit",
-            EventKind::CounterDelta => "counter",
             EventKind::FaultTrip => "fault-trip",
             EventKind::Health => "health",
             EventKind::Panic => "panic",
@@ -168,7 +163,6 @@ impl EventKind {
         Some(match v {
             1 => EventKind::SpanEnter,
             2 => EventKind::SpanExit,
-            3 => EventKind::CounterDelta,
             4 => EventKind::FaultTrip,
             5 => EventKind::Health,
             6 => EventKind::Panic,
@@ -187,7 +181,7 @@ pub struct RecordedEvent {
     pub tid: u64,
     /// What happened.
     pub kind: EventKind,
-    /// The site / span / counter / label the event is about.
+    /// The site / span / label the event is about.
     pub site: String,
     /// Kind-specific payload word (see [`EventKind`]).
     pub a: u64,
@@ -332,25 +326,6 @@ pub fn record(kind: EventKind, site: &str, a: u64, b: u64) {
     });
 }
 
-/// Intern `site` in the recorder's string table, returning its stable id
-/// (for pre-resolved record paths like tracked counters).
-pub(crate) fn intern(site: &str) -> u32 {
-    intern_global(site)
-}
-
-/// Record with a pre-interned site id — the allocation-free path used by
-/// tracked counters.
-pub(crate) fn record_id(kind: EventKind, site_id: u32, a: u64, b: u64) {
-    if !recording() {
-        return;
-    }
-    let _ = LOCAL.try_with(|cell| {
-        let Ok(mut borrow) = cell.try_borrow_mut() else { return };
-        let local = borrow.get_or_insert_with(new_local);
-        local.ring.push(kind, site_id, a, b);
-    });
-}
-
 /// The most recent `max` events across all threads, oldest first, merged
 /// by logical sequence number. Non-destructive (rings keep their
 /// contents); slots being overwritten concurrently are skipped.
@@ -398,13 +373,7 @@ pub fn arm_blackbox(id: &str, dir: &Path) {
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| info.payload().downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic with non-string payload".to_string());
-            let _ = write_blackbox(&msg);
+            let _ = write_blackbox(&crate::panic_message(info.payload()));
             prev(info);
         }));
     });
@@ -564,12 +533,12 @@ mod tests {
         let _g = guard();
         set_recording(true);
         for i in 0..(RING_CAPACITY as u64 + 50) {
-            record(EventKind::CounterDelta, "rec-bound/ctr", i, 0);
+            record(EventKind::SpanExit, "rec-bound/site", i, 0);
         }
         let events = recent_events(usize::MAX);
         let ours: Vec<u64> = events
             .iter()
-            .filter(|e| e.site == "rec-bound/ctr")
+            .filter(|e| e.site == "rec-bound/site")
             .map(|e| e.a)
             .collect();
         assert!(ours.len() <= RING_CAPACITY);

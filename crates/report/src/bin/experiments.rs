@@ -288,14 +288,10 @@ fn main() -> std::io::Result<()> {
     println!("{out}");
     std::fs::create_dir_all("results")?;
     std::fs::write("results/experiments.md", out)?;
-    // The only binary that drives the simulator: with `BEVRA_OBS=summary`+
-    // this surfaces the sim event counters / occupancy histogram (and at
-    // `trace`, the per-run span timeline).
-    let obs = bevra_obs::export::export_run("experiments", std::path::Path::new("results"))?;
-    if let Some(table) = &obs.summary {
-        print!("{table}");
-    }
-    if let Some(trace) = &obs.trace_path {
+    // The only binary that drives the simulator: with `BEVRA_OBS=trace`
+    // this writes the per-run span timeline.
+    let trace = bevra_obs::export::export_run("experiments", std::path::Path::new("results"))?;
+    if let Some(trace) = trace {
         println!("obs: wrote {}", trace.display());
     }
     Ok(())

@@ -103,8 +103,7 @@ fn ledger_record(
 /// gates on — and print a `perf:` line per stage. When the flight recorder
 /// saw fault trips, a black box is drained to `results/<id>-blackbox.jsonl`.
 ///
-/// With `BEVRA_OBS=summary` a metrics table is additionally printed; with
-/// `BEVRA_OBS=trace` the buffered span events become
+/// With `BEVRA_OBS=trace` the buffered span events become
 /// `results/<id>-trace.json` (Perfetto-loadable chrome-trace).
 ///
 /// # Errors
@@ -152,11 +151,7 @@ pub fn emit_figure(fig: &Figure, dir: &Path) -> std::io::Result<()> {
         ),
         Err(e) => eprintln!("ledger: append to {} failed: {e}", ledger_path.display()),
     }
-    let obs = bevra_obs::export::export_run(&fig.id, dir)?;
-    if let Some(table) = &obs.summary {
-        print!("{table}");
-    }
-    if let Some(trace) = &obs.trace_path {
+    if let Some(trace) = bevra_obs::export::export_run(&fig.id, dir)? {
         println!("obs: wrote {} (load in https://ui.perfetto.dev)", trace.display());
     }
     // A run that tripped injected faults but survived to the end (panic

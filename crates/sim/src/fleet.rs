@@ -34,7 +34,7 @@
 //! the lane is counted in [`FleetHealth::truncated_lanes`].
 
 use crate::runner::{QueueKind, SimConfig, SimError, SimReport, Simulation};
-use bevra_obs::metrics;
+use bevra_obs::panic_message;
 use rand::derive_seed;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -68,9 +68,9 @@ pub struct ShardFailure {
     /// Shard index (into the run's contiguous lane chunking) the lane
     /// belonged to.
     pub shard: u32,
-    /// Lanes that produced no report: the single lane still dead after
-    /// its [`LANE_RESTARTS`] re-runs.
-    pub lanes: std::ops::Range<u32>,
+    /// The lane that produced no report: still dead after its
+    /// [`LANE_RESTARTS`] re-runs.
+    pub lane: u32,
     /// The lane's last panic message.
     pub error: String,
 }
@@ -97,10 +97,10 @@ impl FleetHealth {
         self.failed.is_empty()
     }
 
-    /// Lanes lost to failed shards.
+    /// Lanes still dead after their re-runs.
     #[must_use]
     pub fn failed_lanes(&self) -> u32 {
-        self.failed.iter().map(|f| f.lanes.end - f.lanes.start).sum()
+        self.failed.len() as u32
     }
 }
 
@@ -122,8 +122,7 @@ pub struct FleetReport {
 
 impl FleetReport {
     /// Events per wall-clock second across all surviving lanes — the
-    /// headline throughput figure (also exported as the
-    /// `sim/fleet/events_per_sec` gauge).
+    /// headline throughput figure.
     #[must_use]
     pub fn events_per_sec(&self) -> f64 {
         if self.seconds > 0.0 {
@@ -229,7 +228,7 @@ impl Fleet {
                 if slot.is_none() {
                     health.failed.push(ShardFailure {
                         shard: *shard as u32,
-                        lanes: lane as u32..lane as u32 + 1,
+                        lane: lane as u32,
                         error: format!("lane {lane} dead after restarts: {last_panic}"),
                     });
                 }
@@ -250,23 +249,7 @@ impl Fleet {
             }
         }
 
-        metrics::counter("sim/fleet/lanes_ok").add(u64::from(health.ok_lanes));
-        metrics::counter("sim/fleet/lanes_failed").add(u64::from(health.failed_lanes()));
-        metrics::counter("sim/fleet/lane_restarts").add(health.restarts);
-        let report = FleetReport { merged, lane_digests, health, seconds };
-        metrics::gauge("sim/fleet/events_per_sec").set(report.events_per_sec());
-        report
-    }
-}
-
-/// Render a panic payload as text (the pool's convention).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
+        FleetReport { merged, lane_digests, health, seconds }
     }
 }
 
@@ -467,7 +450,7 @@ mod tests {
         assert_eq!(r.health.failed.len(), 8, "one failure entry per dead lane");
         assert_eq!(r.health.restarts, 8 * u64::from(LANE_RESTARTS));
         for (lane, failure) in (0u32..).zip(&r.health.failed) {
-            assert_eq!(failure.lanes, lane..lane + 1);
+            assert_eq!(failure.lane, lane);
             assert_eq!(failure.shard, lane / 4, "chunk_ranges(8, 2) puts 4 lanes per shard");
             assert!(failure.error.contains("injected panic"), "{}", failure.error);
         }
@@ -488,8 +471,8 @@ mod tests {
             let _guard = install(plan);
             fleet.run_on(2, QueueKind::Wheel)
         };
-        let dead: Vec<_> = r.health.failed.iter().map(|f| f.lanes.clone()).collect();
-        assert_eq!(dead, vec![0..1, 1..2, 2..3], "exactly lanes 0-2 are dead");
+        let dead: Vec<u32> = r.health.failed.iter().map(|f| f.lane).collect();
+        assert_eq!(dead, vec![0, 1, 2], "exactly lanes 0-2 are dead");
         assert_eq!(r.health.ok_lanes, 5);
         assert_eq!(r.lane_digests[3], reference.lane_digests[3], "lane 3 reports its own bits");
         assert_eq!(r.lane_digests[4..], reference.lane_digests[4..]);
@@ -544,8 +527,8 @@ mod tests {
         // Mutation check: one panic more than the re-run budget leaves the
         // lane dead, and the digest pin sees the missing lane.
         let (reference, r) = lane_2_panics_n_times(u64::from(LANE_RESTARTS) + 1);
-        let dead: Vec<_> = r.health.failed.iter().map(|f| f.lanes.clone()).collect();
-        assert_eq!(dead, vec![2..3]);
+        let dead: Vec<u32> = r.health.failed.iter().map(|f| f.lane).collect();
+        assert_eq!(dead, vec![2]);
         assert_eq!(r.lane_digests[2], None);
         assert_eq!(r.lane_digests[3], reference.lane_digests[3]);
         assert_ne!(

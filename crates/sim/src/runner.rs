@@ -28,7 +28,6 @@ use crate::queue::{BinaryHeapQueue, EventQueue, Pending};
 use crate::stats::Welford;
 use crate::wheel::{ring_slots, TimerWheelQueue, DEFAULT_GRANULARITY};
 use bevra_load::Tabulated;
-use bevra_obs::{enabled, metrics, ObsLevel};
 use bevra_utility::Utility;
 use std::sync::Arc;
 
@@ -43,39 +42,6 @@ pub enum QueueKind {
     /// Binary heap ([`BinaryHeapQueue`]) — the original implementation,
     /// kept as the reference for differential tests.
     Heap,
-}
-
-/// Metric handles for one run, resolved once up front so the event loop
-/// itself never touches the registry: with `BEVRA_OBS=off` (the default)
-/// no handles are even created and the loop performs zero observability
-/// work; at `summary`+ each event costs a few relaxed atomic ops.
-///
-/// Recording is observation only — it never touches the RNG or any
-/// simulated quantity, so instrumented runs stay bit-identical.
-struct SimObs {
-    arrivals: Arc<metrics::Counter>,
-    departures: Arc<metrics::Counter>,
-    retries: Arc<metrics::Counter>,
-    switches: Arc<metrics::Counter>,
-    admitted: Arc<metrics::Counter>,
-    blocked: Arc<metrics::Counter>,
-    /// Population `n` seen by the event loop at each event — the
-    /// "event-loop occupancy" histogram (log₂-bucketed, p50/p90/p99).
-    occupancy: Arc<metrics::Histogram>,
-}
-
-impl SimObs {
-    fn new() -> Self {
-        Self {
-            arrivals: metrics::counter("sim/events/arrival"),
-            departures: metrics::counter("sim/events/departure"),
-            retries: metrics::counter("sim/events/retry"),
-            switches: metrics::counter("sim/events/modulation_switch"),
-            admitted: metrics::counter("sim/admission/admitted"),
-            blocked: metrics::counter("sim/admission/blocked"),
-            occupancy: metrics::histogram("sim/occupancy"),
-        }
-    }
 }
 
 /// Complete configuration of one simulation run.
@@ -342,7 +308,6 @@ struct EventLoop<'a, Q: EventQueue> {
     /// population seen at arrival instants).
     load_estimate: f64,
     report: SimReport,
-    obs: Option<SimObs>,
 }
 
 impl<'a, Q: EventQueue> EventLoop<'a, Q> {
@@ -362,7 +327,6 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
             census: Census::new(),
             load_estimate: 0.0,
             report: SimReport::empty(),
-            obs: None,
         }
     }
 
@@ -408,12 +372,9 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
 
     #[allow(clippy::too_many_lines)]
     fn run(mut self) -> Result<SimReport, SimError> {
-        // Event-loop observability: a span per run (nests under
-        // `sim/run_batch` when batched on the same thread) plus, at
-        // `BEVRA_OBS=summary` and above, per-event counters and the
-        // occupancy histogram.
+        // One span per run (nests under `sim/run_batch` when batched on
+        // the same thread), its points the events processed.
         let mut run_span = bevra_obs::span("sim/run");
-        self.obs = enabled(ObsLevel::Summary).then(SimObs::new);
         let mut arrivals = self.cfg.arrivals.clone();
         let warmup = self.cfg.warmup;
 
@@ -446,15 +407,6 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
             }
             events += 1;
             run_span.add_points(1);
-            if let Some(o) = &self.obs {
-                o.occupancy.record(self.n);
-                match ev.kind {
-                    EventKind::ModulationSwitch => o.switches.inc(),
-                    EventKind::Arrival => o.arrivals.inc(),
-                    EventKind::Retry { .. } => o.retries.inc(),
-                    EventKind::Departure { .. } => o.departures.inc(),
-                }
-            }
             // Advance clocks: accumulate the utility integral and the
             // census dwell (clipped to the measured window).
             let dt = ev.time - self.t;
@@ -552,9 +504,6 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
             self.report.attempts += 1;
         }
         if cfg.discipline.admits(self.n, self.load_estimate, cfg.capacity) {
-            if let Some(o) = &self.obs {
-                o.admitted.inc();
-            }
             self.n += 1;
             let pop = self.n;
             let util = self.pi(pop);
@@ -566,9 +515,6 @@ impl<'a, Q: EventQueue> EventLoop<'a, Q> {
             let slot_id = self.flows.admit(self.t, self.integral, util, admit_index, attempt);
             self.push(self.t + holding, EventKind::Departure { slot: slot_id });
         } else {
-            if let Some(o) = &self.obs {
-                o.blocked.inc();
-            }
             if measured {
                 self.report.blocked_attempts += 1;
             }

@@ -69,7 +69,7 @@ pub use bevra_report as report;
 /// Parallel, memoized sweep engine for dense capacity/price grids.
 pub use bevra_engine as engine;
 
-/// Structured tracing, metrics, and exporters (`BEVRA_OBS=off|summary|trace`).
+/// Timing spans, the flight recorder and the chrome-trace exporter (`BEVRA_OBS=off|trace`).
 pub use bevra_obs as obs;
 
 /// The items most programs need.

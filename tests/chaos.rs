@@ -150,9 +150,10 @@ fn failing_corpus_cases_ship_a_blackbox() {
 
 /// Pinned sharded-simulator scenario: *permanent* panics injected into
 /// two lanes of a [`bevra::sim::Fleet`] run (`panic:sim/lane@at=2`, `@at=3`)
-/// must degrade, not abort — the recovery supervisor burns its restart
-/// budget on each dead lane (ledgered in [`bevra::sim::FleetHealth`]),
-/// declares them dead one by one, every *surviving* lane's digest stays
+/// must degrade, not abort — each dead lane spends its
+/// [`bevra::sim::fleet::LANE_RESTARTS`] serial re-runs (ledgered in
+/// [`bevra::sim::FleetHealth`]) and is recorded dead on its own, every
+/// *surviving* lane's digest stays
 /// bit-identical to a clean run (dead lanes cannot perturb their
 /// neighbours' census), and the armed flight-recorder black box ships
 /// with a final synthetic `panic` event naming the `sim/lane` site.
@@ -191,9 +192,8 @@ fn pinned_shard_panic_is_accounted_and_isolated() {
 
     // Two rules, keyed to lanes 2 and 3 (both in shard 1 under
     // `chunk_ranges(6, 3)`), with no `n` bound: the injection fires on
-    // *every* attempt, so the recovery supervisor's restarts trip it
-    // again — *persistently* dead lanes, the case the health ledger
-    // exists for.
+    // *every* attempt, so each lane re-run trips it again —
+    // *persistently* dead lanes, the case the health ledger exists for.
     let dir = std::env::temp_dir().join("bevra-sim-shard-blackbox");
     let _ = std::fs::remove_dir_all(&dir);
     let id = format!("sim-shard-{}", std::process::id());
@@ -215,15 +215,15 @@ fn pinned_shard_panic_is_accounted_and_isolated() {
     };
 
     // Exact accounting: lanes 2 and 3 failed (one entry each, in lane
-    // order, both attributed to shard 1), nothing else did, and the
-    // supervisor's futile restart attempts are ledgered.
+    // order, both attributed to shard 1), nothing else did, and their
+    // futile re-runs are ledgered.
     assert_eq!(faulted.health.ok_lanes, 4, "health: {:?}", faulted.health);
     assert_eq!(faulted.health.failed_lanes(), 2, "health: {:?}", faulted.health);
     assert_eq!(faulted.health.failed.len(), 2);
     assert!(faulted.health.restarts >= 2, "restarts ledgered: {:?}", faulted.health);
     for (failure, lane) in faulted.health.failed.iter().zip([2u32, 3]) {
         assert_eq!(failure.shard, 1);
-        assert_eq!(failure.lanes, lane..lane + 1);
+        assert_eq!(failure.lane, lane);
         assert!(
             failure.error.contains("injected"),
             "failure must carry the injected-panic message: {}",
