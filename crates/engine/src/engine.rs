@@ -747,7 +747,7 @@ mod tests {
         let warm_stats = warm.cache_stats();
         let (_, pw) = warm_stats.iter().find(|(n, _)| n == "persistent").expect("pcache stats");
         assert_eq!((pw.hits, pw.misses), (1, 0), "warm run is a pure hit");
-        assert!((pw.hit_rate() - 1.0).abs() < 1e-15, "hit rate gauge is 100%");
+        assert!((pw.hit_rate() - 1.0).abs() < 1e-15, "hit rate is 100%");
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.best_effort.to_bits(), b.best_effort.to_bits());
             assert_eq!(a.reservation.to_bits(), b.reservation.to_bits());
