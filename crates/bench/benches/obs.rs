@@ -4,7 +4,9 @@
 //! with the flight recorder switched off too. The `off` case is the
 //! acceptance bar: it must be indistinguishable from the
 //! pre-instrumentation engine, since the hot path only pays one relaxed
-//! atomic load per gate check.
+//! atomic load per gate check. The three rows are timed in turn, one
+//! sweep of each per round, so a change in the machine's speed moves
+//! them alike and their ratios hold steady.
 
 use bevra_core::DiscreteModel;
 use bevra_engine::{ExecMode, SweepEngine};
@@ -21,6 +23,9 @@ fn grid(n: usize) -> Vec<f64> {
     (0..n).map(|i| lo * ratio.powi(i as i32)).collect()
 }
 
+/// Rounds of the interleaved rows: one sweep of each row per round.
+const ROUNDS: usize = 60;
+
 /// Drop everything the previous level accumulated so buffers never grow
 /// across bench cases (trace events in particular).
 fn drain_obs() {
@@ -33,35 +38,31 @@ fn obs_overhead(c: &mut Criterion) {
     let load = Arc::new(Tabulated::from_model(&Poisson::new(PAPER_MEAN_LOAD), 1e-12, 1 << 18));
     let cs = grid(48);
     let threads = bevra_engine::thread_count();
-    // Cold engine per iteration so every level does identical work
-    // (memoization would otherwise make later cases all cache hits).
-    let sweep_once = |load: &Arc<Tabulated>, cs: &[f64]| {
-        let engine = SweepEngine::with_mode(
-            DiscreteModel::new(Arc::clone(load), AdaptiveExp::paper()),
-            ExecMode::Parallel { threads },
-        );
-        black_box(engine.sweep(black_box(cs)))
-    };
-    // The recorder gate is independent of the obs level: the `_norec`
-    // case isolates what the flight recorder itself (span ring writes)
-    // adds to the default level.
-    for (label, level, recording) in [
-        ("obs_sweep_off", ObsLevel::Off, true),
-        ("obs_sweep_off_norec", ObsLevel::Off, false),
-        ("obs_sweep_trace", ObsLevel::Trace, true),
-    ] {
+    // One sweep at an obs level and recorder state, each on a cold engine
+    // so every row does identical work (memoization would otherwise make
+    // later sweeps all cache hits). The recorder gate is independent of
+    // the obs level: the `_norec` row isolates what the flight recorder
+    // itself (span ring writes) adds to the default level.
+    let sweep_at = |level: ObsLevel, recording: bool| {
         bevra_obs::set_level(level);
         bevra_obs::recorder::set_recording(recording);
+        let engine = SweepEngine::with_mode(
+            DiscreteModel::new(Arc::clone(&load), AdaptiveExp::paper()),
+            ExecMode::Parallel { threads },
+        );
+        black_box(engine.sweep(black_box(&cs)));
         drain_obs();
-        c.bench_function(label, |b| {
-            b.iter(|| {
-                let out = sweep_once(&load, &cs);
-                drain_obs();
-                out
-            });
-        });
-        drain_obs();
-    }
+    };
+    drain_obs();
+    c.bench_interleaved(
+        &mut [
+            ("obs_sweep_off", &mut || sweep_at(ObsLevel::Off, true)),
+            ("obs_sweep_off_norec", &mut || sweep_at(ObsLevel::Off, false)),
+            ("obs_sweep_trace", &mut || sweep_at(ObsLevel::Trace, true)),
+        ],
+        1,
+        ROUNDS,
+    );
     bevra_obs::set_level(ObsLevel::Off);
     bevra_obs::recorder::set_recording(true);
 }

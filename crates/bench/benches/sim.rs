@@ -5,7 +5,7 @@
 //! measured through the loop on both queue backends (the calendar ring,
 //! `QueueKind::Wheel`, and the binary heap), once more on the ring with
 //! heavy-tailed holdings whose longest departures pass through the ring's
-//! far heap, and through the sharded fleet. CI's sim-scale job gates the
+//! far heap, and through the fleet. CI's sim-scale job gates the
 //! ring and fleet rows against the committed baseline via
 //! `scripts/perf_smoke.py`.
 //!
@@ -72,8 +72,8 @@ fn million_flow_benches(c: &mut Criterion) {
     });
 
     // The ROADMAP-item-2 scale target: ten million flows in one run,
-    // through the sharded fleet (4 lanes of k̄ = 1250 for 2000 time
-    // units) at the ambient shard count.
+    // through the fleet (4 lanes of k̄ = 1250 for 2000 time units) at
+    // the ambient worker count.
     let fleet = Fleet::new(FleetConfig {
         base: SimConfig {
             arrivals: MixedPoisson::fixed(1250.0),
@@ -83,12 +83,10 @@ fn million_flow_benches(c: &mut Criterion) {
         },
         lanes: 4,
     });
-    let fleet_events = fleet.run_on(bevra_sim::fleet::shard_count(), QueueKind::Wheel).merged.events;
+    let fleet_events = fleet.run().merged.events;
     c.bench_function("sim_ten_million_flow_fleet", |b| {
         b.points(fleet_events as usize);
-        b.iter(|| {
-            black_box(fleet.run_on(bevra_sim::fleet::shard_count(), QueueKind::Wheel))
-        });
+        b.iter(|| black_box(fleet.run()));
     });
 }
 

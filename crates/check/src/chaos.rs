@@ -137,7 +137,7 @@ pub struct ChaosStats {
     /// Persistent-cache load/store attempts absorbed as I/O failures
     /// (each degraded to a recompute or a skipped store).
     pub cache_io_errors: u64,
-    /// Fleet lane re-runs after shard panics.
+    /// Fleet lane re-runs after lane panics.
     pub lane_restarts: u64,
     /// Lanes rescued to bitwise-identical reports after transient faults.
     pub rescued_lanes: u64,
@@ -439,9 +439,8 @@ pub fn run_case(case_seed: u64) -> Result<ChaosStats, String> {
 /// `case_seed`:
 ///
 /// 1. **transient faults are rescued bitwise** — a plan of `n`-bounded
-///    lane panics (plus optional shard panics, which lane re-runs always
-///    bypass) must yield a merged digest bitwise-equal to the fault-free
-///    run, with every restart ledgered in `FleetHealth`;
+///    lane panics must yield a merged digest bitwise-equal to the
+///    fault-free run, with every restart ledgered in `FleetHealth`;
 /// 2. **permanent faults degrade, never abort** — permanently dead lanes
 ///    are declared dead one by one, and every other lane reports its
 ///    fault-free digest.
@@ -456,7 +455,7 @@ pub fn run_recovery_case(case_seed: u64) -> Result<ChaosStats, String> {
     let mut rng = StdRng::seed_from_u64(case_seed);
     let fail = |msg: String| format!("recovery case {case_seed}: {msg}");
     let lanes = 4 + rng.random_range(0..5u64) as u32; // 4..=8
-    let shards = 1 + rng.random_range(0..u64::from(lanes)) as usize;
+    let threads = 1 + rng.random_range(0..u64::from(lanes)) as usize;
     let cfg = FleetConfig {
         base: SimConfig {
             capacity: 20.0 + 10.0 * rng.random::<f64>(),
@@ -477,7 +476,7 @@ pub fn run_recovery_case(case_seed: u64) -> Result<ChaosStats, String> {
     // install lock keeps a plan installed by a concurrent caller out of it.
     let reference = {
         let _guard = install(FaultPlan::seeded(0));
-        fleet.run_on(shards, QueueKind::Wheel)
+        fleet.run_on(threads, QueueKind::Wheel)
     };
     if !reference.health.all_ok() {
         return Err(fail("fault-free reference run was not clean".into()));
@@ -492,18 +491,9 @@ pub fn run_recovery_case(case_seed: u64) -> Result<ChaosStats, String> {
         let n = 1 + rng.random_range(0..2u64); // within the default retry budget
         plan = plan.rule(FaultRule::at_key(FaultKind::Panic, "sim/lane", lane).with_n(n));
     }
-    if rng.random::<f64>() < 0.5 {
-        // Shard-site panics are always rescuable: recovery re-runs lanes
-        // individually and never crosses `sim/shard`.
-        plan = plan.rule(FaultRule::with_prob(
-            FaultKind::Panic,
-            "sim/shard",
-            0.2 + 0.5 * rng.random::<f64>(),
-        ));
-    }
     let rescued = {
         let _guard = install(plan);
-        fleet.run_on(shards, QueueKind::Wheel)
+        fleet.run_on(threads, QueueKind::Wheel)
     };
     if !rescued.health.all_ok() {
         return Err(fail(format!(
@@ -535,7 +525,7 @@ pub fn run_recovery_case(case_seed: u64) -> Result<ChaosStats, String> {
     }
     let degraded = {
         let _guard = install(plan);
-        fleet.run_on(shards, QueueKind::Wheel)
+        fleet.run_on(threads, QueueKind::Wheel)
     };
     if degraded.health.failed_lanes() < dead.len() as u32 {
         return Err(fail(format!(

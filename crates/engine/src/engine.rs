@@ -11,8 +11,9 @@ use bevra_num::{brent, expand_bracket_up, NumError, NumResult};
 use bevra_utility::Utility;
 
 /// Grid points per sweep batch: [`SweepEngine::sweep_checked`] restores
-/// or evaluates, then stores, its grid this many points at a time, and
-/// crosses the `engine/ckpt-batch` kill site after each batch.
+/// and stores its grid this many points at a time, and crosses the
+/// `engine/ckpt-batch` kill site after each batch. The points it does
+/// not restore are evaluated in one pool pass, whatever their batch.
 pub const BATCH_POINTS: usize = 32;
 
 /// Execution strategy of an engine's sweeps.
@@ -378,18 +379,20 @@ impl<U: Utility> SweepEngine<U> {
     /// (non-finite or failed gap solve) and failed (panicked) points —
     /// one bad point no longer aborts the sweep.
     ///
-    /// After one up-front [`Self::prime`], the grid runs in batches of
-    /// [`BATCH_POINTS`]:
+    /// After one up-front [`Self::prime`], the grid is cut into batches
+    /// of [`BATCH_POINTS`], the unit of restore, store and kill:
     ///
     /// * **restore** — with a [`PersistentCache`] attached, a batch whose
     ///   finished rows are on disk is restored bitwise instead of
     ///   evaluated, so a killed sweep resumes and a repeated one is
     ///   read back;
-    /// * **retry** — otherwise the batch is evaluated, and a point that
-    ///   panics gets [`POINT_ATTEMPTS`] in all (one immediate serial
-    ///   retry); retries spent land in `health.retries`;
-    /// * **store** — a batch whose every point is clean (finite, no
-    ///   solver cause) is stored to the cache;
+    /// * **evaluate** — every point of the other batches is evaluated in
+    ///   one pool pass, and a point that panics gets [`POINT_ATTEMPTS`]
+    ///   in all (one immediate serial retry); retries spent land in
+    ///   `health.retries`;
+    /// * **store** — then, batch by batch in grid order, a batch whose
+    ///   every point is clean (finite, no solver cause) is stored to the
+    ///   cache;
     /// * **kill site** — the `engine/ckpt-batch` fault site after each
     ///   batch is the chaos suite's kill point: everything before it is
     ///   already on disk.
@@ -425,18 +428,34 @@ impl<U: Utility> SweepEngine<U> {
             (point, gap_cause)
         };
 
+        // Each batch's cache key, and its points when the cache holds them.
+        let batches: Vec<&[(usize, f64)]> = indexed.chunks(BATCH_POINTS).collect();
+        let cached: Vec<(Option<u64>, Option<Vec<SweepPoint>>)> = batches
+            .iter()
+            .map(|batch| {
+                let Some(pc) = &self.persist else { return (None, None) };
+                let cs: Vec<f64> = batch.iter().map(|&(_, c)| c).collect();
+                let key = sweep_key(&self.model, &cs);
+                (Some(key), pc.load_sweep(key, &cs))
+            })
+            .collect();
+        let pending: Vec<(usize, f64)> = batches
+            .iter()
+            .zip(&cached)
+            .filter(|(_, (_, restored))| restored.is_none())
+            .flat_map(|(batch, _)| batch.iter().copied())
+            .collect();
+        let (done, retries) = parallel_map_supervised(&pending, threads, POINT_ATTEMPTS, eval);
+
+        let mut done = done.into_iter();
         let mut results = Vec::with_capacity(indexed.len());
-        let mut retries = 0u64;
-        for (batch_idx, batch) in indexed.chunks(BATCH_POINTS).enumerate() {
-            let cs: Vec<f64> = batch.iter().map(|&(_, c)| c).collect();
-            let cache = self.persist.as_ref().map(|pc| (pc, sweep_key(&self.model, &cs)));
-            if let Some(points) = cache.and_then(|(pc, key)| pc.load_sweep(key, &cs)) {
+        for (batch_idx, (batch, (key, restored))) in batches.iter().zip(cached).enumerate() {
+            if let Some(points) = restored {
                 results.extend(points.into_iter().map(|pt| Ok((pt, None))));
             } else {
-                let (done, spent) = parallel_map_supervised(batch, threads, POINT_ATTEMPTS, eval);
-                retries += spent;
-                if let Some((pc, key)) = cache {
-                    let clean: Option<Vec<SweepPoint>> = done
+                let evaluated: Vec<_> = done.by_ref().take(batch.len()).collect();
+                if let (Some(pc), Some(key)) = (&self.persist, key) {
+                    let clean: Option<Vec<SweepPoint>> = evaluated
                         .iter()
                         .map(|r| match r {
                             Ok((pt, None)) if pt.is_finite() => Some(*pt),
@@ -447,7 +466,7 @@ impl<U: Utility> SweepEngine<U> {
                         pc.store_sweep(key, &points);
                     }
                 }
-                results.extend(done);
+                results.extend(evaluated);
             }
             // Kill site: a `panic:engine/ckpt-batch` rule crashes the
             // sweep *between* batches — every clean batch so far is

@@ -20,6 +20,7 @@
 
 use crate::cache::CacheStats;
 use crate::instrument::StageRecord;
+use bevra_faults::fnv1a;
 use bevra_obs::export::{esc, jnum};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -32,19 +33,6 @@ pub const LEDGER_SCHEMA: &str = "bevra-ledger-v2";
 
 /// Default ledger file name (under the run's `results/` directory).
 pub const LEDGER_FILE: &str = "ledger.jsonl";
-
-/// FNV-1a over a byte slice — the workspace's standard content hash (the
-/// same constants as the fault-plan and persistent-cache hashers). Used
-/// for the ledger's per-line CRC, run fingerprints, and result digests.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Fold drained stage records into one record per stage name, summing the
 /// seconds and points of repeats. Each name keeps the place of its first
@@ -277,12 +265,5 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.lines().nth(1).unwrap().contains("\"id\":\"fig3\""));
-    }
-
-    #[test]
-    fn fnv1a_matches_known_vector() {
-        // FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -48,7 +48,7 @@
 
 use crate::cache::CacheStats;
 use crate::engine::SweepPoint;
-use bevra_faults::FaultKind;
+use bevra_faults::{fnv1a, FaultKind, Fnv1a};
 use bevra_utility::Utility;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -98,27 +98,6 @@ pub struct PersistentCache {
     io_errors: AtomicU64,
 }
 
-/// FNV-1a over a byte stream.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn eat_u64(&mut self, v: u64) {
-        self.eat(&v.to_le_bytes());
-    }
-    fn eat_f64(&mut self, v: f64) {
-        self.eat_u64(v.to_bits());
-    }
-}
-
 /// Content-hash key of the value-table rows for one (model, grid)
 /// combination.
 ///
@@ -146,30 +125,30 @@ fn content_key<U: Utility>(
     model: &bevra_core::DiscreteModel<U>,
     capacities: &[f64],
 ) -> u64 {
-    let mut h = Fnv::new();
-    h.eat(format.as_bytes());
-    h.eat_u64(model.load().digest());
-    h.eat_f64(model.mean_load());
+    let mut h = Fnv1a::new();
+    h.write(format.as_bytes());
+    h.write_u64(model.load().digest());
+    h.write_u64(model.mean_load().to_bits());
     let u = model.utility();
-    h.eat(u.name().as_bytes());
+    h.write(u.name().as_bytes());
     for &b in &PROBES {
-        h.eat_f64(u.value(b));
+        h.write_u64(u.value(b).to_bits());
     }
     for k in u.knots() {
-        h.eat_f64(k);
+        h.write_u64(k.to_bits());
     }
     match model.admission_cap() {
         Some(cap) => {
-            h.eat_u64(1);
-            h.eat_u64(cap);
+            h.write_u64(1);
+            h.write_u64(cap);
         }
-        None => h.eat_u64(0),
+        None => h.write_u64(0),
     }
-    h.eat_u64(capacities.len() as u64);
+    h.write_u64(capacities.len() as u64);
     for &c in capacities {
-        h.eat_f64(c);
+        h.write_u64(c.to_bits());
     }
-    h.0
+    h.finish()
 }
 
 /// Frame an entry body for disk: a `format` tag line, the `key` line,
@@ -178,9 +157,7 @@ fn content_key<U: Utility>(
 /// write this framing.
 fn frame_entry(format: &str, key: u64, body: &str) -> Vec<u8> {
     let mut text = format!("{format}\nkey {key:016x}\n{body}");
-    let mut h = Fnv::new();
-    h.eat(text.as_bytes());
-    let _ = writeln!(text, "crc {:016x}", h.0);
+    let _ = writeln!(text, "crc {:016x}", fnv1a(text.as_bytes()));
     text.into_bytes()
 }
 
@@ -193,9 +170,7 @@ fn unframe_entry<'a>(text: &'a str, format: &str, key: u64) -> Option<&'a str> {
     let crc_at = text.rfind("crc ")?;
     let (framed, crc_line) = text.split_at(crc_at);
     let recorded = u64::from_str_radix(crc_line.strip_prefix("crc ")?.trim(), 16).ok()?;
-    let mut h = Fnv::new();
-    h.eat(framed.as_bytes());
-    if h.0 != recorded {
+    if fnv1a(framed.as_bytes()) != recorded {
         return None;
     }
     let rest = framed.strip_prefix(format)?.strip_prefix("\nkey ")?;

@@ -1,12 +1,16 @@
 //! Scoped-thread data parallelism with deterministic output ordering.
 //!
-//! The workspace cannot pull `rayon` from crates.io, so parallel sweeps run
-//! on `std::thread::scope` workers pulling indices from a shared atomic
-//! counter. Results are collected per worker as `(index, value)` pairs and
-//! merged back into input order, so the output of [`parallel_map`] is
+//! The workspace cannot pull `rayon` from crates.io, so every parallel job
+//! — a sweep's points, a value table's grid, a simulator fleet's lanes —
+//! is one pass of a scoped loop: the calling thread and `threads − 1`
+//! `std::thread::scope` workers pull indices from a shared atomic counter.
+//! Results are collected per worker as `(index, value)` pairs and merged
+//! back into input order, so the output of [`parallel_map`] is
 //! **position-for-position identical** to a serial `map` — only wall-clock
 //! time differs. Per-point work in this workspace is microseconds to
-//! milliseconds, so the one-atomic-op-per-item scheduling cost is noise.
+//! milliseconds, so the one-atomic-op-per-item scheduling cost is noise;
+//! what a job does pay is one thread spawn per extra worker, which is why
+//! a job is one pass rather than one per batch.
 //!
 //! # Failure isolation
 //!
@@ -45,7 +49,7 @@ pub const POINT_ATTEMPTS: u32 = 2;
 
 /// Upper bound on an explicitly requested worker count. Values above this
 /// fall back to the default rather than spawning an unbounded number of
-/// scoped threads (each sweep re-spawns its workers).
+/// scoped threads (each job re-spawns its workers).
 pub const MAX_THREADS: usize = 512;
 
 /// Parse a `BEVRA_THREADS`-style override. `None` (fall back to the
@@ -106,72 +110,89 @@ impl std::fmt::Display for ItemError {
     }
 }
 
-/// Label this worker thread `engine-shard-<w>` for the chrome-trace
-/// export, so Perfetto tracks carry shard names instead of bare tids.
-/// Only does work at [`bevra_obs::ObsLevel::Trace`] — the label registry
-/// takes a short lock, which is noise per sweep but pointless when no
-/// trace will be exported.
-fn label_shard(w: usize) {
+/// Label this spawned worker `engine-worker-<w>` for the chrome-trace
+/// export, so Perfetto tracks carry worker names instead of bare tids.
+/// Worker 0 is the calling thread, which keeps its own label. Only does
+/// work at [`bevra_obs::ObsLevel::Trace`] — the label registry takes a
+/// short lock, which is noise per job but pointless when no trace will
+/// be exported.
+fn label_worker(w: usize) {
     if bevra_obs::enabled(bevra_obs::ObsLevel::Trace) {
-        bevra_obs::set_thread_label(format!("engine-shard-{w}"));
+        bevra_obs::set_thread_label(format!("engine-worker-{w}"));
     }
 }
 
-/// Apply `f` to every item, using up to `threads` workers, returning the
-/// results in input order.
+/// The one scoped loop behind both maps: `threads.min(n)` workers (at
+/// least one) pull indices from a shared counter and apply `g`. Worker 0
+/// is the calling thread; the other `threads.min(n) − 1` are scoped
+/// threads, so a one-worker job spawns nothing. Returns one slot per
+/// index, `None` only where no worker filled it.
 ///
-/// With `threads <= 1` (or fewer than two items) this degenerates to a
-/// plain serial `map` on the calling thread — the two paths produce
-/// bitwise-identical results for any pure `f`.
-///
-/// A panicking `f` propagates (the scope re-raises the worker's panic),
-/// exactly like a serial `map` — use [`parallel_map_supervised`] when one
-/// bad item must not take down the whole sweep.
-pub fn parallel_map_with<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
+/// A panic in `g` stops its worker and propagates once every worker has
+/// stopped (the scope joins its threads before it re-raises), exactly
+/// like a serial `map`.
+fn scoped_loop<U, G>(n: usize, threads: usize, g: G) -> Vec<Option<U>>
 where
-    T: Sync,
     U: Send,
-    F: Fn(&T) -> U + Sync,
+    G: Fn(usize) -> U + Sync,
 {
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let workers = threads.min(n);
     let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(n));
+    let work = || {
+        let mut local: Vec<(usize, U)> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            local.push((i, g(i)));
+        }
+        // Poisoning is recoverable here: workers only ever extend with
+        // complete (index, value) pairs, so the vector's contents are
+        // valid whether or not a peer panicked.
+        collected.lock().unwrap_or_else(PoisonError::into_inner).extend(local);
+    };
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (next, collected, f) = (&next, &collected, &f);
+        for w in 1..threads.min(n) {
+            let work = &work;
             scope.spawn(move || {
-                label_shard(w);
-                let mut local: Vec<(usize, U)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    local.push((i, f(&items[i])));
-                }
-                // Poisoning is recoverable here: workers only ever extend
-                // with complete (index, value) pairs, so the vector's
-                // contents are valid whether or not a peer panicked.
-                collected.lock().unwrap_or_else(PoisonError::into_inner).extend(local);
+                label_worker(w);
+                work();
             });
         }
+        work();
     });
     let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
     for (i, v) in collected.into_inner().unwrap_or_else(PoisonError::into_inner) {
         slots[i] = Some(v);
     }
     slots
+}
+
+/// Apply `f` to every item, using up to `threads` workers (the calling
+/// thread and `threads − 1` scoped threads), returning the results in
+/// input order.
+///
+/// With `threads <= 1` (or fewer than two items) the calling thread maps
+/// every item alone — bitwise-identical to any other worker count for
+/// any pure `f`.
+///
+/// A panicking `f` propagates once every worker has stopped, exactly
+/// like a serial `map` — use [`parallel_map_supervised`] when one bad
+/// item must not take down the whole sweep.
+pub fn parallel_map_with<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> U + Sync,
+{
+    scoped_loop(items.len(), threads, |i| f(&items[i]))
         .into_iter()
         .enumerate()
         .map(|(i, s)| match s {
             Some(v) => v,
-            // Unreachable when no worker panicked (the atomic counter
-            // schedules every index exactly once), and a worker panic has
-            // already been propagated by the scope above.
+            // Unreachable: the counter schedules every index exactly
+            // once, and a worker panic has already propagated.
             None => panic!("parallel_map_with: slot {i} never filled"),
         })
         .collect()
@@ -208,7 +229,6 @@ where
     U: Send,
     F: Fn(&T, u32) -> U + Sync,
 {
-    let n = items.len();
     let attempts = attempts.max(1);
     let retries = AtomicU64::new(0);
     let isolated = |i: usize| -> Result<U, ItemError> {
@@ -226,45 +246,18 @@ where
         }
         Err(ItemError::Panic { message: first_message.unwrap_or_default(), retried: attempts > 1 })
     };
-    let results = if threads <= 1 || n <= 1 {
-        (0..n).map(isolated).collect()
-    } else {
-        let workers = threads.min(n);
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, Result<U, ItemError>)>> =
-            Mutex::new(Vec::with_capacity(n));
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let (next, collected, isolated) = (&next, &collected, &isolated);
-                scope.spawn(move || {
-                    label_shard(w);
-                    let mut local: Vec<(usize, Result<U, ItemError>)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, isolated(i)));
-                    }
-                    collected.lock().unwrap_or_else(PoisonError::into_inner).extend(local);
-                });
-            }
-        });
-        let mut slots: Vec<Option<Result<U, ItemError>>> = (0..n).map(|_| None).collect();
-        for (i, v) in collected.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            slots[i] = Some(v);
-        }
-        slots.into_iter().map(|s| s.unwrap_or(Err(ItemError::Missing))).collect()
-    };
+    let results = scoped_loop(items.len(), threads, isolated)
+        .into_iter()
+        .map(|s| s.unwrap_or(Err(ItemError::Missing)))
+        .collect();
     (results, retries.load(Ordering::Relaxed))
 }
 
 /// Split `0..n` into `chunks` contiguous, balanced, non-empty ranges
 /// (fewer than `chunks` when `n < chunks`; the first `n % chunks` ranges
-/// are one longer). The partition depends only on `(n, chunks)` — callers
-/// that merge chunk results in range order therefore get an output
-/// independent of how many workers actually executed the chunks, which is
-/// what the simulator fleet's shard-count-invariant digests rest on.
+/// are one longer). The partition depends only on `(n, chunks)`. The
+/// pool itself hands out single items; this static split remains for
+/// estimating how unevenly `chunks` workers would share `n` timed items.
 #[must_use]
 pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
     if n == 0 || chunks == 0 {
@@ -305,6 +298,20 @@ mod tests {
             let par = parallel_map_with(&items, threads, |&x| x * x + 1);
             assert_eq!(par, serial, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn two_worker_job_runs_on_the_caller_and_one_spawned_thread() {
+        use std::sync::Barrier;
+        // Both items wait for each other, so neither worker can take both:
+        // the job needs two threads at once, and the caller is one of them.
+        let barrier = Barrier::new(2);
+        let ids = parallel_map_with(&[0u8, 1], 2, |_| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert_ne!(ids[0], ids[1], "the two items met on two threads");
+        assert!(ids.contains(&std::thread::current().id()), "the caller is worker 0: {ids:?}");
     }
 
     #[test]

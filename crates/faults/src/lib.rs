@@ -38,8 +38,11 @@
 
 #![deny(missing_docs)]
 
+mod fnv;
 pub mod io;
 pub mod plan;
+
+pub use fnv::{fnv1a, Fnv1a};
 
 pub use io::{
     ambient_clock, atomic_write, atomic_write_with, retry_transient, Clock, RetryPolicy,

@@ -287,16 +287,6 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-/// FNV-1a over a byte slice, used to fold site names into the decision.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// splitmix64 finalizer: a full-avalanche bijection on `u64`.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -308,7 +298,7 @@ fn mix(mut z: u64) -> u64 {
 /// Deterministic uniform in `[0, 1)` for a `(seed, kind, site, key)`
 /// tuple — the probability comparison basis of [`FaultPlan::trips`].
 fn decision_unit(seed: u64, kind: FaultKind, site: &str, key: u64) -> f64 {
-    let h = mix(seed ^ fnv1a(site.as_bytes()) ^ mix(key ^ (kind as u64) << 56));
+    let h = mix(seed ^ crate::fnv1a(site.as_bytes()) ^ mix(key ^ (kind as u64) << 56));
     // 53 high bits -> exactly representable uniform in [0,1).
     (h >> 11) as f64 / (1u64 << 53) as f64
 }

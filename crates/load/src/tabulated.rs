@@ -475,27 +475,19 @@ impl Tabulated {
     }
 
     fn compute_digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.name.as_bytes());
-        eat(&(self.len as u64).to_le_bytes());
+        let mut h = bevra_num::Fnv1a::new();
+        h.write(self.name.as_bytes());
+        h.write_u64(self.len as u64);
         for &p in &self.pmf {
-            eat(&p.to_bits().to_le_bytes());
+            h.write_u64(p.to_bits());
         }
         if let Some(t) = self.tail {
-            eat(&SMOOTH_HEAD.to_le_bytes());
+            h.write_u64(SMOOTH_HEAD);
             for v in [t.coef, t.lambda, t.z] {
-                eat(&v.to_bits().to_le_bytes());
+                h.write_u64(v.to_bits());
             }
         }
-        h
+        h.finish()
     }
 
     /// Iterate `(k, pmf(k))` over the support (via

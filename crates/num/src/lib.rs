@@ -32,6 +32,7 @@ pub mod roots;
 pub mod special;
 pub mod sum;
 
+pub use bevra_faults::Fnv1a;
 pub use env::{env_count, parse_bounded_count};
 pub use error::{NumError, NumResult};
 pub use fixed_point::fixed_point;

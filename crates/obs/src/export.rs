@@ -53,7 +53,7 @@ pub fn jnum(x: f64) -> String {
 /// Serialize span events as `chrome://tracing`-compatible trace JSON:
 /// complete `"X"` events plus `process_name`/`thread_name` metadata, one
 /// track per instrumented thread. Threads labeled via
-/// [`crate::set_thread_label`] (e.g. the engine pool's `engine-shard-N`
+/// [`crate::set_thread_label`] (e.g. the engine pool's `engine-worker-N`
 /// workers) show their label in Perfetto; unlabeled threads fall back to
 /// `bevra-thread-<tid>`.
 #[must_use]

@@ -104,7 +104,7 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 /// Human-readable labels for observability thread ids, set via
 /// [`set_thread_label`] and rendered by the chrome-trace exporter as
-/// `thread_name` metadata (so Perfetto shows `engine-shard-3` instead of
+/// `thread_name` metadata (so Perfetto shows `engine-worker-3` instead of
 /// a bare tid).
 static LABELS: Mutex<Vec<(u64, String)>> = Mutex::new(Vec::new());
 
@@ -235,7 +235,7 @@ fn new_thread_state() -> ThreadState {
 }
 
 /// Label the current thread's observability track (e.g.
-/// `engine-shard-3`); the chrome-trace exporter emits it as `thread_name`
+/// `engine-worker-3`); the chrome-trace exporter emits it as `thread_name`
 /// metadata. Registers the thread (assigning its tid) if it has no spans
 /// yet; relabeling overwrites.
 pub fn set_thread_label(label: impl Into<String>) {

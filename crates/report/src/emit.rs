@@ -5,10 +5,11 @@ use crate::ascii::render_panel;
 use crate::csv::write_panel_csv;
 use crate::persist::save_figure;
 use crate::series::Figure;
-use bevra_engine::ledger::{fnv1a, sum_stages, LedgerRecord, LEDGER_FILE};
+use bevra_engine::ledger::{sum_stages, LedgerRecord, LEDGER_FILE};
 use bevra_engine::{
     drain_caches, drain_health, drain_stages, thread_count, CacheStats, StageRecord, SweepHealth,
 };
+use bevra_faults::fnv1a;
 use bevra_obs::recorder;
 use std::path::Path;
 

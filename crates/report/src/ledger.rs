@@ -16,8 +16,9 @@
 
 use crate::json::JsonValue;
 use crate::table::markdown_table;
-use bevra_engine::ledger::{fnv1a, LedgerRecord, LEDGER_SCHEMA};
+use bevra_engine::ledger::{LedgerRecord, LEDGER_SCHEMA};
 use bevra_engine::{CacheStats, StageRecord};
+use bevra_faults::fnv1a;
 
 /// Schema tag of the first ledger layout, which kept run totals
 /// (`points`, `seconds`, `cache_hits`, `cache_misses`) instead of

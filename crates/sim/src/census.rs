@@ -110,16 +110,16 @@ impl Census {
     /// Fold the census's exact state — every dwell time's bit pattern,
     /// every arrival count, the total time — into an FNV-1a accumulator.
     /// Used by `SimReport::digest` for bitwise determinism checks.
-    pub fn digest_into(&self, hash: &mut u64) {
-        crate::stats::fnv_fold(hash, self.time_at.len() as u64);
+    pub fn digest_into(&self, hash: &mut bevra_faults::Fnv1a) {
+        hash.write_u64(self.time_at.len() as u64);
         for &t in &self.time_at {
-            crate::stats::fnv_fold(hash, t.to_bits());
+            hash.write_u64(t.to_bits());
         }
-        crate::stats::fnv_fold(hash, self.seen_at.len() as u64);
+        hash.write_u64(self.seen_at.len() as u64);
         for &n in &self.seen_at {
-            crate::stats::fnv_fold(hash, n);
+            hash.write_u64(n);
         }
-        crate::stats::fnv_fold(hash, self.total_time.to_bits());
+        hash.write_u64(self.total_time.to_bits());
     }
 }
 

@@ -37,8 +37,11 @@ pub struct Entry {
 }
 
 impl PartialEq for Entry {
+    /// Equal exactly when [`Ord::cmp`] says so: the same `total_cmp` time
+    /// (so a NaN stamp equals itself and `-0.0` differs from `0.0`) and
+    /// the same seq.
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
 
@@ -78,5 +81,18 @@ mod tests {
         let a = Entry { time: 0.0, seq: 0, kind: EventKind::Arrival };
         let b = Entry { time: -0.0, seq: 1, kind: EventKind::Arrival };
         assert!(a != b);
+    }
+
+    #[test]
+    fn equality_agrees_with_the_order() {
+        let at = |time: f64, seq: u64| Entry { time, seq, kind: EventKind::Arrival };
+        // A NaN stamp equals itself, as `Eq` promises.
+        let nan = at(f64::NAN, 3);
+        assert_eq!(nan.cmp(&nan), std::cmp::Ordering::Equal);
+        assert!(nan == nan);
+        // `0.0` and `-0.0` order apart, so they are not equal either.
+        let (pos, neg) = (at(0.0, 4), at(-0.0, 4));
+        assert_eq!(neg.cmp(&pos), std::cmp::Ordering::Less);
+        assert!(pos != neg);
     }
 }

@@ -1,50 +1,44 @@
-//! Sharded multi-lane simulation — the ≥10M-flow execution layer.
+//! Multi-lane simulation — the ≥10M-flow execution layer.
 //!
 //! A *fleet* runs `lanes` independent virtual event loops of one base
 //! configuration, each lane seeded by
 //! [`rand::derive_seed`]`(base.seed, lane)`, and merges their
-//! reports into a single pooled [`SimReport`]. Lanes are the **semantic**
-//! unit: the fleet's result is defined as "lane 0's report merged with
-//! lane 1's, merged with lane 2's, …" — a fold in strict lane order.
+//! reports into a single pooled [`SimReport`]. The fleet's result is
+//! defined as "lane 0's report merged with lane 1's, merged with lane
+//! 2's, …" — a fold in strict lane order.
 //!
-//! *Shards* are the **execution** unit: [`shard_count`] (the worker-thread
-//! count) groups lanes into contiguous chunks via
-//! [`bevra_engine::chunk_ranges`], and each shard runs its lanes serially
-//! on one pool worker. Because the chunking is contiguous and lane slots
-//! are merged in index order, the result is bitwise-invariant under the
-//! shard count and `BEVRA_THREADS` (pinned by `tests/determinism.rs`).
+//! Each lane is one item of an engine pool pass
+//! ([`bevra_engine::parallel_map_supervised`]): the workers pull lanes one
+//! at a time, and the reports are merged in lane order afterwards, so the
+//! result is bitwise-invariant under the worker count and `BEVRA_THREADS`
+//! (pinned by `tests/determinism.rs`).
 //!
 //! # Failure recovery
 //!
-//! Each shard runs under the engine pool's panic isolation and passes
-//! through the `panic:sim/shard` fault site keyed by shard index; each
-//! lane additionally crosses `panic:sim/lane` (keyed by lane, attempt 0)
-//! so chaos plans can kill a single lane. A panicked shard does not
-//! condemn its lanes: each of them is re-run on its own, serially, in
-//! lane order, from the lane's derived seed, re-crossing `sim/lane` at
-//! attempts 1 to [`LANE_RESTARTS`]. A lane is a pure function of its
-//! seed, so a transient fault (an `n`-bounded rule with
-//! `n ≤ LANE_RESTARTS`) is *rescued*: the re-run reproduces the lane's
-//! exact bits and the merged digest equals the fault-free run's, with
-//! every re-run counted in [`FleetHealth::restarts`]. A lane still dead
-//! after its last re-run would die on every further one, so it is
-//! recorded as a single-lane [`ShardFailure`] and the fleet moves on to
-//! the next lane. Budget exhaustion inside a lane (the `sim/budget`
-//! watchdog) is *not* a failure: the lane's partial report merges and
-//! the lane is counted in [`FleetHealth::truncated_lanes`].
+//! The pool's per-item attempts are the one re-run rule for lanes, as they
+//! are for sweep points. Each attempt of lane `l` crosses
+//! `panic:sim/lane` keyed by `l` at the attempt index, so chaos plans can
+//! kill a single lane. A panicked lane is re-run at once on the same
+//! worker from its derived seed, up to [`LANE_RESTARTS`] times. A lane is
+//! a pure function of its seed, so a transient fault (an `n`-bounded rule
+//! with `n ≤ LANE_RESTARTS`) is *rescued*: the re-run reproduces the
+//! lane's exact bits and the merged digest equals the fault-free run's,
+//! with every re-run counted in [`FleetHealth::restarts`]. A lane still
+//! dead after its last re-run would die on every further one, so it is
+//! recorded as a [`LaneFailure`] and the other lanes merge as usual.
+//! Budget exhaustion inside a lane (the `sim/budget` watchdog) is *not* a
+//! failure: the lane's partial report merges and the lane is counted in
+//! [`FleetHealth::truncated_lanes`].
 
 use crate::runner::{QueueKind, SimConfig, SimError, SimReport, Simulation};
-use bevra_obs::panic_message;
 use rand::derive_seed;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Serial re-runs each lane of a panicked shard gets before it is
-/// recorded failed.
+/// Re-runs a panicked lane gets before it is recorded failed.
 pub const LANE_RESTARTS: u32 = 2;
 
-/// Number of shards (contiguous lane chunks) [`Fleet::run`] splits its
-/// lanes into: one per engine worker. Any count yields the identical
-/// merged report.
+/// Worker count [`Fleet::run`] uses: the engine pool's
+/// [`bevra_engine::thread_count`]. Any count yields the identical merged
+/// report.
 #[must_use]
 pub fn shard_count() -> usize {
     bevra_engine::thread_count()
@@ -58,20 +52,17 @@ pub struct FleetConfig {
     /// seed; lane `i` runs with `derive_seed(base.seed, i)`.
     pub base: SimConfig,
     /// Number of independent virtual event loops. Fixed per config —
-    /// changing it changes the result; changing shards/threads does not.
+    /// changing it changes the result; changing the worker count does not.
     pub lanes: u32,
 }
 
 /// One lane that stayed dead, for the health ledger.
 #[derive(Debug, Clone)]
-pub struct ShardFailure {
-    /// Shard index (into the run's contiguous lane chunking) the lane
-    /// belonged to.
-    pub shard: u32,
+pub struct LaneFailure {
     /// The lane that produced no report: still dead after its
     /// [`LANE_RESTARTS`] re-runs.
     pub lane: u32,
-    /// The lane's last panic message.
+    /// The lane's pool error, which carries its first panic message.
     pub error: String,
 }
 
@@ -83,11 +74,11 @@ pub struct FleetHealth {
     /// Of the ok lanes, how many were truncated by the `sim/budget`
     /// watchdog (their partial reports still merged).
     pub truncated_lanes: u32,
-    /// Lane re-runs after a shard panicked (every re-run counts one,
-    /// successful or not).
+    /// Lane re-runs after a panic (every re-run counts one, successful
+    /// or not).
     pub restarts: u64,
     /// Lanes still dead after their re-runs (one entry per lane).
-    pub failed: Vec<ShardFailure>,
+    pub failed: Vec<LaneFailure>,
 }
 
 impl FleetHealth {
@@ -109,14 +100,14 @@ impl FleetHealth {
 pub struct FleetReport {
     /// All surviving lanes' reports, folded in strict lane order.
     /// `merged.digest()` is the fleet's canonical digest — invariant
-    /// under the shard count, `BEVRA_THREADS`, and the [`QueueKind`].
+    /// under the worker count, `BEVRA_THREADS`, and the [`QueueKind`].
     pub merged: SimReport,
     /// Per-lane digests (`None` for lanes that stayed dead) — the
     /// accounting granularity the chaos suite checks.
     pub lane_digests: Vec<Option<u64>>,
     /// Failure/truncation/recovery accounting.
     pub health: FleetHealth,
-    /// Wall-clock seconds the fleet spent executing shards.
+    /// Wall-clock seconds the fleet spent running its lanes.
     pub seconds: f64,
 }
 
@@ -161,91 +152,54 @@ impl Fleet {
         cfg
     }
 
-    /// Run the fleet at [`shard_count`] shards on the timer wheel.
+    /// Run the fleet on [`shard_count`] workers on the timer wheel.
     #[must_use]
     pub fn run(&self) -> FleetReport {
         self.run_on(shard_count(), QueueKind::Wheel)
     }
 
-    /// Run the fleet with an explicit shard count and queue kind — the
-    /// determinism suite calls this with several shard counts and asserts
+    /// Run the fleet on an explicit worker count and queue kind — the
+    /// determinism suite calls this with several worker counts and asserts
     /// one digest.
     #[must_use]
-    pub fn run_on(&self, shards: usize, queue: QueueKind) -> FleetReport {
-        let lanes = self.cfg.lanes as usize;
+    pub fn run_on(&self, threads: usize, queue: QueueKind) -> FleetReport {
+        let lanes: Vec<u32> = (0..self.cfg.lanes).collect();
         let mut sp = bevra_obs::span("sim/fleet");
-        sp.add_points(lanes as u64);
-        let shard_lanes: Vec<(usize, std::ops::Range<usize>)> =
-            bevra_engine::chunk_ranges(lanes, shards.max(1)).into_iter().enumerate().collect();
+        sp.add_points(lanes.len() as u64);
         let started = std::time::Instant::now();
-        let mut health = FleetHealth::default();
-
-        // One simulated lane, shared by the shard phase (attempt 0) and
-        // the lane re-runs (attempt ≥ 1). Budget truncation is
-        // degradation, not failure.
-        let run_lane = |lane: usize, attempt: u64| -> (SimReport, bool) {
-            bevra_faults::panic_point_attempt("sim/lane", lane as u64, attempt);
-            let sim = Simulation::new(self.lane_config(lane as u32));
-            match sim.run_checked_on(queue) {
-                Ok(r) => (r, false),
-                Err(SimError::BudgetExhausted { partial, .. }) => (*partial, true),
-            }
-        };
-
-        // Parallel phase: one pool item per shard, one attempt each, each
-        // running its lanes serially.
-        let (results, _) = bevra_engine::parallel_map_supervised(
-            &shard_lanes,
-            bevra_engine::thread_count().min(shard_lanes.len()),
-            1,
-            |(shard, range): &(usize, std::ops::Range<usize>), _attempt| {
-                bevra_faults::panic_point("sim/shard", *shard as u64);
-                let mut sh = bevra_obs::span("sim/fleet/shard");
-                sh.add_points(range.len() as u64);
-                range.clone().map(|lane| run_lane(lane, 0)).collect::<Vec<_>>()
+        // One pool item per lane. Budget truncation is degradation, not
+        // failure.
+        let (results, restarts) = bevra_engine::parallel_map_supervised(
+            &lanes,
+            threads,
+            1 + LANE_RESTARTS,
+            |&lane, attempt| {
+                bevra_faults::panic_point_attempt("sim/lane", u64::from(lane), u64::from(attempt));
+                match Simulation::new(self.lane_config(lane)).run_checked_on(queue) {
+                    Ok(r) => (r, false),
+                    Err(SimError::BudgetExhausted { partial, .. }) => (*partial, true),
+                }
             },
         );
-
-        // Per-lane result slots, merged in strict lane order below, which
-        // is what keeps the digest invariant under any shard/thread count
-        // and any mix of re-runs. The lanes of a panicked shard are re-run
-        // one at a time, in lane order: serial and seeded, so a rescue
-        // replays identically regardless of shard/thread counts.
-        let mut slots: Vec<Option<(SimReport, bool)>> = Vec::with_capacity(lanes);
-        for ((shard, range), result) in shard_lanes.iter().zip(results) {
-            if let Ok(reports) = result {
-                slots.extend(reports.into_iter().map(Some));
-                continue;
-            }
-            for lane in range.clone() {
-                let mut last_panic = String::new();
-                let slot = (1..=u64::from(LANE_RESTARTS)).find_map(|attempt| {
-                    health.restarts += 1;
-                    catch_unwind(AssertUnwindSafe(|| run_lane(lane, attempt)))
-                        .map_err(|payload| last_panic = panic_message(payload.as_ref()))
-                        .ok()
-                });
-                if slot.is_none() {
-                    health.failed.push(ShardFailure {
-                        shard: *shard as u32,
-                        lane: lane as u32,
-                        error: format!("lane {lane} dead after restarts: {last_panic}"),
-                    });
-                }
-                slots.push(slot);
-            }
-        }
-
-        // Merge in strict lane order.
         let seconds = started.elapsed().as_secs_f64();
+
+        // Merge in strict lane order, which is what keeps the digest
+        // invariant under any worker count and any mix of re-runs.
+        let mut health = FleetHealth { restarts, ..FleetHealth::default() };
         let mut merged = SimReport::empty();
-        let mut lane_digests: Vec<Option<u64>> = vec![None; lanes];
-        for (lane, slot) in slots.iter().enumerate() {
-            if let Some((report, truncated)) = slot {
-                lane_digests[lane] = Some(report.digest());
-                merge_into(&mut merged, report);
-                health.ok_lanes += 1;
-                health.truncated_lanes += u32::from(*truncated);
+        let mut lane_digests: Vec<Option<u64>> = Vec::with_capacity(lanes.len());
+        for (lane, result) in lanes.into_iter().zip(results) {
+            match result {
+                Ok((report, truncated)) => {
+                    lane_digests.push(Some(report.digest()));
+                    merge_into(&mut merged, &report);
+                    health.ok_lanes += 1;
+                    health.truncated_lanes += u32::from(truncated);
+                }
+                Err(e) => {
+                    lane_digests.push(None);
+                    health.failed.push(LaneFailure { lane, error: e.to_string() });
+                }
             }
         }
 
@@ -297,9 +251,9 @@ mod tests {
 
     /// Run `fleet` under an empty fault plan: holding the install lock
     /// keeps a plan another test installs concurrently out of this run.
-    fn clean_run(fleet: &Fleet, shards: usize, queue: QueueKind) -> FleetReport {
+    fn clean_run(fleet: &Fleet, threads: usize, queue: QueueKind) -> FleetReport {
         let _guard = install(FaultPlan::seeded(0));
-        fleet.run_on(shards, queue)
+        fleet.run_on(threads, queue)
     }
 
     /// Suppress the default panic-hook noise for injected panics only
@@ -321,17 +275,17 @@ mod tests {
     }
 
     #[test]
-    fn digest_invariant_across_shard_counts() {
+    fn digest_invariant_across_worker_counts() {
         let fleet = Fleet::new(fleet_cfg(10));
         let reference = clean_run(&fleet, 1, QueueKind::Wheel);
         assert!(reference.health.all_ok());
         assert_eq!(reference.health.ok_lanes, 10);
-        for shards in [2, 3, 7, 10, 64] {
-            let r = clean_run(&fleet, shards, QueueKind::Wheel);
+        for threads in [2, 3, 7, 10, 64] {
+            let r = clean_run(&fleet, threads, QueueKind::Wheel);
             assert_eq!(
                 r.merged.digest(),
                 reference.merged.digest(),
-                "digest drifted at {shards} shards"
+                "digest drifted on {threads} workers"
             );
             assert_eq!(r.lane_digests, reference.lane_digests);
         }
@@ -383,7 +337,7 @@ mod tests {
         let mut cfg = fleet_cfg(3);
         cfg.base.max_events = Some(2_000);
         let r = clean_run(&Fleet::new(cfg), 2, QueueKind::Wheel);
-        assert!(r.health.all_ok(), "budget exhaustion is not a shard failure");
+        assert!(r.health.all_ok(), "budget exhaustion is not a lane failure");
         assert_eq!(r.health.ok_lanes, 3);
         assert_eq!(r.health.truncated_lanes, 3);
         assert_eq!(r.merged.events, 6_000, "each lane stops at exactly its budget");
@@ -404,33 +358,13 @@ mod tests {
         };
         assert!(r.health.all_ok(), "transient fault must be rescued: {:?}", r.health.failed);
         assert_eq!(r.health.ok_lanes, 6);
-        // The dead shard covered lanes 2 and 3; both re-execute once.
-        assert_eq!(r.health.restarts, 2, "both lanes of the dead shard re-execute");
+        assert_eq!(r.health.restarts, 1, "only the panicking lane re-executes");
         assert_eq!(
             r.merged.digest(),
             reference.merged.digest(),
             "rescued run must be bitwise-identical to the fault-free run"
         );
         assert_eq!(r.lane_digests, reference.lane_digests);
-    }
-
-    #[test]
-    fn permanent_shard_panic_is_rescued_lane_by_lane() {
-        silence_injected_panics();
-        let fleet = Fleet::new(fleet_cfg(6));
-        let reference = clean_run(&fleet, 3, QueueKind::Wheel);
-        // The shard site is only crossed by whole shards — individual
-        // lane re-runs bypass it, so even a *permanent* shard fault is
-        // fully rescued by per-lane recovery.
-        let plan =
-            FaultPlan::seeded(0).rule(FaultRule::always(FaultKind::Panic, "sim/shard"));
-        let r = {
-            let _guard = install(plan);
-            fleet.run_on(3, QueueKind::Wheel)
-        };
-        assert!(r.health.all_ok(), "per-lane recovery bypasses the shard site");
-        assert_eq!(r.health.restarts, 6, "every lane re-executed once");
-        assert_eq!(r.merged.digest(), reference.merged.digest());
     }
 
     #[test]
@@ -451,7 +385,6 @@ mod tests {
         assert_eq!(r.health.restarts, 8 * u64::from(LANE_RESTARTS));
         for (lane, failure) in (0u32..).zip(&r.health.failed) {
             assert_eq!(failure.lane, lane);
-            assert_eq!(failure.shard, lane / 4, "chunk_ranges(8, 2) puts 4 lanes per shard");
             assert!(failure.error.contains("injected panic"), "{}", failure.error);
         }
     }
@@ -461,8 +394,8 @@ mod tests {
         silence_injected_panics();
         let fleet = Fleet::new(fleet_cfg(8));
         let reference = clean_run(&fleet, 2, QueueKind::Wheel);
-        // Lanes 0-2 die on every attempt and take shard 0 (lanes 0-3)
-        // down with them; lane 3 is healthy and must still be re-run.
+        // Lanes 0-2 die on every attempt; lane 3, which a worker may run
+        // between their re-runs, is healthy and must report its own bits.
         let mut plan = FaultPlan::seeded(0);
         for lane in 0..3 {
             plan = plan.rule(FaultRule::at_key(FaultKind::Panic, "sim/lane", lane));
@@ -500,7 +433,7 @@ mod tests {
         assert_eq!(r.lane_digests[4], None);
     }
 
-    /// Lane 2 of `fleet_cfg(6)` at 3 shards, panicking on its first
+    /// Lane 2 of `fleet_cfg(6)` on 3 workers, panicking on its first
     /// `n` attempts, against the fault-free reference.
     fn lane_2_panics_n_times(n: u64) -> (FleetReport, FleetReport) {
         silence_injected_panics();
@@ -516,8 +449,7 @@ mod tests {
     fn lane_dying_on_every_restart_but_the_last_is_rescued() {
         let (reference, r) = lane_2_panics_n_times(u64::from(LANE_RESTARTS));
         assert!(r.health.all_ok(), "the last re-run rescues lane 2: {:?}", r.health.failed);
-        // Lanes 2 and 3 share shard 1: lane 2 re-runs twice, lane 3 once.
-        assert_eq!(r.health.restarts, 3);
+        assert_eq!(r.health.restarts, 2, "lane 2 re-runs twice, no other lane re-runs");
         assert_eq!(r.merged.digest(), reference.merged.digest());
         assert_eq!(r.lane_digests, reference.lane_digests);
     }

@@ -47,7 +47,7 @@ pub mod wheel;
 
 pub use arrivals::{MixedPoisson, RateMixing};
 pub use census::Census;
-pub use fleet::{Fleet, FleetConfig, FleetHealth, FleetReport, ShardFailure};
+pub use fleet::{Fleet, FleetConfig, FleetHealth, FleetReport, LaneFailure};
 pub use holding::HoldingDist;
 pub use link::{Discipline, RetryPolicy};
 pub use runner::{QueueKind, SimConfig, SimError, SimReport, Simulation};

@@ -173,19 +173,19 @@ impl SimReport {
     ///
     /// Two runs of the same configuration and seed must produce equal
     /// digests — regardless of `BEVRA_THREADS`, the [`QueueKind`], or (for
-    /// fleets) the shard count. The determinism tests assert exactly that.
+    /// fleets) the worker count. The determinism tests assert exactly that.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut hash = bevra_faults::Fnv1a::new();
         for word in [self.completed, self.lost, self.blocked_attempts, self.attempts, self.retries]
         {
-            crate::stats::fnv_fold(&mut hash, word);
+            hash.write_u64(word);
         }
         self.utility_at_admission.digest_into(&mut hash);
         self.utility_time_avg.digest_into(&mut hash);
         self.utility_worst.digest_into(&mut hash);
         self.census.digest_into(&mut hash);
-        hash
+        hash.finish()
     }
 }
 

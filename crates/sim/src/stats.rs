@@ -1,15 +1,6 @@
-//! Streaming statistics (Welford's online mean/variance) and the FNV
-//! fold used by bitwise determinism digests.
+//! Streaming statistics: Welford's online mean/variance.
 
-/// Fold one 64-bit word into an FNV-1a accumulator (byte-wise, so the
-/// digest is stable across platforms of the same endianness-free
-/// byte decomposition).
-pub fn fnv_fold(hash: &mut u64, word: u64) {
-    for byte in word.to_le_bytes() {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
+use bevra_faults::Fnv1a;
 
 /// Welford's single-pass mean and variance accumulator with a normal-theory
 /// confidence half-width helper.
@@ -80,7 +71,7 @@ impl Welford {
     /// The result depends on the *order* of merges — floating-point
     /// addition is not associative — so deterministic pipelines must merge
     /// in a fixed order (the fleet merges strictly by lane index, which is
-    /// what makes `SimReport::digest` shard-count-invariant).
+    /// what makes `SimReport::digest` worker-count-invariant).
     pub fn merge(&mut self, other: &Self) {
         if other.n == 0 {
             return;
@@ -100,10 +91,10 @@ impl Welford {
 
     /// Fold the accumulator's exact state (count and the bit patterns of
     /// mean and M₂) into an FNV-1a digest accumulator.
-    pub fn digest_into(&self, hash: &mut u64) {
-        fnv_fold(hash, self.n);
-        fnv_fold(hash, self.mean.to_bits());
-        fnv_fold(hash, self.m2.to_bits());
+    pub fn digest_into(&self, hash: &mut Fnv1a) {
+        hash.write_u64(self.n);
+        hash.write_u64(self.mean.to_bits());
+        hash.write_u64(self.m2.to_bits());
     }
 }
 

@@ -28,7 +28,8 @@ import argparse
 import json
 import sys
 
-# The four canonical kernel rows and the two fig4 welfare-prime rows; their
+# The four canonical kernel rows, the two fig4 welfare-prime rows, and the
+# warm parallel sweep, which measures the engine pool's per-job cost; their
 # absence means the bench harness is broken (or the bench was renamed
 # without updating the baseline), which must fail the gate rather than
 # silently shrink its coverage.
@@ -39,6 +40,7 @@ REQUIRED = (
     "kernel_sweep_warm_cache",
     "engine_prime_welfare_fig4",
     "engine_prime_welfare_fig4_rigid",
+    "engine_sweep_parallel_warm",
 )
 
 

@@ -148,19 +148,17 @@ fn failing_corpus_cases_ship_a_blackbox() {
     assert!(checked > 0, "corpus produced no failing case to check");
 }
 
-/// Pinned sharded-simulator scenario: *permanent* panics injected into
+/// Pinned simulator-fleet scenario: *permanent* panics injected into
 /// two lanes of a [`bevra::sim::Fleet`] run (`panic:sim/lane@at=2`, `@at=3`)
 /// must degrade, not abort — each dead lane spends its
-/// [`bevra::sim::fleet::LANE_RESTARTS`] serial re-runs (ledgered in
+/// [`bevra::sim::fleet::LANE_RESTARTS`] re-runs (ledgered in
 /// [`bevra::sim::FleetHealth`]) and is recorded dead on its own, every
 /// *surviving* lane's digest stays
 /// bit-identical to a clean run (dead lanes cannot perturb their
 /// neighbours' census), and the armed flight-recorder black box ships
 /// with a final synthetic `panic` event naming the `sim/lane` site.
-/// (A fault at the `sim/shard` site is no longer a way to kill lanes:
-/// per-lane recovery bypasses it — see the fleet unit tests.)
 #[test]
-fn pinned_shard_panic_is_accounted_and_isolated() {
+fn pinned_lane_panic_is_accounted_and_isolated() {
     use bevra::prelude::*;
     use bevra::sim::{Fleet, FleetConfig, QueueKind};
     use bevra_faults::{install, FaultKind, FaultPlan, FaultRule};
@@ -190,13 +188,13 @@ fn pinned_shard_panic_is_accounted_and_isolated() {
     };
     assert!(clean.health.all_ok(), "reference run must be healthy");
 
-    // Two rules, keyed to lanes 2 and 3 (both in shard 1 under
-    // `chunk_ranges(6, 3)`), with no `n` bound: the injection fires on
-    // *every* attempt, so each lane re-run trips it again —
-    // *persistently* dead lanes, the case the health ledger exists for.
-    let dir = std::env::temp_dir().join("bevra-sim-shard-blackbox");
+    // Two rules, keyed to lanes 2 and 3, with no `n` bound: the
+    // injection fires on *every* attempt, so each lane re-run trips it
+    // again — *persistently* dead lanes, the case the health ledger
+    // exists for.
+    let dir = std::env::temp_dir().join("bevra-sim-lane-blackbox");
     let _ = std::fs::remove_dir_all(&dir);
-    let id = format!("sim-shard-{}", std::process::id());
+    let id = format!("sim-lane-{}", std::process::id());
     let path = dir.join(format!("{id}-blackbox.jsonl"));
     let (faulted, text) = {
         let _guard = install(
@@ -215,14 +213,12 @@ fn pinned_shard_panic_is_accounted_and_isolated() {
     };
 
     // Exact accounting: lanes 2 and 3 failed (one entry each, in lane
-    // order, both attributed to shard 1), nothing else did, and their
-    // futile re-runs are ledgered.
+    // order), nothing else did, and their futile re-runs are ledgered.
     assert_eq!(faulted.health.ok_lanes, 4, "health: {:?}", faulted.health);
     assert_eq!(faulted.health.failed_lanes(), 2, "health: {:?}", faulted.health);
     assert_eq!(faulted.health.failed.len(), 2);
     assert!(faulted.health.restarts >= 2, "restarts ledgered: {:?}", faulted.health);
     for (failure, lane) in faulted.health.failed.iter().zip([2u32, 3]) {
-        assert_eq!(failure.shard, 1);
         assert_eq!(failure.lane, lane);
         assert!(
             failure.error.contains("injected"),
@@ -232,7 +228,7 @@ fn pinned_shard_panic_is_accounted_and_isolated() {
     }
 
     // Isolation: surviving lanes reproduce the clean run bit for bit; the
-    // dead shard's lanes are absent, not fabricated.
+    // dead lanes are absent, not fabricated.
     for lane in [0usize, 1, 4, 5] {
         assert_eq!(
             faulted.lane_digests[lane], clean.lane_digests[lane],

@@ -70,18 +70,17 @@ fn run_batch_is_bitwise_deterministic_across_thread_counts() {
     unique.dedup();
     assert_eq!(unique.len(), cfgs.len(), "digests must differ across configs: {serial_a:?}");
 
-    fleet_digest_is_shard_count_invariant_at_scale();
+    fleet_digest_is_worker_count_invariant_at_scale();
 }
 
-/// Sharded-fleet half of the determinism wall (called from the single
-/// `#[test]` above — it also mutates `BEVRA_THREADS`): a ~1M-flow fleet
-/// must produce the *same* merged digest and the same per-lane digests
-/// for every shard count and queue backend, and repeat runs must replay
-/// bitwise. The config deliberately spans four
-/// lanes so shard counts {1, 2, 5, 16} exercise lanes-per-shard ratios
-/// above, at, and below one (16 shards > 4 lanes degrades to one lane per
-/// shard plus idle capacity — `chunk_ranges` never emits empty shards).
-fn fleet_digest_is_shard_count_invariant_at_scale() {
+/// Fleet half of the determinism wall (called from the single `#[test]`
+/// above): a ~1M-flow fleet must produce the *same* merged digest and the
+/// same per-lane digests for every worker count and queue backend, and
+/// repeat runs must replay bitwise. The config deliberately spans four
+/// lanes so worker counts {1, 2, 5, 16} exercise fewer workers than
+/// lanes, and more (the pool never starts more workers than it has
+/// lanes, so 5 and 16 both run four).
+fn fleet_digest_is_worker_count_invariant_at_scale() {
     use bevra::sim::{Fleet, FleetConfig, QueueKind};
 
     // Four lanes × (rate 2500 × horizon 100) ≈ 1M flow arrivals ≈ 2.1M
@@ -101,14 +100,13 @@ fn fleet_digest_is_shard_count_invariant_at_scale() {
         },
         lanes: 4,
     });
-    std::env::set_var("BEVRA_THREADS", "3");
     let reference = fleet.run_on(1, QueueKind::Wheel);
     assert!(reference.health.all_ok(), "clean fleet run must be healthy");
     assert!(reference.merged.events > 2_000_000, "scale floor: {} events", reference.merged.events);
     assert_eq!(reference.lane_digests.len(), 4);
     // Committed pin (CI's sim-scale job runs this at scale in release):
     // the merged million-flow digest is a constant of the codebase, not
-    // merely self-consistent across shardings.
+    // merely self-consistent across worker counts.
     assert_eq!(
         reference.merged.digest(),
         0xBE25_1F1D_BB9E_A0D0,
@@ -116,22 +114,21 @@ fn fleet_digest_is_shard_count_invariant_at_scale() {
          glibc 2.36 picks its FMA/AVX2 math variants, so on another libm or CPU suspect the \
          platform first (DESIGN.md §8.1)"
     );
-    for (shards, queue) in
+    for (workers, queue) in
         [(1, QueueKind::Heap), (2, QueueKind::Wheel), (5, QueueKind::Wheel), (16, QueueKind::Wheel)]
     {
-        let report = fleet.run_on(shards, queue);
+        let report = fleet.run_on(workers, queue);
         assert_eq!(
             report.merged.digest(),
             reference.merged.digest(),
-            "merged digest changed at {shards} shard(s) on {queue:?}"
+            "merged digest changed on {workers} worker(s) on {queue:?}"
         );
         assert_eq!(
             report.lane_digests, reference.lane_digests,
-            "per-lane digests changed at {shards} shard(s) on {queue:?}"
+            "per-lane digests changed on {workers} worker(s) on {queue:?}"
         );
     }
-    // Repeat at a mid shard count: bitwise replay, not merely agreement.
+    // Repeat at a mid worker count: bitwise replay, not merely agreement.
     let again = fleet.run_on(5, QueueKind::Wheel);
-    assert_eq!(again.merged.digest(), reference.merged.digest(), "5-shard repeat did not replay");
-    std::env::set_var("BEVRA_THREADS", "1");
+    assert_eq!(again.merged.digest(), reference.merged.digest(), "5-worker repeat did not replay");
 }
